@@ -2,8 +2,8 @@
 
 Leibniz, Hochschild, cyclic, Chevalley-Eilenberg and bar complexes over Q,
 the comparison maps between them, mapping cones with their long exact
-sequences, and a bundled verification battery. Everything is exact Fraction
-arithmetic; there are no floats anywhere.
+sequences, and a bundled verification battery. Everything is exact integer
+and Fraction arithmetic; there are no floats anywhere.
 """
 
 from .algebra import (Algebra, AlgebraElement, AlgebraMorphism,
@@ -12,8 +12,8 @@ from .algebra import (Algebra, AlgebraElement, AlgebraMorphism,
                       builtin_algebra, builtin_morphism, group_algebra,
                       identity_morphism, matrix_algebra, matrix_morphism,
                       multiply, validate_algebra, validate_morphism)
-from .linalg import (RankData, SparseMatrix, SpanSolver, blocked_rank,
-                     rank_kernel_image, rank_only)
+from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
+                     rank_only)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
                         basis_labels, boundary_column_fn, boundary_matrix,
                         build_complex, clear_registry, cyclic_quotient,

@@ -1,9 +1,9 @@
 """Finite-dimensional unital associative algebras over Q, given by structure
 constants, plus algebra morphisms and the built-in example catalogue.
 
-Everything downstream (complex builders, chain maps, suites) consumes the
-sparse product table through basis_product(); elements only show up at the
-API edge and in tests.
+Everything downstream (complex builders, chain maps, suites) reads the sparse
+product table Algebra.products directly; elements only show up at the API
+edge and in tests.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import hashlib
 from fractions import Fraction
 
 from . import perms
-from .linalg import SparseMatrix, SpanSolver, rank_kernel_image, rank_only
+from .linalg import Echelon, SparseMatrix, kernel_basis
 
 
 class Presentation:
@@ -57,9 +57,6 @@ class Algebra:
                 if dict(self.products[i][j]) != dict(self.products[j][i]):
                     return False
         return True
-
-    def basis_product(self, i: int, j: int):
-        return self.products[i][j]
 
     def element(self, coords) -> "AlgebraElement":
         if isinstance(coords, dict):
@@ -485,9 +482,8 @@ def validate_morphism(f: AlgebraMorphism) -> MorphismReport:
             break
     unital = f.apply_coords({k: v for k, v in enumerate(A.unit) if v}) \
         == {k: v for k, v in enumerate(B.unit) if v}
-    data = rank_kernel_image(f.matrix)
-    surjective = data.rank == B.dim
-    kernel = data.kernel
+    kernel = kernel_basis(f.matrix)
+    surjective = A.dim - len(kernel) == B.dim
     nil = _kernel_nilpotency(A, kernel)
     return MorphismReport(fails, unital, surjective, kernel, nil)
 
@@ -497,12 +493,12 @@ def _kernel_nilpotency(A: Algebra, kernel):
         return 0
     current = kernel
     for power in range(2, A.dim + 2):
-        solver = SpanSolver(track_combos=False)
+        solver = Echelon()
         nxt = []
         for k in kernel:
             for c in current:
                 prod = multiply_coords(A, k, c)
-                if prod and solver.insert(prod):
+                if prod and solver.insert(prod) is not None:
                     nxt.append(prod)
         if not nxt:
             return power

@@ -14,21 +14,18 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cache
 from .algebra import (BUILTIN_NAMES, builtin_algebra, matrix_algebra,
                       validate_algebra)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
-                        basis_labels, boundary_matrix, build_complex,
-                        degree_dim, kahler_module)
-from .homology import compose_maps, induced_map, verify_chain_map
-from .linalg import SparseMatrix, rank_only
-from .perms import cyclic_class, cyclic_index, cyclic_shift, symmetric_index
-from .complexes import index_tuple, tuple_index
+                        basis_labels, build_complex, kahler_module)
+from .homology import induced_map, verify_chain_map
+from .linalg import rank_only
 from .serialize import FormatError, load_algebra
 from . import chain_maps as cmaps
-from .suites import SUITE_IDS, SuiteConfig, run_all, run_suite
+from .suites import (SUITE_IDS, SuiteConfig, lift_identities, run_all,
+                     run_suite)
 
 CACHE_ENV = "LEIBHOM_CACHE_DIR"
 
@@ -68,8 +65,6 @@ def _build_parser():
                     help="N for maps through M_N(A)")
     pc.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
                     help="per-degree basis size bound")
-    pc.add_argument("--workers", type=int, default=1,
-                    help="worker pool size for boundary assembly")
     pc.add_argument("--dump-labels", action="store_true",
                     help="include basis labels per degree in the JSON report")
     pc.add_argument("--out", default=".")
@@ -185,13 +180,7 @@ def _load_compute_algebra(spec):
     return builtin_algebra(spec), []
 
 
-def _betti_table(A, kind, maxdeg, max_dim, cache_dir, workers):
-    if workers > 1:
-        degrees = list(range(1, maxdeg + 1))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda n: boundary_matrix(A, kind, n,
-                                                    cache_dir=cache_dir,
-                                                    max_dim=max_dim), degrees))
+def _betti_table(A, kind, maxdeg, max_dim, cache_dir):
     C = build_complex(A, kind, maxdeg, max_dim=max_dim, cache_dir=cache_dir)
     betti = [C.betti(n) for n in range(maxdeg)]
     top_rank = C.rank_boundary(maxdeg)
@@ -252,25 +241,7 @@ def _map_report(A, token, maxdeg, max_dim, cache_dir, N):
         clma = cx("CL", 3, MA)
         lba = cx("L", 3)
         lift = cmaps.lift_p(A, MA, pcx, clma)
-        d = A.dim
-        trphi3 = cmaps.tr_phi_column_fn(MA, A, 3)
-        s3i = cyclic_index(3)[cyclic_shift(3)]
-        ok_round = True
-        for t_i in range(d ** 3):
-            col = lift.maps[2].columns[s3i * d ** 3 + t_i]
-            (clj, coeff), = col.items()
-            if coeff != 1 or trphi3(clj) != {t_i: 1}:
-                ok_round = False
-        nf = cmaps.theta_nf(MA, A, clma, lba)
-        comp = compose_maps(nf, lift)
-        ok_nf = True
-        for j in range(pcx.dims[2]):
-            s_i, t_i = divmod(j, d ** 3)
-            sigma = cyclic_class(3)[s_i]
-            slot = cmaps._slot_tuple(sigma, index_tuple(t_i, d, 3))
-            want = {symmetric_index(3)[sigma] * d ** 3 + tuple_index(slot, d): 1}
-            if comp.maps[2].columns[j] != want:
-                ok_nf = False
+        ok_round, ok_nf = lift_identities(A, MA, lift, lba)
         rep["evidence"] = "composite_identity"
         rep["identities"] = [
             {"id": "trace_phi_lift_on_standard_cycles",
@@ -365,7 +336,7 @@ def cmd_compute(args, argv):
                 print("error: BAR needs a group algebra", file=sys.stderr)
                 return 2
             C, table = _betti_table(A, kind, args.max_degree, args.max_dim,
-                                    cache_dir, args.workers)
+                                    cache_dir)
             if args.dump_labels:
                 table["labels"] = {str(n): basis_labels(A, kind, n)
                                    for n in range(args.max_degree + 1)}
@@ -404,8 +375,7 @@ def cmd_compute(args, argv):
 
     config = {"algebra": args.algebra, "complex": kinds, "maps": tokens,
               "max_degree": args.max_degree, "matrix_size": args.matrix_size,
-              "max_dim": args.max_dim, "workers": args.workers,
-              "dump_labels": args.dump_labels}
+              "max_dim": args.max_dim, "dump_labels": args.dump_labels}
     paths = _write_outputs(args.out, report, md,
                            _manifest(argv, config, inputs, t0, []))
     manifest = _manifest(argv, config, inputs, t0, list(paths.values()))

@@ -507,25 +507,14 @@ def boundary_matrix(A: Algebra, kind: str, n: int, cache_dir=None,
 
 
 def build_complex(A: Algebra, kind: str, cutoff: int, max_dim=DEFAULT_MAX_DIM,
-                  cache_dir=None, on_bound="raise") -> ChainComplex:
-    """Boundaries d_1..d_cutoff as a ChainComplex.
-
-    on_bound = "truncate" drops the degrees above the resource bound instead
-    of raising and records them in .skipped.
-    """
+                  cache_dir=None) -> ChainComplex:
+    """Boundaries d_1..d_cutoff as a ChainComplex."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     dims = [degree_dim(A, kind, 0)]
     boundaries = [None]
-    skipped = []
     for n in range(1, cutoff + 1):
-        try:
-            check_bound(A, kind, n, max_dim)
-        except ResourceBoundExceeded:
-            if on_bound != "truncate":
-                raise
-            skipped = list(range(n, cutoff + 1))
-            break
+        check_bound(A, kind, n, max_dim)
         dims.append(degree_dim(A, kind, n))
         boundaries.append(boundary_matrix(A, kind, n, cache_dir, max_dim))
 
@@ -533,7 +522,7 @@ def build_complex(A: Algebra, kind: str, cutoff: int, max_dim=DEFAULT_MAX_DIM,
         return basis_labels(A, kind, m)
 
     meta = {"algebra": A.name, "fingerprint": A.fingerprint(), "kind": kind}
-    return ChainComplex(kind, dims, boundaries, labeler, meta, skipped)
+    return ChainComplex(kind, dims, boundaries, labeler, meta)
 
 
 def verify_d2_streamed(A: Algebra, kind: str, n: int, cache_dir=None,
@@ -617,7 +606,7 @@ class KahlerModule:
         pres = A.presentation
         d = A.dim
         from .algebra import multiply_coords
-        from .linalg import SpanSolver
+        from .linalg import Echelon
 
         gen = {i: c for i, c in enumerate(pres.generator) if c}
         powers = []
@@ -625,11 +614,10 @@ class KahlerModule:
         for _ in range(d):
             powers.append(dict(cur))
             cur = multiply_coords(A, cur, gen)
-        pow_solver = SpanSolver(track_combos=True)
+        pow_solver = Echelon(track=True)
         for p in powers:
-            if not pow_solver.insert(dict(p)):
+            if pow_solver.insert(p) is None:
                 raise ValueError("presentation powers do not form a basis")
-        self._pow_solver = pow_solver
         self.generator_coords = dict(gen)
 
         # r'(g), evaluated through the power basis
@@ -641,20 +629,18 @@ class KahlerModule:
                     _acc(rprime, i, c * v)
         self._rprime = rprime
 
-        sub = SpanSolver(track_combos=False)
+        sub = Echelon()
         for i in range(d):
             vec = multiply_coords(A, rprime, {i: 1})
             if vec:
                 sub.insert(vec)
-        full = SpanSolver(track_combos=True)
-        sub_vectors = [dict(sub.pivots[k][0]) for k in sorted(sub.pivots)]
-        for v in sub_vectors:
-            full.insert(v)
-        self._n_sub = full.rank
+        full = Echelon(track=True)
+        for k in sorted(sub.pivots):
+            full.insert(sub.pivots[k][0])
         self._rep_positions = []
         self.rep_indices = []
         for i in range(d):
-            if full.insert({i: 1}):
+            if full.insert({i: 1}) is not None:
                 self._rep_positions.append(full.num_inserted - 1)
                 self.rep_indices.append(i)
         self._quot_solver = full

@@ -9,18 +9,17 @@ coordinate solver are materialized on first use.
 
 from __future__ import annotations
 
-from .linalg import (SparseMatrix, SpanSolver, blocked_rank,
-                     rank_kernel_image, rank_only)
+from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
+                     rank_only)
 
 
 class ChainComplex:
-    def __init__(self, kind, dims, boundaries, labeler=None, meta=None, skipped=()):
+    def __init__(self, kind, dims, boundaries, labeler=None, meta=None):
         self.kind = kind
         self.dims = list(dims)
         self.boundaries = list(boundaries)  # boundaries[n] = d_n, index 0 unused
         self.labeler = labeler
         self.meta = dict(meta or {})
-        self.skipped = tuple(skipped)       # degrees dropped by the resource bound
         self._ranks = {}
         self._homology = {}
         if len(self.boundaries) != len(self.dims):
@@ -66,17 +65,6 @@ class ChainComplex:
 
     def betti(self, n: int) -> int:
         return self.homology(n).betti
-
-    def truncate(self, new_cutoff: int) -> "ChainComplex":
-        if new_cutoff > self.cutoff:
-            raise ValueError("cannot extend by truncation")
-        out = ChainComplex(self.kind, self.dims[:new_cutoff + 1],
-                           self.boundaries[:new_cutoff + 1], self.labeler,
-                           self.meta, [s for s in self.skipped if s <= new_cutoff])
-        for n, r in self._ranks.items():
-            if n <= new_cutoff:
-                out._ranks[n] = r
-        return out
 
     def __repr__(self):
         return "ChainComplex(%s, dims=%s)" % (self.kind, self.dims)
@@ -124,29 +112,25 @@ class HomologyData:
         if n == 0:
             kernel = [{i: 1} for i in range(dim_n)]
         else:
-            data = rank_kernel_image(C.boundary(n))
-            C._ranks.setdefault(n, data.rank)
-            kernel = data.kernel
-        image_solver = SpanSolver(track_combos=False)
-        image_vectors = []
+            kernel = kernel_basis(C.boundary(n))
+            C._ranks.setdefault(n, dim_n - len(kernel))
+        image = Echelon()
         if n + 1 <= C.cutoff:
             for col in C.boundary(n + 1).columns:
-                if col and image_solver.insert(col):
-                    pass
-            image_vectors = [dict(image_solver.pivots[k][0])
-                             for k in sorted(image_solver.pivots)]
+                if col:
+                    image.insert(col)
+        image_vectors = [image.pivots[k][0] for k in sorted(image.pivots)]
         C._ranks.setdefault(n + 1, len(image_vectors))
-        full = SpanSolver(track_combos=True)
+        full = Echelon(track=True)
         for v in image_vectors:
             full.insert(v)
-        n_img = full.rank
         want = dim_n - (C.rank_boundary(n) if n >= 1 else 0)  # dim of the cycle space
         reps = []
         rep_positions = []
         for k in kernel:
             if full.rank >= want:
                 break
-            if full.insert(k):
+            if full.insert(k) is not None:
                 reps.append(dict(k))
                 rep_positions.append(full.num_inserted - 1)
         if len(reps) != self.betti:
@@ -156,13 +140,12 @@ class HomologyData:
         for i in range(dim_n):
             if full.rank == dim_n:
                 break
-            if full.insert({i: 1}):
+            if full.insert({i: 1}) is not None:
                 completion_positions.append(full.num_inserted - 1)
         self._solver = full
         self._reps = reps
         self._rep_positions = rep_positions
         self._completion_positions = completion_positions
-        self._n_img = n_img
 
     def class_coords(self, vec: dict):
         """Homology-class coordinates of any chain, as a length-betti tuple.

@@ -1,11 +1,11 @@
 """Exact sparse rational linear algebra.
 
 Vectors are dicts {index: value} with no stored zeros; values are ints or
-Fractions (mixed arithmetic stays exact). Matrices are column-major. Two
-elimination engines live here: SpanSolver, a rational column echelon with
-coefficient tracking (kernels, membership, homology coordinates fall out of
-one pass), and IntEchelon, a rank-only integer staircase used for the large
-streamed computations where nothing but pivot counts is needed.
+Fractions (mixed arithmetic stays exact). Matrices are column-major. One
+elimination engine, Echelon, serves every caller: a fraction-free integer
+column echelon (Bareiss-style cross-multiplication) that counts rank for the
+large streamed computations and, with tracking on, also yields kernel
+relations, span membership and exact coordinates over the inserted vectors.
 """
 
 from __future__ import annotations
@@ -26,16 +26,16 @@ def vec_scaled_add(acc: dict, vec: dict, coeff) -> None:
             acc.pop(k, None)
 
 
-def integerize(vec: dict) -> dict:
-    """Clear denominators: the returned integer vector spans the same line."""
+def integerize(vec: dict):
+    """Clear denominators: (w, mult) with w = mult * vec an integer vector."""
     mult = 1
     for v in vec.values():
         if isinstance(v, Fraction) and v.denominator != 1:
             d = v.denominator
             mult = mult // gcd(mult, d) * d
     if mult == 1:
-        return {k: int(v) for k, v in vec.items()}
-    return {k: int(v * mult) for k, v in vec.items()}
+        return {k: int(v) for k, v in vec.items()}, 1
+    return {k: int(v * mult) for k, v in vec.items()}, mult
 
 
 class SparseMatrix:
@@ -68,10 +68,6 @@ class SparseMatrix:
         for i in range(n):
             m.columns[i][i] = 1
         return m
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls(rows, cols)
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.columns)
@@ -160,21 +156,22 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz())
 
 
-class SpanSolver:
-    """Incremental column echelon over Q with leading-index pivots.
+class Echelon:
+    """Fraction-free integer column echelon with lead = smallest index.
 
-    Pivots are stored normalized (leading entry 1, lead = smallest index).
-    With combo tracking on, each pivot remembers its expression over the
-    originally inserted vectors, so express() answers membership questions
-    with explicit coefficients and rejected inserts yield kernel relations.
+    Inserted vectors (ints or Fractions) are cleared of denominators, then
+    reduced against the pivots by cross-multiplication, and the content gcd
+    is divided out after every step to hold coefficient growth down. With
+    track on, each pivot also keeps the integer combination of inserted
+    vectors it equals, a rejected insert leaves its combination in
+    .relations (a kernel vector of the inserted family), and express()
+    writes a vector of the span over the inserted vectors.
     """
 
-    def __init__(self, track_combos: bool = True, track_relations: bool = False):
-        self.pivots: dict = {}       # lead index -> (vector, combo or None)
-        self.track_combos = track_combos or track_relations
-        self.track_relations = track_relations
-        self.relations: list = []    # combos summing to zero (kernel data)
-        self.accepted: list = []     # insert indices that increased rank
+    def __init__(self, track: bool = False):
+        self.track = track
+        self.pivots: dict = {}       # lead -> (integer vector, combo or None)
+        self.relations: list = []    # integer combos of inserts summing to 0
         self.num_inserted = 0
 
     @property
@@ -182,135 +179,19 @@ class SpanSolver:
         return len(self.pivots)
 
     def _reduce(self, vec: dict, combo):
-        while vec:
-            lead = min(vec)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                return lead, vec, combo
-            pvec, pcombo = hit
-            c = vec[lead]
-            for k, v in pvec.items():
-                val = vec.get(k, 0) - c * v
-                if val:
-                    vec[k] = val
-                else:
-                    vec.pop(k, None)
-            if combo is not None and pcombo is not None:
-                vec_scaled_add(combo, pcombo, -c)
-        return None, vec, combo
+        """Reduce vec (and combo alongside) in place; its new lead or None.
 
-    def insert(self, vec: dict) -> bool:
-        """Insert a vector; True iff it enlarged the span."""
-        idx = self.num_inserted
-        self.num_inserted += 1
-        work = dict(vec)
-        combo = {idx: 1} if self.track_combos else None
-        lead, work, combo = self._reduce(work, combo)
-        if lead is None:
-            if self.track_relations:
-                self.relations.append(combo)
-            return False
-        c = work[lead]
-        if c == -1:
-            work = {k: -v for k, v in work.items()}
-            if combo is not None:
-                combo = {k: -v for k, v in combo.items()}
-        elif c != 1:
-            inv = Fraction(1, 1) / c
-            work = {k: inv * v for k, v in work.items()}
-            if combo is not None:
-                combo = {k: inv * v for k, v in combo.items()}
-        self.pivots[lead] = (work, combo)
-        self.accepted.append(idx)
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        work = dict(vec)
-        lead, work, _ = self._reduce(work, None)
-        return lead is None
-
-    def express(self, vec: dict):
-        """Coefficients over the original inserted vectors, or None.
-
-        Returns a dict {insert index: coeff} with vec = sum coeff * inserted.
-        Requires combo tracking.
+        combo is scaled and combined exactly like vec, so an invariant
+        vec = sum combo[i] * inserted_i holds throughout.
         """
-        if not self.track_combos:
-            raise ValueError("solver built without combo tracking")
-        work = dict(vec)
-        out: dict = {}
-        while work:
-            lead = min(work)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                return None
-            pvec, pcombo = hit
-            c = work[lead]
-            for k, v in pvec.items():
-                val = work.get(k, 0) - c * v
-                if val:
-                    work[k] = val
-                else:
-                    work.pop(k, None)
-            vec_scaled_add(out, pcombo, c)
-        return out
-
-
-class RankData:
-    __slots__ = ("rank", "kernel", "image", "image_cols", "solver")
-
-    def __init__(self, rank, kernel, image, image_cols, solver):
-        self.rank = rank
-        self.kernel = kernel          # list of dict vectors in the column space's source
-        self.image = image            # echelonized basis of the column span
-        self.image_cols = image_cols  # original column indices that carry the rank
-        self.solver = solver
-
-
-def rank_kernel_image(M: SparseMatrix) -> RankData:
-    """Exact rank, kernel basis, image basis, and a membership solver.
-
-    Kernel vectors are read off the failed inserts: when column j reduces to
-    zero its tracked combo is a relation with coefficient 1 on j, which is a
-    kernel vector supported on columns <= j. Image basis is the echelonized
-    pivot set; image_cols are the original pivot column indices.
-    """
-    solver = SpanSolver(track_combos=True, track_relations=True)
-    for j in range(M.cols):
-        solver.insert(M.columns[j])
-    kernel = list(solver.relations)
-    image = [dict(vec) for vec, _ in (solver.pivots[k] for k in sorted(solver.pivots))]
-    return RankData(solver.rank, kernel, image, list(solver.accepted), solver)
-
-
-class IntEchelon:
-    """Rank-only integer column echelon (fraction-free cross-multiplication).
-
-    Pivots keep their smallest index as lead; each reduction divides out the
-    content gcd to hold coefficient growth down. Nothing is tracked beyond
-    the pivots themselves, which keeps the big streamed ranks cheap.
-    """
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def insert(self, vec: dict):
-        """Insert an integer vector; returns its pivot lead or None."""
+        pivots = self.pivots
         while vec:
             lead = min(vec)
-            p = self.pivots.get(lead)
-            if p is None:
-                g = 0
-                for v in vec.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    vec = {k: v // g for k, v in vec.items()}
-                self.pivots[lead] = vec
+            hit = pivots.get(lead)
+            if hit is None:
+                _divide_content(vec, combo)
                 return lead
+            p, pcombo = hit
             a = p[lead]
             b = vec.pop(lead)
             g = gcd(a, b)
@@ -327,20 +208,82 @@ class IntEchelon:
                     vec[k] = val
                 else:
                     vec.pop(k, None)
-            if vec:
-                g = 0
-                for v in vec.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    vec = {k: v // g for k, v in vec.items()}
+            if combo is not None:
+                if mv != 1:
+                    for k in combo:
+                        combo[k] *= mv
+                vec_scaled_add(combo, pcombo, -mp)
+            _divide_content(vec, combo)
         return None
+
+    def insert(self, vec: dict):
+        """Insert a vector; returns its pivot lead, or None if in the span."""
+        idx = self.num_inserted
+        self.num_inserted += 1
+        work, scale = integerize(vec)
+        combo = {idx: scale} if self.track else None
+        lead = self._reduce(work, combo)
+        if lead is None:
+            if combo is not None:
+                self.relations.append(combo)
+            return None
+        # stored as a copy: reduction leaves work's hash table oversized
+        self.pivots[lead] = (dict(work), combo)
+        return lead
+
+    def contains(self, vec: dict) -> bool:
+        return self._reduce(integerize(vec)[0], None) is None
+
+    def express(self, vec: dict):
+        """Exact coefficients over the inserted vectors, or None outside the span.
+
+        Returns {insert index: coeff} with vec = sum coeff * inserted. The
+        reduction tracks -vec as one more insert under the key -1, which no
+        insert uses; once the work vector is zero, s * (-vec) + sum c_i *
+        inserted_i = 0 with s the integer scale left under -1.
+        """
+        if not self.track:
+            raise ValueError("echelon built without tracking")
+        work, scale = integerize(vec)
+        combo = {-1: -scale}
+        if self._reduce(work, combo) is not None:
+            return None
+        s = combo.pop(-1)
+        if s == 1:
+            return combo
+        return {i: Fraction(c, s) for i, c in combo.items()}
+
+
+def _divide_content(vec: dict, combo) -> None:
+    """Divide vec and combo in place by the gcd of all their entries."""
+    g = gcd(*vec.values())
+    if combo is not None and g != 1:
+        g = gcd(g, *combo.values())
+    if g > 1:
+        for k in vec:
+            vec[k] //= g
+        if combo is not None:
+            for k in combo:
+                combo[k] //= g
+
+
+def kernel_basis(M: SparseMatrix) -> list:
+    """Integer kernel basis of M, read off the columns that add no rank.
+
+    Column j that reduces to zero against the columns before it yields a
+    relation with nonzero coefficient on j and support on columns <= j.
+    """
+    ech = Echelon(track=True)
+    for col in M.columns:
+        ech.insert(col)
+    return ech.relations
 
 
 def rank_only(M: SparseMatrix) -> int:
-    ech = IntEchelon()
+    ech = Echelon()
     for col in M.columns:
         if col:
-            ech.insert(integerize(col))
+            ech.insert(col)
     return ech.rank
 
 
@@ -358,14 +301,14 @@ def blocked_rank(vec_iter, split: int, stop_at_second=None):
     the second count is then a valid lower bound on the full-stream value
     (pivot counts only grow as columns arrive).
     """
-    ech = IntEchelon()
+    ech = Echelon()
     first = 0
     second = 0
     completed = True
     for vec in vec_iter:
         if not vec:
             continue
-        lead = ech.insert(integerize(vec))
+        lead = ech.insert(vec)
         if lead is None:
             continue
         if lead < split:

@@ -117,17 +117,6 @@ def test_compute_algebra_from_file_hashes_input(tmp_path):
     assert r.returncode == 2
 
 
-def test_compute_workers_match_serial(tmp_path):
-    a = tmp_path / "serial"
-    b = tmp_path / "parallel"
-    for out, workers in ((a, "1"), (b, "4")):
-        r = run_cli("compute", "--algebra", "truncated_poly:3", "--complex",
-                    "CL,CHH,CLAMBDA", "--max-degree", "3", "--workers",
-                    workers, "--out", str(out))
-        assert r.returncode == 0, r.stderr
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-
-
 def test_verify_single_suite(tmp_path):
     out = tmp_path / "v"
     r = run_cli("verify", "--suite", "degree0", "--cutoff", "3",

@@ -166,13 +166,6 @@ def test_resource_bound_raises_with_details():
         build_complex(A, "CHH", 5, max_dim=1000)
 
 
-def test_build_complex_truncate_mode_records_skips():
-    A = builtin_algebra("s3")
-    C = build_complex(A, "CHH", 5, max_dim=1000, on_bound="truncate")
-    assert C.skipped
-    assert min(C.skipped) >= 2
-
-
 def test_basis_labels_shapes():
     A = builtin_algebra("dual")
     assert basis_labels(A, "CL", 0) == ["1"]

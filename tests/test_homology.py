@@ -77,6 +77,24 @@ def test_homology_data_representatives_and_coords():
     assert H.is_boundary(img)
 
 
+def test_class_coords_exact_on_fraction_scaled_cycles():
+    C = build_complex(builtin_algebra("dual"), "CLAMBDA", 4)
+    H = C.homology(2)
+    assert H.betti == 2
+    boundary = C.boundary(3).apply({0: Fraction(5, 7), 1: Fraction(-2)})
+    for i, rep in enumerate(H.representatives):
+        cycle = {k: Fraction(1, 3) * v for k, v in rep.items()}
+        for k, v in boundary.items():
+            cycle[k] = cycle.get(k, 0) + v
+        want = tuple(Fraction(1, 3) if l == i else 0 for l in range(2))
+        assert H.class_coords({k: v for k, v in cycle.items() if v}) == want
+    r0, r1 = H.representatives
+    mix = {k: Fraction(1, 3) * r0.get(k, 0) - Fraction(3, 4) * r1.get(k, 0)
+           for k in set(r0) | set(r1)}
+    assert H.class_coords({k: v for k, v in mix.items() if v}) \
+        == (Fraction(1, 3), Fraction(-3, 4))
+
+
 def test_is_boundary_rejects_non_cycles():
     # degree-1 boundary is ab - ba, nonzero only noncommutatively
     C = build_complex(builtin_algebra("s3"), "CHH", 2)
@@ -224,11 +242,3 @@ def test_cone_pair_map_is_chain_map():
     ok, wit = verify_chain_map(rel, 4)
     assert ok, wit
 
-
-def test_truncate_returns_prefix():
-    C = build_complex(builtin_algebra("dual"), "CHH", 4)
-    T = C.truncate(2)
-    assert T.dims == C.dims[:3]
-    assert T.boundary(2) == C.boundary(2)
-    with pytest.raises(ValueError):
-        C.truncate(9)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from leibhom.linalg import (SparseMatrix, SpanSolver, blocked_rank,
-                            rank_kernel_image, rank_only)
+from leibhom.linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
+                            rank_only)
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +38,14 @@ def to_dense(M):
     return [[M.entry(r, c) for c in range(M.cols)] for r in range(M.rows)]
 
 
-def random_sparse(rng, rows, cols, density=0.4):
+def random_sparse(rng, rows, cols, density=0.4, fractions=False):
     M = SparseMatrix(rows, cols)
     for c in range(cols):
         col = {}
         for r in range(rows):
             if rng.random() < density:
-                col[r] = Fraction(rng.randint(-3, 3))
+                den = rng.randint(1, 4) if fractions else 1
+                col[r] = Fraction(rng.randint(-3, 3), den)
         col = {r: v for r, v in col.items() if v}
         if col:
             M.columns[c] = col
@@ -70,17 +71,48 @@ def test_rank_kernel_image_consistency():
     rng = random.Random(13)
     for _ in range(25):
         M = random_sparse(rng, rng.randint(1, 7), rng.randint(1, 7))
-        data = rank_kernel_image(M)
-        assert data.rank == dense_rank(to_dense(M))
-        assert data.rank + len(data.kernel) == M.cols
-        for k in data.kernel:
+        dense = to_dense(M)
+        kernel = kernel_basis(M)
+        image = Echelon()
+        for c in range(M.cols):
+            image.insert(M.columns[c])
+        assert image.rank == dense_rank(dense)
+        assert image.rank + len(kernel) == M.cols
+        for k in kernel:
             assert M.apply(k) == {}
-        for img in data.image:
-            # every image vector must be a combination of M's columns
-            solver = SpanSolver(track_combos=False)
-            for c in range(M.cols):
-                solver.insert(dict(M.columns[c]))
-            assert solver.contains(img)
+        for vec, _ in image.pivots.values():
+            # every pivot must be a combination of M's columns
+            widened = [row + [vec.get(r, 0)] for r, row in enumerate(dense)]
+            assert dense_rank(widened) == image.rank
+
+
+def test_echelon_on_fractions_matches_dense_oracle():
+    rng = random.Random(29)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        M = random_sparse(rng, rows, cols, fractions=True)
+        dense = to_dense(M)
+        ech = Echelon(track=True)
+        leads = [ech.insert(M.columns[c]) for c in range(cols)]
+        rank = dense_rank(dense)
+        assert ech.rank == rank == rank_only(M)
+        assert ech.rank + len(ech.relations) == cols
+        assert sum(lead is None for lead in leads) == len(ech.relations)
+        for rel in ech.relations:
+            assert rel and M.apply(rel) == {}
+        assert kernel_basis(M) == ech.relations
+        for _ in range(3):
+            want = M.apply({c: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                            for c in range(cols)})
+            combo = ech.express(want)
+            assert combo is not None
+            assert M.apply(combo) == want
+        for r in range(rows):
+            unit = {r: Fraction(1, 3)}
+            widened = [row + [unit.get(i, 0)] for i, row in enumerate(dense)]
+            in_span = dense_rank(widened) == rank
+            assert ech.contains(unit) == in_span
+            assert (ech.express(unit) is None) == (not in_span)
 
 
 def test_matmul_matches_dense_product():
@@ -129,12 +161,13 @@ def test_apply_matches_column_combination():
 
 
 def test_span_solver_express():
-    solver = SpanSolver(track_combos=True)
+    solver = Echelon(track=True)
     v1 = {0: Fraction(1), 1: Fraction(1)}
     v2 = {1: Fraction(2)}
-    assert solver.insert(dict(v1))
-    assert solver.insert(dict(v2))
-    assert not solver.insert({0: Fraction(2), 1: Fraction(2)})
+    assert solver.insert(dict(v1)) == 0
+    assert solver.insert(dict(v2)) == 1
+    assert solver.insert({0: Fraction(2), 1: Fraction(2)}) is None
+    assert solver.relations in ([{0: -2, 2: 1}], [{0: 2, 2: -1}])
     combo = solver.express({0: Fraction(3), 1: Fraction(1)})
     assert combo is not None
     # reconstruct: sum combo[i] * inserted_i
@@ -145,15 +178,18 @@ def test_span_solver_express():
             acc[r] = acc.get(r, Fraction(0)) + coeff * val
     acc = {r: v for r, v in acc.items() if v}
     assert acc == {0: Fraction(3), 1: Fraction(1)}
+    assert combo == {0: 3, 1: Fraction(-1)}
     assert solver.express({2: Fraction(1)}) is None
+    with pytest.raises(ValueError):
+        Echelon().express({0: 1})
 
 
 def test_blocked_rank_matches_stacked_ranks():
     rng = random.Random(23)
-    for _ in range(20):
+    for trial in range(40):
         top, bottom, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 6)
-        A = random_sparse(rng, top, cols)
-        B = random_sparse(rng, bottom, cols)
+        A = random_sparse(rng, top, cols, fractions=trial % 2 == 1)
+        B = random_sparse(rng, bottom, cols, fractions=trial % 2 == 1)
 
         def stacked_cols():
             for c in range(cols):
@@ -168,6 +204,15 @@ def test_blocked_rank_matches_stacked_ranks():
             + [[B.entry(r, c) for c in range(cols)] for r in range(bottom)]
         assert r1 + r2 == dense_rank(stacked)
         assert r1 == dense_rank(stacked[:top])
+
+
+def test_blocked_rank_keeps_the_leading_block_first():
+    # eliminated with the leading block first, the second vector leaves a
+    # trailing pivot; an order that let trailing indices lead would count
+    # both vectors as trailing pivots (0, 2)
+    cols = ({0: Fraction(1, 2), 2: Fraction(2, 3)},
+            {0: Fraction(3, 4), 3: Fraction(1, 5)})
+    assert blocked_rank(iter(cols), 2) == (1, 1, True)
 
 
 def test_blocked_rank_early_stop():
