@@ -32,7 +32,13 @@ def _format_value(v) -> str:
 
 
 def _parse_value(s: str):
-    f = Fraction(s)
+    """An int, or a Fraction for "p/q"; anything else raises ValueError."""
+    if "/" not in s:
+        return int(s)
+    try:
+        f = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in cache value %r" % s) from None
     return int(f) if f.denominator == 1 else f
 
 

