@@ -492,7 +492,7 @@ def morphism_complex_map(f: AlgebraMorphism, kind: str, src_cx: ChainComplex,
 
 # ------------------------------------------------------------ stream columns
 
-def tr_phi_column_fn(MA: Algebra, base: Algebra, m: int, broken=False):
+def tr_phi_column_fn(MA: Algebra, base: Algebra, m: int):
     """Column function of (trace o phi) on CL_m(M_N(A)), target CHH_{m-1}(A).
 
     Avoids materializing anything over the matrix algebra: each phi term is
@@ -505,15 +505,12 @@ def tr_phi_column_fn(MA: Algebra, base: Algebra, m: int, broken=False):
     D = MA.dim
     d = base.dim
     arrs = signed_arrangements(m - 1)
-    bad = _broken_arrangement(m - 1) if (broken and m >= 3) else None
 
     def col(jidx: int) -> dict:
         pos = [positions[x] for x in index_tuple(jidx, D, m)]
         head, rest = pos[0], pos[1:]
         out: dict = {}
         for s, arr in arrs:
-            if arr == bad:
-                s = -s
             seq = [head] + [rest[x] for x in arr]
             if all(seq[k][1] == seq[(k + 1) % m][0] for k in range(m)):
                 _acc(out, tuple_index(tuple(p[2] for p in seq), d), s)

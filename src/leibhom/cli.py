@@ -33,6 +33,20 @@ MAP_TOKENS = ("PHI", "THETA", "EPSILON", "PROJ_LIE", "PROJ_ADJ", "PROJ_I",
               "P_KAHLER", "TRACE", "CORNER", "LIFT_P", "THETA_NF", "BAR_PI",
               "BAR_IOTA", "EMBED_CY")
 
+# token -> (builder, source kind, target kind) for the maps built as
+# builder(A, source complex, target complex) over A itself
+_PLAIN_MAPS = {
+    "PHI": (cmaps.phi, "CL", "CHH"),
+    "THETA": (cmaps.theta, "CE", "CLAMBDA"),
+    "EPSILON": (cmaps.epsilon, "CE_ADJ", "CHH"),
+    "PROJ_LIE": (cmaps.proj_lie, "CL", "CE"),
+    "PROJ_ADJ": (cmaps.proj_adjoint, "CL", "CE_ADJ"),
+    "PROJ_I": (cmaps.proj_I, "CHH", "CLAMBDA"),
+    "BAR_PI": (cmaps.bar_pi, "CHH", "BAR"),
+    "BAR_IOTA": (cmaps.bar_iota, "BAR", "CHH"),
+    "EMBED_CY": (cmaps.embed_cy, "CHH", "P"),
+}
+
 
 class UsageError(Exception):
     pass
@@ -101,31 +115,27 @@ def _resolve_cache(arg):
     return cache_dir or None
 
 
-def _write_outputs(outdir, report, md_lines, manifest):
+def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0):
+    """Write report.json, report.md and manifest.json once each."""
     os.makedirs(outdir, exist_ok=True)
-    paths = {}
-    for name, payload in (("report.json", report), ("manifest.json", manifest)):
-        path = os.path.join(outdir, name)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths[name] = path
-    path = os.path.join(outdir, "report.md")
-    with open(path, "w") as fh:
-        fh.write("\n".join(md_lines) + "\n")
-    paths["report.md"] = path
-    return paths
-
-
-def _manifest(argv, config, inputs, t0, outputs):
-    return {
+    paths = {name: os.path.join(outdir, name)
+             for name in ("report.json", "report.md", "manifest.json")}
+    outputs = sorted(paths.values())
+    manifest = {
         "command": argv,
         "config": config,
         "inputs": {p: _sha256_file(p) for p in inputs},
         "cache": dict(cache.COUNTERS),
         "wall_time_s": round(time.time() - t0, 3),
-        "outputs": sorted(outputs),
+        "outputs": outputs,
     }
+    for name, payload in (("report.json", report), ("manifest.json", manifest)):
+        with open(paths[name], "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    with open(paths["report.md"], "w") as fh:
+        fh.write("\n".join(md_lines) + "\n")
+    print("wrote %s" % ", ".join(outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +263,9 @@ def _map_report(A, token, maxdeg, max_dim, cache_dir, N):
                        "composites are asserted")
         return rep, ok_round and ok_nf
 
-    if token == "PHI":
-        F = cmaps.phi(A, cx("CL"), cx("CHH"))
-    elif token == "THETA":
-        F = cmaps.theta(A, cx("CE"), cx("CLAMBDA"))
-    elif token == "EPSILON":
-        F = cmaps.epsilon(A, cx("CE_ADJ"), cx("CHH"))
-    elif token == "PROJ_LIE":
-        F = cmaps.proj_lie(A, cx("CL"), cx("CE"))
-    elif token == "PROJ_ADJ":
-        F = cmaps.proj_adjoint(A, cx("CL"), cx("CE_ADJ"))
-    elif token == "PROJ_I":
-        F = cmaps.proj_I(A, cx("CHH"), cx("CLAMBDA"))
+    if token in _PLAIN_MAPS:
+        builder, src, tgt = _PLAIN_MAPS[token]
+        F = builder(A, cx(src), cx(tgt))
     elif token == "P_KAHLER":
         km = kahler_module(A)
         F = cmaps.p_kahler(A, km, cx("CL"), cmaps.omega_complex(km, maxdeg))
@@ -274,12 +275,6 @@ def _map_report(A, token, maxdeg, max_dim, cache_dir, N):
     elif token == "CORNER":
         MA = matrix_algebra(A, N)
         F = cmaps.corner(A, MA, cx("CHH"), cx("CHH", maxdeg, MA))
-    elif token == "BAR_PI":
-        F = cmaps.bar_pi(A, cx("CHH"), cx("BAR"))
-    elif token == "BAR_IOTA":
-        F = cmaps.bar_iota(A, cx("BAR"), cx("CHH"))
-    elif token == "EMBED_CY":
-        F = cmaps.embed_cy(A, cx("CHH"), cx("P"))
     else:
         raise UsageError("unknown map kind %r (have %s)"
                          % (token, ", ".join(MAP_TOKENS)))
@@ -376,13 +371,7 @@ def cmd_compute(args, argv):
     config = {"algebra": args.algebra, "complex": kinds, "maps": tokens,
               "max_degree": args.max_degree, "matrix_size": args.matrix_size,
               "max_dim": args.max_dim, "dump_labels": args.dump_labels}
-    paths = _write_outputs(args.out, report, md,
-                           _manifest(argv, config, inputs, t0, []))
-    manifest = _manifest(argv, config, inputs, t0, list(paths.values()))
-    with open(paths["manifest.json"], "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print("wrote %s" % ", ".join(sorted(paths.values())))
+    _write_outputs(args.out, report, md, argv, config, inputs, t0)
     return 1 if failed else 0
 
 
@@ -436,12 +425,6 @@ def cmd_verify(args, argv):
     report = {"suites": reports, "totals": total}
     cfg_echo = dict(config.as_dict())
     cfg_echo["suite"] = args.suite
-    paths = _write_outputs(args.out, report, md,
-                           _manifest(argv, cfg_echo, [], t0, []))
-    manifest = _manifest(argv, cfg_echo, [], t0, list(paths.values()))
-    with open(paths["manifest.json"], "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     for rep in reports:
         line = "suite %-12s pass %3d fail %3d skipped %3d" % (
             rep["suite"], rep["counts"]["pass"], rep["counts"]["fail"],
@@ -450,7 +433,7 @@ def cmd_verify(args, argv):
         for c in rep["checks"]:
             if c["status"] == "fail":
                 print("  FAIL %s  witness=%s" % (c["id"], c.get("witness")))
-    print("wrote %s" % ", ".join(sorted(paths.values())))
+    _write_outputs(args.out, report, md, argv, cfg_echo, [], t0)
     return 1 if total["fail"] else 0
 
 

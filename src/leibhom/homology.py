@@ -140,16 +140,28 @@ class HomologyData:
         if len(reps) != self.betti:
             raise RuntimeError("representative count %d != betti %d (degree %d)"
                                % (len(reps), self.betti, n))
-        completion_positions = []
+        completion_positions = set()
         for i in range(dim_n):
             if full.rank == dim_n:
                 break
             if full.insert({i: 1}) is not None:
-                completion_positions.append(full.num_inserted - 1)
+                completion_positions.add(full.num_inserted - 1)
         self._solver = full
         self._reps = reps
         self._rep_positions = rep_positions
         self._completion_positions = completion_positions
+
+    def _reduce(self, vec: dict):
+        """(class coordinates, whether vec is a cycle) from one solver pass.
+
+        vec is a cycle iff it has no component along the completion
+        directions.
+        """
+        self._ensure_solver()
+        coords = self._solver.express(vec)
+        cycle = not any(c for p, c in coords.items()
+                        if p in self._completion_positions)
+        return tuple(coords.get(p, 0) for p in self._rep_positions), cycle
 
     def class_coords(self, vec: dict):
         """Homology-class coordinates of any chain, as a length-betti tuple.
@@ -157,22 +169,14 @@ class HomologyData:
         This is the linear functional family dual to the representatives: it
         kills boundaries and the completion directions.
         """
-        self._ensure_solver()
-        coords = self._solver.express(vec)
-        return tuple(coords.get(p, 0) for p in self._rep_positions)
-
-    def is_cycle_combination(self, vec: dict) -> bool:
-        self._ensure_solver()
-        coords = self._solver.express(vec)
-        return all(not coords.get(p, 0) for p in self._completion_positions)
+        return self._reduce(vec)[0]
 
     def is_boundary(self, vec: dict) -> bool:
         """For a cycle: True iff its class vanishes. Raises on non-cycles."""
-        self._ensure_solver()
-        coords = self._solver.express(vec)
-        if any(coords.get(p, 0) for p in self._completion_positions):
+        coords, cycle = self._reduce(vec)
+        if not cycle:
             raise ValueError("vector is not a cycle in degree %d" % self.degree)
-        return all(not coords.get(p, 0) for p in self._rep_positions)
+        return not any(coords)
 
 
 class ChainMapRep:
@@ -247,11 +251,6 @@ def compose_maps(G: ChainMapRep, F: ChainMapRep, kind=None) -> ChainMapRep:
                        chain_sign=F.chain_sign * G.chain_sign)
 
 
-def identity_chain_map(C: ChainComplex) -> ChainMapRep:
-    maps = {n: SparseMatrix.identity(C.dims[n]) for n in range(C.cutoff + 1)}
-    return ChainMapRep("ID", C, C, 0, maps)
-
-
 def induced_map(F: ChainMapRep, n: int) -> SparseMatrix:
     """Matrix of F_* : H_n(source) -> H_{n-shift}(target) in representative bases."""
     if n not in F.maps:
@@ -262,12 +261,12 @@ def induced_map(F: ChainMapRep, n: int) -> SparseMatrix:
     cols = []
     mat = F.maps[n]
     for rep in hs.representatives:
-        img = mat.apply(rep)
-        if not ht.is_cycle_combination(img):
+        coords, cycle = ht._reduce(mat.apply(rep))
+        if not cycle:
             raise ValueError(
                 "image of a degree-%d representative is not a cycle "
                 "(signals an unverified chain map)" % n)
-        cols.append(ht.class_coords(img))
+        cols.append(coords)
     out = SparseMatrix(ht.betti, hs.betti)
     for j, coords in enumerate(cols):
         for i, v in enumerate(coords):
@@ -419,18 +418,20 @@ def exactness_check(matrices):
     """Exactness of V_0 -> V_1 -> ... at every internal node.
 
     Each node checks composite = 0 and rank(incoming) = nullity(outgoing).
-    Returns a list of per-node dicts with the computed numbers.
+    Returns a list of per-node dicts with the computed numbers. Each matrix
+    is ranked once, though inner ones serve two nodes.
     """
     for a, b in zip(matrices, matrices[1:]):
         if b.cols != a.rows:
             raise ValueError("sequence not composable: %dx%d then %dx%d"
                              % (a.rows, a.cols, b.rows, b.cols))
+    ranks = [rank_only(M) for M in matrices]
     report = []
     for idx in range(len(matrices) - 1):
         fin, fout = matrices[idx], matrices[idx + 1]
         composite_zero = fout.matmul(fin).is_zero()
-        rank_in = rank_only(fin)
-        nullity_out = fout.cols - rank_only(fout)
+        rank_in = ranks[idx]
+        nullity_out = fout.cols - ranks[idx + 1]
         report.append({
             "node": idx + 1,
             "composite_zero": composite_zero,

@@ -84,6 +84,12 @@ class _Checks:
     def skip(self, cid, reason):
         self.rows.append({"id": cid, "status": "skipped", "detail": reason})
 
+    def chain_map(self, cid, F, top, detail=None):
+        """Verify F as a chain map through degree top and record the row."""
+        ok, wit = verify_chain_map(F, top)
+        return self.record(cid, ok, detail or "exact, degrees <= %d" % top,
+                           _fmt_wit(wit))
+
     def counts(self):
         c = {"pass": 0, "fail": 0, "skipped": 0}
         for row in self.rows:
@@ -107,12 +113,14 @@ def _report(suite, config, checks: _Checks):
     }
 
 
-def _complexes(A, kinds, cutoff, config):
-    out = {}
-    for kind in kinds:
-        out[kind] = build_complex(A, kind, cutoff, max_dim=config.max_dim,
-                                  cache_dir=config.cache_dir)
-    return out
+def _cx(config, A, kind, cutoff):
+    """The complex built under the config's bound and through its disk cache."""
+    return build_complex(A, kind, cutoff, max_dim=config.max_dim,
+                         cache_dir=config.cache_dir)
+
+
+def _complexes(config, A, kinds, cutoff):
+    return {kind: _cx(config, A, kind, cutoff) for kind in kinds}
 
 
 def _random_coords(rng, dim, count=1):
@@ -152,8 +160,7 @@ def _d2_checks(checks, A, label, kinds, cutoff, config):
                     direct_cut = n - 1
                 else:
                     break
-            C = build_complex(A, kind, direct_cut, max_dim=config.max_dim,
-                              cache_dir=config.cache_dir)
+            C = _cx(config, A, kind, direct_cut)
             ok, wit = verify_boundary_squares(C)
             for n in streamed:
                 if not ok:
@@ -170,6 +177,35 @@ def _d2_checks(checks, A, label, kinds, cutoff, config):
             checks.skip(cid, str(e))
 
 
+_STREAM_DETAIL = "streamed rank >= %(r)d of target betti %(b)d, N=%(N)d"
+
+
+def _streamed_surjectivity(checks, cid, hom, n, N, zero_detail, stream, detail):
+    """Record whether a streamed map from gl_N chains hits all of hom.
+
+    A zero target passes, a degree n that needs N >= n + 1 is skipped, and
+    otherwise stream() gives induced_rank_streamed its (source dimension,
+    split, boundary column, map column); the stream stops once it reaches
+    the target betti b. detail is formatted with r, b, N and cols (the
+    source dimension).
+    """
+    b = hom.betti
+    if b == 0:
+        checks.record(cid, True, zero_detail)
+    elif N < n + 1:
+        checks.skip(cid, "tested range needs matrix size >= %d" % (n + 1))
+    else:
+        cols, split, bcol, mcol = stream()
+        r, _ = induced_rank_streamed(cols, split, bcol, mcol, hom, True)
+        checks.record(cid, r >= b, detail % {"r": r, "b": b, "N": N, "cols": cols})
+
+
+def _cl_stream(MA, m, map_col):
+    """The stream of a map out of CL_m(MA), for _streamed_surjectivity."""
+    return (degree_dim(MA, "CL", m), degree_dim(MA, "CL", m - 1),
+            boundary_column_fn(MA, "CL", m), map_col)
+
+
 # ---------------------------------------------------------------------------
 # core
 
@@ -182,7 +218,7 @@ def suite_core(config: SuiteConfig):
         A = builtin_algebra(name)
         kinds = [k for k in KINDS if k != "BAR" or A.group_meta is not None]
         _d2_checks(checks, A, name, kinds, cutoff, config)
-        cx = _complexes(A, ("CL", "CHH", "CLAMBDA", "CE", "CE_ADJ"), cutoff, config)
+        cx = _complexes(config, A, ("CL", "CHH", "CLAMBDA", "CE", "CE_ADJ"), cutoff)
         ph = cmaps.phi(A, cx["CL"], cx["CHH"], broken=config.debug_break_phi)
         th = cmaps.theta(A, cx["CE"], cx["CLAMBDA"])
         ep = cmaps.epsilon(A, cx["CE_ADJ"], cx["CHH"])
@@ -192,9 +228,7 @@ def suite_core(config: SuiteConfig):
         for label, F in (("phi", ph), ("theta", th), ("epsilon", ep),
                          ("lie_projection", pl), ("adjoint_projection", pa),
                          ("cyclic_projection", pI)):
-            ok, wit = verify_chain_map(F, cutoff)
-            checks.record("%s_is_chain_map[%s]" % (label, name), ok,
-                          "exact, degrees <= %d" % cutoff, _fmt_wit(wit))
+            checks.chain_map("%s_is_chain_map[%s]" % (label, name), F, cutoff)
         ok, wit = _maps_equal(compose_maps(ep, pa), ph, cutoff)
         checks.record("antisymmetrization_factors_through_adjoint_wedge[%s]" % name,
                       ok, "epsilon o adjoint_projection = phi as matrices",
@@ -227,10 +261,9 @@ def suite_core(config: SuiteConfig):
     MQ = matrix_algebra(builtin_algebra("rationals"), 2)
     _d2_checks(checks, MQ, "M2(rationals)", ("CL", "CHH", "CLAMBDA"), min(3, cutoff),
                config)
-    cx = _complexes(MQ, ("CL", "CHH"), min(3, cutoff), config)
-    ok, wit = verify_chain_map(cmaps.phi(MQ, cx["CL"], cx["CHH"]), min(3, cutoff))
-    checks.record("phi_is_chain_map[M2(rationals)]", ok,
-                  "exact, degrees <= %d" % min(3, cutoff), _fmt_wit(wit))
+    cx = _complexes(config, MQ, ("CL", "CHH"), min(3, cutoff))
+    checks.chain_map("phi_is_chain_map[M2(rationals)]",
+                     cmaps.phi(MQ, cx["CL"], cx["CHH"]), min(3, cutoff))
     return _report("core", config, checks)
 
 
@@ -293,7 +326,7 @@ def suite_degree0(config: SuiteConfig):
     cutoff = config.cutoff
     for name in config.algebras:
         A = builtin_algebra(name)
-        cx = _complexes(A, ("CL", "CHH", "CLAMBDA", "CE"), cutoff, config)
+        cx = _complexes(config, A, ("CL", "CHH", "CLAMBDA", "CE"), cutoff)
         b = [cx["CL"].betti(1), cx["CHH"].betti(0), cx["CLAMBDA"].betti(0),
              cx["CE"].betti(1)]
         checks.record("degree_zero_bettis_agree[%s]" % name, len(set(b)) == 1,
@@ -306,10 +339,10 @@ def suite_degree0(config: SuiteConfig):
                 ("lie_projection",
                  induced_map(cmaps.proj_lie(A, cx["CL"], cx["CE"]), 1)))
         for label, F in maps:
-            ok = F.rows == F.cols and rank_only(F) == F.rows
-            checks.record("degree_zero_%s_bijective[%s]" % (label, name), ok,
-                          "induced map is %dx%d of rank %d"
-                          % (F.rows, F.cols, rank_only(F)))
+            r = rank_only(F)
+            checks.record("degree_zero_%s_bijective[%s]" % (label, name),
+                          F.rows == F.cols and r == F.rows,
+                          "induced map is %dx%d of rank %d" % (F.rows, F.cols, r))
     return _report("degree0", config, checks)
 
 
@@ -326,8 +359,7 @@ def suite_commutative(config: SuiteConfig):
             checks.skip("commutative_suite[%s]" % name,
                         "algebra is not commutative")
             continue
-        cl = build_complex(A, "CL", cutoff, max_dim=config.max_dim,
-                           cache_dir=config.cache_dir)
+        cl = _cx(config, A, "CL", cutoff)
         zero = all(cl.boundary(n).is_zero() for n in range(1, cutoff + 1))
         checks.record("loday_boundary_vanishes[%s]" % name, zero,
                       "all CL boundaries are zero matrices, degrees <= %d" % cutoff)
@@ -337,15 +369,12 @@ def suite_commutative(config: SuiteConfig):
                       "betti %s vs dim^n %s, n <= %d" % (got, want, cutoff - 1),
                       None if got == want else {"betti": got, "expected": want})
         km = kahler_module(A)
-        chh = build_complex(A, "CHH", cutoff, max_dim=config.max_dim,
-                            cache_dir=config.cache_dir)
+        chh = _cx(config, A, "CHH", cutoff)
         om = cmaps.omega_complex(km, cutoff)
         p = cmaps.p_kahler(A, km, cl, om)
         eo = cmaps.eps_omega(km, om, chh)
         for label, F in (("kahler_projection", p), ("kahler_inclusion", eo)):
-            ok, wit = verify_chain_map(F, cutoff)
-            checks.record("%s_is_chain_map[%s]" % (label, name), ok,
-                          "exact, degrees <= %d" % cutoff, _fmt_wit(wit))
+            checks.chain_map("%s_is_chain_map[%s]" % (label, name), F, cutoff)
         surj = True
         detail = []
         for m in range(1, cutoff + 1):
@@ -394,8 +423,7 @@ def suite_matrices(config: SuiteConfig):
     # Leibniz homology of gl_N(Q) is one-dimensional in each low degree
     GQ = matrix_algebra(builtin_algebra("rationals"), N)
     try:
-        clq = build_complex(GQ, "CL", cutoff, max_dim=config.max_dim,
-                            cache_dir=config.cache_dir)
+        clq = _cx(config, GQ, "CL", cutoff)
         got = [clq.betti(n) for n in range(cutoff)]
         ok = all(b == 1 for b in got)
         checks.record("matrix_leibniz_betti_is_one[gl%d(rationals)]" % N, ok,
@@ -408,16 +436,12 @@ def suite_matrices(config: SuiteConfig):
         A = builtin_algebra(aname)
         MA = matrix_algebra(A, 2)
         cut = min(3, cutoff)
-        chh_a = build_complex(A, "CHH", cut + 1, max_dim=config.max_dim,
-                              cache_dir=config.cache_dir)
-        chh_ma = build_complex(MA, "CHH", cut, max_dim=config.max_dim,
-                               cache_dir=config.cache_dir)
+        chh_a = _cx(config, A, "CHH", cut + 1)
+        chh_ma = _cx(config, MA, "CHH", cut)
         tr = cmaps.trace(MA, A, chh_ma, chh_a)
         co = cmaps.corner(A, MA, chh_a, chh_ma)
         for label, F in (("trace", tr), ("corner", co)):
-            ok, wit = verify_chain_map(F, cut)
-            checks.record("%s_is_chain_map[M2(%s)]" % (label, aname), ok,
-                          "exact, degrees <= %d" % cut, _fmt_wit(wit))
+            checks.chain_map("%s_is_chain_map[M2(%s)]" % (label, aname), F, cut)
         comp = compose_maps(tr, co)
         ok = all(comp.maps[n] == SparseMatrix.identity(chh_a.dims[n])
                  for n in range(cut + 1))
@@ -440,33 +464,17 @@ def suite_matrices(config: SuiteConfig):
     return _report("matrices", config, checks)
 
 
-def _tr_phi_surjectivity(checks, config, aname, top_n=2):
+def _tr_phi_surjectivity(checks, config, aname):
     A = builtin_algebra(aname)
     N = config.matrix_size
     MA = matrix_algebra(A, N)
-    cutoff = max(config.cutoff, top_n + 1)
-    chh_a = build_complex(A, "CHH", cutoff, max_dim=config.max_dim,
-                          cache_dir=config.cache_dir)
-    for n in range(top_n + 1):
-        cid = "trace_phi_surjective_onto_hochschild[%s:n=%d]" % (aname, n)
-        b = chh_a.betti(n)
-        if b == 0:
-            checks.record(cid, True, "target HH_%d is zero, nothing to hit" % n)
-            continue
-        if N < n + 1:
-            checks.skip(cid, "tested range needs matrix size >= %d" % (n + 1))
-            continue
-        m = n + 1
-        try:
-            dcol = boundary_column_fn(MA, "CL", m)
-            fcol = cmaps.tr_phi_column_fn(MA, A, m)
-            r, _ = induced_rank_streamed(degree_dim(MA, "CL", m),
-                                         degree_dim(MA, "CL", m - 1),
-                                         dcol, fcol, chh_a.homology(n), True)
-            checks.record(cid, r >= b,
-                          "streamed rank >= %d of target betti %d, N=%d" % (r, b, N))
-        except ResourceBoundExceeded as e:
-            checks.skip(cid, str(e))
+    chh_a = _cx(config, A, "CHH", max(config.cutoff, 3))
+    for n in range(3):
+        _streamed_surjectivity(
+            checks, "trace_phi_surjective_onto_hochschild[%s:n=%d]" % (aname, n),
+            chh_a.homology(n), n, N, "target HH_%d is zero, nothing to hit" % n,
+            lambda m=n + 1: _cl_stream(MA, m, cmaps.tr_phi_column_fn(MA, A, m)),
+            _STREAM_DETAIL)
 
 
 def lift_identities(A, MA, lift, lba):
@@ -510,8 +518,7 @@ def _lift_checks(checks, config):
         return
     MA = matrix_algebra(A, N)
     pcx = build_complex(A, "P", 2, max_dim=config.max_dim)
-    clma = build_complex(MA, "CL", 3, max_dim=config.max_dim,
-                         cache_dir=config.cache_dir)
+    clma = _cx(config, MA, "CL", 3)
     lift = cmaps.lift_p(A, MA, pcx, clma)
     # frozen formula instance in degree 1: tau_2 (x) (a, b) -> E^a_12 (x) E^b_21
     idx = MA.matrix_meta["index"]
@@ -545,16 +552,12 @@ def suite_groupring(config: SuiteConfig):
     cutoff = config.cutoff
     for gname in GROUP_NAMES:
         A = builtin_algebra(gname)
-        bar = build_complex(A, "BAR", cutoff, max_dim=config.max_dim,
-                            cache_dir=config.cache_dir)
-        chh = build_complex(A, "CHH", cutoff, max_dim=config.max_dim,
-                            cache_dir=config.cache_dir)
+        bar = _cx(config, A, "BAR", cutoff)
+        chh = _cx(config, A, "CHH", cutoff)
         pi = cmaps.bar_pi(A, chh, bar)
         io = cmaps.bar_iota(A, bar, chh)
         for label, F in (("bar_projection", pi), ("bar_inclusion", io)):
-            ok, wit = verify_chain_map(F, cutoff)
-            checks.record("%s_is_chain_map[%s]" % (label, gname), ok,
-                          "exact, degrees <= %d" % cutoff, _fmt_wit(wit))
+            checks.chain_map("%s_is_chain_map[%s]" % (label, gname), F, cutoff)
         comp = compose_maps(pi, io)
         ok = all(comp.maps[n] == SparseMatrix.identity(bar.dims[n])
                  for n in range(cutoff + 1))
@@ -584,29 +587,16 @@ def _bar_stream_surjectivity(checks, config, gname, bar, pi):
     A = builtin_algebra(gname)
     N = config.matrix_size
     MA = matrix_algebra(A, N)
+
+    def stream(n):
+        trphi = cmaps.tr_phi_column_fn(MA, A, n + 1)
+        return _cl_stream(MA, n + 1, lambda j: pi.maps[n].apply(trphi(j)))
+
     for n in range(min(2, bar.cutoff - 1) + 1):
-        cid = "group_homology_hit_by_matrix_trace[%s:n=%d]" % (gname, n)
-        b = bar.betti(n)
-        if b == 0:
-            checks.record(cid, True, "H_%d(BG;Q) is zero, nothing to hit" % n)
-            continue
-        if N < n + 1:
-            checks.skip(cid, "tested range needs matrix size >= %d" % (n + 1))
-            continue
-        m = n + 1
-        try:
-            dcol = boundary_column_fn(MA, "CL", m)
-            trphi = cmaps.tr_phi_column_fn(MA, A, m)
-            pim = pi.maps[n]
-            mcol = lambda j, pim=pim, trphi=trphi: pim.apply(trphi(j))
-            r, _ = induced_rank_streamed(degree_dim(MA, "CL", m),
-                                         degree_dim(MA, "CL", m - 1),
-                                         dcol, mcol, bar.homology(n), True)
-            checks.record(cid, r >= b,
-                          "streamed rank >= %d of target betti %d, N=%d"
-                          % (r, b, N))
-        except ResourceBoundExceeded as e:
-            checks.skip(cid, str(e))
+        _streamed_surjectivity(
+            checks, "group_homology_hit_by_matrix_trace[%s:n=%d]" % (gname, n),
+            bar.homology(n), n, N, "H_%d(BG;Q) is zero, nothing to hit" % n,
+            lambda n=n: stream(n), _STREAM_DETAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +616,11 @@ def suite_relative(config: SuiteConfig):
                       rep.ok and rep.surjective, rep.describe())
         cones = {}
         for kind in ("CL", "CHH", "CLAMBDA"):
-            s = build_complex(f.source, kind, cutoff + 1, max_dim=config.max_dim,
-                              cache_dir=config.cache_dir)
-            t = build_complex(f.target, kind, cutoff + 1, max_dim=config.max_dim,
-                              cache_dir=config.cache_dir)
+            s = _cx(config, f.source, kind, cutoff + 1)
+            t = _cx(config, f.target, kind, cutoff + 1)
             fmap = cmaps.morphism_complex_map(f, kind, s, t)
-            ok, wit = verify_chain_map(fmap, cutoff + 1)
-            checks.record("tensor_extension_is_chain_map[%s:%s]" % (mname, kind),
-                          ok, "exact, degrees <= %d" % (cutoff + 1), _fmt_wit(wit))
+            checks.chain_map("tensor_extension_is_chain_map[%s:%s]" % (mname, kind),
+                             fmap, cutoff + 1)
             mc = mapping_cone(fmap)
             cones[kind] = (s, t, mc)
             mats, _labels = les_of_cone(mc, cutoff)
@@ -653,9 +640,8 @@ def suite_relative(config: SuiteConfig):
         V = cmaps.proj_I(f.source, chh_s, cla_s)
         W = cmaps.proj_I(f.target, chh_t, cla_t)
         relI = cone_pair_map(mch, mcl, V, W)
-        ok, wit = verify_chain_map(relI, cutoff)
-        checks.record("relative_cyclic_projection_is_chain_map[%s]" % mname, ok,
-                      "exact, cone degrees <= %d" % cutoff, _fmt_wit(wit))
+        checks.chain_map("relative_cyclic_projection_is_chain_map[%s]" % mname,
+                         relI, cutoff, "exact, cone degrees <= %d" % cutoff)
         surj = []
         allok = True
         for m in range(1, cutoff + 1):
@@ -672,80 +658,62 @@ def suite_relative(config: SuiteConfig):
         else:
             checks.record(cid, allok, "; ".join(surj))
         if not control:
-            _relative_streams(checks, config, mname, f, mch, mcl, chh_s, chh_t,
-                              cla_s, cla_t)
+            _relative_streams(checks, config, mname, f, mch, mcl, V, W)
     _relative_naturality_small(checks, config)
     return _report("relative", config, checks)
 
 
-def _relative_streams(checks, config, mname, f, mch, mcl, chh_s, chh_t,
-                      cla_s, cla_t):
-    """Streamed relative surjectivity of (tr o phi) and I o (tr o phi) at gl_N."""
+def _relative_streams(checks, config, mname, f, mch, mcl, V, W):
+    """Streamed relative surjectivity of (tr o phi) and I o (tr o phi) at gl_N.
+
+    V and W are the cyclic projections I of the source and target of f.
+    """
     N = config.matrix_size
     A, B = f.source, f.target
     glf = matrix_morphism(f, N)
     GA, GB = glf.source, glf.target
-    IA = cmaps.proj_I(A, chh_s, cla_s)
-    IB = cmaps.proj_I(B, chh_t, cla_t)
-    for target_label, cone_t, IAm_of, IBm_of in (
-            ("hochschild", mch, None, None),
-            ("cyclic", mcl, IA, IB)):
+
+    def stream(m, cyclic):
+        cb = degree_dim(GA, "CL", m - 1)
+        off_b = degree_dim(GA, "CL", m - 2)
+        da = boundary_column_fn(GA, "CL", m - 1)
+        db = boundary_column_fn(GB, "CL", m)
+        fcolA = cmaps.tr_phi_column_fn(GA, A, m - 1)
+        fcolB = cmaps.tr_phi_column_fn(GB, B, m)
+        gf = cmaps.morphism_tensor_column_fn(glf, m - 1)
+        if cyclic:
+            off_t = V.target.dims[m - 2]
+            applyA, applyB = V.maps[m - 2].apply, W.maps[m - 1].apply
+        else:
+            off_t = V.source.dims[m - 2]
+            applyA = applyB = lambda v: v
+
+        def bcol(j):
+            if j < cb:
+                vec = {i: -v for i, v in da(j).items()}
+                for i, v in gf(j).items():
+                    vec[off_b + i] = vec.get(off_b + i, 0) + v
+                return {k: v for k, v in vec.items() if v}
+            return {off_b + i: v for i, v in db(j - cb).items()}
+
+        def mcol(j):
+            if j < cb:
+                return applyA(fcolA(j))
+            return {off_t + i: v for i, v in applyB(fcolB(j - cb)).items()}
+
+        return (cb + degree_dim(GB, "CL", m),
+                off_b + degree_dim(GB, "CL", m - 1), bcol, mcol)
+
+    for comp, cone_t, cyclic in (("trace_phi", mch, False),
+                                 ("cyclic_projection_of_trace_phi", mcl, True)):
         for n in range(min(2, config.cutoff - 2) + 1):
-            m = n + 2
-            comp = "trace_phi" if target_label == "hochschild" \
-                else "cyclic_projection_of_trace_phi"
-            cid = "relative_%s_surjective[%s:n=%d]" % (comp, mname, n)
-            tb = cone_t.cone.betti(m - 1)
-            if tb == 0:
-                checks.record(cid, True,
-                              "relative target at cone degree %d is zero" % (m - 1))
-                continue
-            if N < n + 1:
-                checks.skip(cid, "tested range needs matrix size >= %d" % (n + 1))
-                continue
-            try:
-                hom = cone_t.cone.homology(m - 1)
-                cb = degree_dim(GA, "CL", m - 1)
-                cpb = degree_dim(GB, "CL", m)
-                off_b = degree_dim(GA, "CL", m - 2)
-                da = boundary_column_fn(GA, "CL", m - 1)
-                db = boundary_column_fn(GB, "CL", m)
-                fcolA = cmaps.tr_phi_column_fn(GA, A, m - 1)
-                fcolB = cmaps.tr_phi_column_fn(GB, B, m)
-                gf = cmaps.morphism_tensor_column_fn(glf, m - 1)
-                if target_label == "cyclic":
-                    ia = IAm_of.maps[m - 2]
-                    ib = IBm_of.maps[m - 1]
-                    off_t = cla_s.dims[m - 2]
-                    applyA = lambda v, ia=ia: ia.apply(v)
-                    applyB = lambda v, ib=ib: ib.apply(v)
-                else:
-                    off_t = chh_s.dims[m - 2]
-                    applyA = applyB = lambda v: v
-
-                def bcol(j, cb=cb, da=da, db=db, gf=gf, off_b=off_b):
-                    if j < cb:
-                        vec = {i: -v for i, v in da(j).items()}
-                        for i, v in gf(j).items():
-                            vec[off_b + i] = vec.get(off_b + i, 0) + v
-                        return {k: v for k, v in vec.items() if v}
-                    return {off_b + i: v for i, v in db(j - cb).items()}
-
-                def mcol(j, cb=cb, fcolA=fcolA, fcolB=fcolB, off_t=off_t,
-                         applyA=applyA, applyB=applyB):
-                    if j < cb:
-                        return applyA(fcolA(j))
-                    return {off_t + i: v
-                            for i, v in applyB(fcolB(j - cb)).items()}
-
-                split = off_b + degree_dim(GB, "CL", m - 1)
-                r, _ = induced_rank_streamed(cb + cpb, split, bcol, mcol, hom,
-                                             True)
-                checks.record(cid, r >= tb,
-                              "streamed rank >= %d of relative betti %d over "
-                              "%d columns, N=%d" % (r, tb, cb + cpb, N))
-            except ResourceBoundExceeded as e:
-                checks.skip(cid, str(e))
+            _streamed_surjectivity(
+                checks, "relative_%s_surjective[%s:n=%d]" % (comp, mname, n),
+                cone_t.cone.homology(n + 1), n, N,
+                "relative target at cone degree %d is zero" % (n + 1),
+                lambda m=n + 2, cyclic=cyclic: stream(m, cyclic),
+                "streamed rank >= %(r)d of relative betti %(b)d over "
+                "%(cols)d columns, N=%(N)d")
 
 
 def _relative_naturality_small(checks, config):
@@ -770,11 +738,10 @@ def _relative_naturality_small(checks, config):
     WB = compose_maps(cmaps.proj_I(f.target, chh_b, cla_b),
                       compose_maps(cmaps.trace(GB, f.target, chh_gb, chh_b),
                                    cmaps.phi(GB, cl_gb, chh_gb)))
-    P = cone_pair_map(mcc, mcl, VA, WB)
-    ok, wit = verify_chain_map(P, cut - 1)
-    checks.record("relative_composite_natural_at_small_size[dual_aug]", ok,
-                  "cone pair of I o tr o phi verified at matrix size 2, "
-                  "degrees <= %d" % (cut - 1), _fmt_wit(wit))
+    checks.chain_map("relative_composite_natural_at_small_size[dual_aug]",
+                     cone_pair_map(mcc, mcl, VA, WB), cut - 1,
+                     "cone pair of I o tr o phi verified at matrix size 2, "
+                     "degrees <= %d" % (cut - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -806,14 +773,10 @@ def suite_appendix(config: SuiteConfig):
     for name in ("rationals", "dual", "split:2"):
         A = builtin_algebra(name)
         _d2_checks(checks, A, name, ("P",), cutoff, config)
-        P = build_complex(A, "P", cutoff + 1, max_dim=config.max_dim,
-                          cache_dir=config.cache_dir)
-        chh = build_complex(A, "CHH", cutoff + 1, max_dim=config.max_dim,
-                            cache_dir=config.cache_dir)
+        P = _cx(config, A, "P", cutoff + 1)
+        chh = _cx(config, A, "CHH", cutoff + 1)
         emb = cmaps.embed_cy(A, chh, P)
-        ok, wit = verify_chain_map(emb, cutoff)
-        checks.record("cyclic_embedding_is_chain_map[%s]" % name, ok,
-                      "exact, degrees <= %d" % cutoff, _fmt_wit(wit))
+        checks.chain_map("cyclic_embedding_is_chain_map[%s]" % name, emb, cutoff)
         top = min(3, cutoff - 1)
         rows = []
         allok = True
@@ -826,17 +789,14 @@ def suite_appendix(config: SuiteConfig):
                 allok = False
         checks.record("cycle_complex_computes_hochschild[%s]" % name, allok,
                       "induced isomorphism, " + "; ".join(rows))
-        lcx = build_complex(A, "L", cutoff + 1, max_dim=config.max_dim,
-                            cache_dir=config.cache_dir)
-        br = cmaps.cycle_slot_bridge(A, P, lcx)
-        ok, wit = verify_chain_map(br, cutoff)
-        checks.record("diagonal_faces_match_transported_boundary[%s]" % name, ok,
-                      "signed slot bridge intertwines the two boundaries, "
-                      "degrees <= %d" % cutoff, _fmt_wit(wit))
+        lcx = _cx(config, A, "L", cutoff + 1)
+        checks.chain_map("diagonal_faces_match_transported_boundary[%s]" % name,
+                         cmaps.cycle_slot_bridge(A, P, lcx), cutoff,
+                         "signed slot bridge intertwines the two boundaries, "
+                         "degrees <= %d" % cutoff)
     # independent oracle for the dual numbers: the two-periodic resolution
     dual = builtin_algebra("dual")
-    chh = build_complex(dual, "CHH", cutoff + 1, max_dim=config.max_dim,
-                        cache_dir=config.cache_dir)
+    chh = _cx(config, dual, "CHH", cutoff + 1)
     per = _periodic_dual_complex(cutoff + 1)
     top = min(3, cutoff - 1)
     got = [chh.betti(n) for n in range(top + 1)]

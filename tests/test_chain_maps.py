@@ -22,8 +22,8 @@ from leibhom.algebra import (builtin_algebra, builtin_morphism,
                              matrix_algebra)
 from leibhom.complexes import (build_complex, index_tuple, kahler_module,
                                tuple_index)
-from leibhom.homology import (compose_maps, identity_chain_map, induced_map,
-                              mapping_cone, verify_chain_map)
+from leibhom.homology import (compose_maps, induced_map, mapping_cone,
+                              verify_chain_map)
 from leibhom.linalg import SparseMatrix, rank_only
 from leibhom.perms import cyclic_class, cyclic_index, cyclic_shift, symmetric_index
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line through a subprocess."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +55,23 @@ def test_algebra_validate_paths(tmp_path):
     r = run_cli("algebra", "validate", str(broken))
     assert r.returncode == 1
     assert "associativity" in r.stdout
+
+
+def test_small_battery_report_is_pinned(tmp_path):
+    """The cutoff-3, N=2 battery reaches the skip branches of the streamed
+    surjectivity checks and of the lift checks. Its report.json is pinned
+    byte for byte; a change that alters the report on purpose updates the
+    digest and says why."""
+    r = run_cli("verify", "--suite", "all", "--cutoff", "3", "--matrix-size",
+                "2", "--seed", "42", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    raw = (tmp_path / "report.json").read_bytes()
+    details = [c["detail"] for s in json.loads(raw)["suites"]
+               for c in s["checks"] if c["status"] == "skipped"]
+    assert "tested range needs matrix size >= 3" in details
+    assert "lift at degree 3 needs matrix size >= 3, have 2" in details
+    assert hashlib.sha256(raw).hexdigest() == \
+        "4050b11eba171e67d4266dfee89830811668a4d39760853ed854051c03e37132"
 
 
 def test_compute_writes_reports(tmp_path):

@@ -14,8 +14,7 @@ from leibhom.algebra import builtin_algebra
 from leibhom.chain_maps import phi, proj_I
 from leibhom.complexes import build_complex
 from leibhom.homology import (ChainComplex, ChainMapRep, compose_maps,
-                              cone_pair_map, exactness_check,
-                              identity_chain_map, induced_map,
+                              cone_pair_map, exactness_check, induced_map,
                               induced_rank_streamed, les_of_cone,
                               mapping_cone, verify_boundary_squares,
                               verify_chain_map)
@@ -67,7 +66,6 @@ def test_homology_data_representatives_and_coords():
     d1 = C.boundary(1)
     for rep in reps:
         assert d1.apply(rep) == {}
-        assert H.is_cycle_combination(rep)
         assert not H.is_boundary(rep)
         assert any(c != 0 for c in H.class_coords(rep))
     # a boundary has vanishing class coordinates
@@ -101,9 +99,36 @@ def test_is_boundary_rejects_non_cycles():
     H = C.homology(1)
     non_cycle = next({j: Fraction(1)} for j in range(C.dims[1])
                      if C.boundary(1).apply({j: Fraction(1)}) != {})
-    assert not H.is_cycle_combination(non_cycle)
     with pytest.raises(ValueError):
         H.is_boundary(non_cycle)
+
+
+def test_induced_map_rejects_a_non_cycle_image():
+    C = build_complex(builtin_algebra("dual"), "CHH", 3)
+    assert C.betti(2) == 1
+    non_cycle = next({j: 1} for j in range(C.dims[2])
+                     if C.boundary(2).apply({j: 1}) != {})
+    M = SparseMatrix(C.dims[2], C.dims[2])
+    M.columns = [dict(non_cycle) for _ in range(C.dims[2])]
+    with pytest.raises(ValueError, match="not a cycle"):
+        induced_map(ChainMapRep("BAD", C, C, 0, {2: M}), 2)
+
+
+def test_induced_map_expresses_each_representative_once(monkeypatch):
+    A = builtin_algebra("dual")
+    F = phi(A, build_complex(A, "CL", 4), build_complex(A, "CHH", 4))
+    target = F.target.homology(2)
+    assert target.representatives
+    calls = []
+    real = target._solver.express
+
+    def counting(vec):
+        calls.append(vec)
+        return real(vec)
+
+    monkeypatch.setattr(target._solver, "express", counting)
+    induced = induced_map(F, 3)
+    assert len(calls) == F.source.betti(3) == induced.cols > 0
 
 
 def test_verify_chain_map_accepts_phi_and_rejects_broken():
@@ -171,7 +196,8 @@ def test_compose_maps_associates_with_matrices():
 
 def test_identity_cone_is_acyclic():
     C = build_complex(builtin_algebra("dual"), "CHH", 4)
-    mc = mapping_cone(identity_chain_map(C))
+    identity = {n: SparseMatrix.identity(C.dims[n]) for n in range(C.cutoff + 1)}
+    mc = mapping_cone(ChainMapRep("ID", C, C, 0, identity))
     ok, wit = verify_boundary_squares(mc.cone)
     assert ok, wit
     assert [mc.cone.betti(n) for n in range(4)] == [0, 0, 0, 0]
@@ -222,6 +248,24 @@ def test_exactness_check_flags_non_exact():
     zero = SparseMatrix(1, 1)
     nodes = exactness_check([zero, one, zero, zero])
     assert any(not node["exact"] for node in nodes)
+
+
+def test_exactness_check_ranks_each_matrix_once(monkeypatch):
+    import leibhom.homology as homology
+    ranked = []
+    real = homology.rank_only
+
+    def counting(M):
+        ranked.append(M)
+        return real(M)
+
+    monkeypatch.setattr(homology, "rank_only", counting)
+    # Q -0-> Q -id-> Q -0-> Q is exact at both inner nodes
+    seq = [SparseMatrix(1, 1), SparseMatrix.identity(1), SparseMatrix(1, 1)]
+    nodes = exactness_check(seq)
+    assert [(n["rank_in"], n["nullity_out"], n["exact"]) for n in nodes] \
+        == [(0, 0, True), (1, 1, True)]
+    assert len(ranked) == 3 and len({id(M) for M in ranked}) == 3
 
 
 def test_cone_pair_map_is_chain_map():

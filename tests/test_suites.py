@@ -92,6 +92,22 @@ def test_debug_break_phi_trips_core_suite():
     assert "degree" in w and "column" in w
 
 
+def test_degree0_suite_ranks_each_induced_map_once(monkeypatch):
+    import leibhom.suites as suites
+    ranked = []
+    real = suites.rank_only
+
+    def counting(M):
+        ranked.append(M)
+        return real(M)
+
+    monkeypatch.setattr(suites, "rank_only", counting)
+    rep = run_suite("degree0", SuiteConfig(algebras=("dual",), cutoff=2))
+    assert not report_failed(rep)
+    # phi, the cyclic projection, theta and the Lie projection
+    assert len(ranked) == 4 and len({id(M) for M in ranked}) == 4
+
+
 def test_matrices_suite_skips_when_size_too_small():
     rep = run_suite("matrices", SuiteConfig(cutoff=3, matrix_size=2))
     skipped = [c for c in rep["checks"] if c["status"] == "skipped"]
