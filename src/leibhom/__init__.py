@@ -6,12 +6,11 @@ sequences, and a bundled verification battery. Everything is exact integer
 and Fraction arithmetic; there are no floats anywhere.
 """
 
-from .algebra import (Algebra, AlgebraElement, AlgebraMorphism,
-                      BUILTIN_MORPHISMS, BUILTIN_NAMES, MorphismReport,
-                      Presentation, ValidationReport, bracket,
-                      builtin_algebra, builtin_morphism, group_algebra,
-                      identity_morphism, matrix_algebra, matrix_morphism,
-                      multiply, validate_algebra, validate_morphism)
+from .algebra import (Algebra, AlgebraMorphism, BUILTIN_MORPHISMS,
+                      BUILTIN_NAMES, MorphismReport, Presentation,
+                      ValidationReport, builtin_algebra, builtin_morphism,
+                      group_algebra, identity_morphism, matrix_algebra,
+                      matrix_morphism, validate_algebra, validate_morphism)
 from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
                      rank_only)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,

@@ -2,8 +2,8 @@
 constants, plus algebra morphisms and the built-in example catalogue.
 
 Everything downstream (complex builders, chain maps, suites) reads the sparse
-product table Algebra.products directly; elements only show up at the API
-edge and in tests.
+product table Algebra.products directly; an element is a coordinate dict
+{basis index: coeff}, multiplied by multiply_coords.
 """
 
 from __future__ import annotations
@@ -58,19 +58,6 @@ class Algebra:
                     return False
         return True
 
-    def element(self, coords) -> "AlgebraElement":
-        if isinstance(coords, dict):
-            cd = {k: v for k, v in coords.items() if v}
-        else:
-            cd = {k: v for k, v in enumerate(coords) if v}
-        return AlgebraElement(self, cd)
-
-    def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, {i: 1})
-
-    def unit_element(self) -> "AlgebraElement":
-        return self.element(self.unit)
-
     def fingerprint(self) -> str:
         """Content hash over (dim, unit, table); names do not participate."""
         if self._fingerprint is None:
@@ -87,50 +74,6 @@ class Algebra:
 
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.name, self.dim)
-
-
-class AlgebraElement:
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: Algebra, coords: dict):
-        self.algebra = algebra
-        self.coords = coords
-
-    def __add__(self, other):
-        _same_algebra(self, other)
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            val = out.get(k, 0) + v
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
-        return AlgebraElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + AlgebraElement(other.algebra, {k: -v for k, v in other.coords.items()})
-
-    def __mul__(self, other):
-        return multiply(self.algebra, self, other)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement)
-                and self.algebra is other.algebra
-                and self.coords == other.coords)
-
-    def is_zero(self):
-        return not self.coords
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        names = self.algebra.basis_names
-        return " + ".join("%s*%s" % (v, names[k]) for k, v in sorted(self.coords.items()))
-
-
-def _same_algebra(x, y):
-    if x.algebra.dim != y.algebra.dim:
-        raise ValueError("dimension mismatch: %d vs %d" % (x.algebra.dim, y.algebra.dim))
 
 
 def multiply_coords(A: Algebra, xc: dict, yc: dict) -> dict:
@@ -157,17 +100,6 @@ def bracket_coords(A: Algebra, xc: dict, yc: dict) -> dict:
         else:
             out.pop(k, None)
     return out
-
-
-def multiply(A: Algebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _same_algebra(x, y)
-    return AlgebraElement(A, multiply_coords(A, x.coords, y.coords))
-
-
-def bracket(A: Algebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """[x, y] = xy - yx."""
-    _same_algebra(x, y)
-    return AlgebraElement(A, bracket_coords(A, x.coords, y.coords))
 
 
 class ValidationReport:
@@ -423,9 +355,6 @@ class AlgebraMorphism:
 
     def apply_coords(self, xc: dict) -> dict:
         return self.matrix.apply(xc)
-
-    def apply(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self.target, self.apply_coords(x.coords))
 
     def __repr__(self):
         return "AlgebraMorphism(%s)" % self.name

@@ -167,17 +167,7 @@ def omega_complex(km: KahlerModule, cutoff: int) -> ChainComplex:
     dims = [km.omega_dim(n) for n in range(cutoff + 1)]
     boundaries = [None] + [SparseMatrix(dims[n - 1], dims[n])
                            for n in range(1, cutoff + 1)]
-    names = km.algebra.basis_names
-
-    def labeler(n):
-        if n == 0:
-            return list(names)
-        if n == 1:
-            return km.labels1()
-        return []
-
-    return ChainComplex("OMEGA", dims, boundaries, labeler,
-                        meta={"algebra": km.algebra.name})
+    return ChainComplex("OMEGA", dims, boundaries)
 
 
 def p_kahler(A: Algebra, km: KahlerModule, cl: ChainComplex,

@@ -163,11 +163,7 @@ def cmd_algebra(args):
         print("%s: %s" % (A.name, rep.describe()))
         return 0 if rep.ok else 1
     if args.sub == "inspect":
-        try:
-            A = builtin_algebra(args.name)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+        A = builtin_algebra(args.name)
         print("name: %s" % A.name)
         print("dim: %d" % A.dim)
         print("basis: %s" % ", ".join(A.basis_names))
@@ -234,13 +230,8 @@ def _map_report(A, token, maxdeg, max_dim, cache_dir, N):
     if needs_group and A.group_meta is None:
         raise UsageError("%s needs a group algebra, %s is not one"
                          % (token, A.name))
-    if token == "P_KAHLER":
-        if not A.commutative:
-            raise UsageError("P_KAHLER needs a commutative algebra")
-        try:
-            kahler_module(A)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+    if token == "P_KAHLER" and not A.commutative:
+        raise UsageError("P_KAHLER needs a commutative algebra")
 
     rep = {"map": token}
     if token in ("LIFT_P", "THETA_NF"):
@@ -291,11 +282,7 @@ def cmd_compute(args, argv):
     t0 = time.time()
     cache.reset_counters()
     cache_dir = _resolve_cache(args.cache)
-    try:
-        A, inputs = _load_compute_algebra(args.algebra)
-    except (FormatError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    A, inputs = _load_compute_algebra(args.algebra)
     kinds = [k for k in args.complex.split(",") if k]
     for k in kinds:
         if k not in KINDS:
@@ -310,6 +297,13 @@ def cmd_compute(args, argv):
     if args.max_degree < 1:
         print("error: --max-degree must be at least 1", file=sys.stderr)
         return 2
+    # an algebra that fails the axioms (only a file can give one) has no
+    # homology to report
+    validation = validate_algebra(A)
+    if not validation.ok:
+        print("error: %s: %s" % (A.name, validation.describe()),
+              file=sys.stderr)
+        return 1
 
     report = {"algebra": {"name": A.name, "dim": A.dim,
                           "fingerprint": A.fingerprint()},
@@ -319,54 +313,47 @@ def cmd_compute(args, argv):
           "algebra: %s (dim %d)" % (A.name, A.dim),
           "max degree: %d" % args.max_degree, ""]
     failed = False
-    try:
-        if kinds:
-            md += ["## Betti tables", ""]
-            header = "| complex | " + " | ".join(
-                "n=%d" % n for n in range(args.max_degree + 1)) + " |"
-            md += [header,
-                   "|" + "---|" * (args.max_degree + 2)]
-        for kind in kinds:
-            if kind == "BAR" and A.group_meta is None:
-                print("error: BAR needs a group algebra", file=sys.stderr)
-                return 2
-            C, table = _betti_table(A, kind, args.max_degree, args.max_dim,
-                                    cache_dir)
-            if args.dump_labels:
-                table["labels"] = {str(n): basis_labels(A, kind, n)
-                                   for n in range(args.max_degree + 1)}
-            report["tables"].append(table)
-            cells = [str(b) for b in table["betti"]]
-            cells.append("<=%d*" % table["top_degree"]["betti_upper_bound"])
-            md.append("| %s | %s |" % (kind, " | ".join(cells)))
-        if kinds:
-            md += ["", "(*) top degree bounded only from above: its boundary "
-                   "out is not part of the table", ""]
-        for token in tokens:
-            mrep, ok = _map_report(A, token, args.max_degree, args.max_dim,
-                                   cache_dir, args.matrix_size)
-            report["maps"].append(mrep)
-            failed = failed or not ok
-            md += ["## Map %s" % token, ""]
-            if mrep.get("evidence") == "chain_map":
-                md.append("chain map verified: %s" % mrep["chain_map_verified"])
-                md += ["", "| degree | source betti | target betti | rank |",
-                       "|---|---|---|---|"]
-                for row in mrep["induced_ranks"]:
-                    md.append("| %d | %d | %d | %d |"
-                              % (row["degree"], row["source_betti"],
-                                 row["target_betti"], row["rank"]))
-                md.append("")
-            else:
-                for ident in mrep["identities"]:
-                    md.append("- %s: %s" % (ident["id"], ident["status"]))
-                md.append("")
-    except ResourceBoundExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    if kinds:
+        md += ["## Betti tables", ""]
+        header = "| complex | " + " | ".join(
+            "n=%d" % n for n in range(args.max_degree + 1)) + " |"
+        md += [header,
+               "|" + "---|" * (args.max_degree + 2)]
+    for kind in kinds:
+        if kind == "BAR" and A.group_meta is None:
+            print("error: BAR needs a group algebra", file=sys.stderr)
+            return 2
+        C, table = _betti_table(A, kind, args.max_degree, args.max_dim,
+                                cache_dir)
+        if args.dump_labels:
+            table["labels"] = {str(n): basis_labels(A, kind, n)
+                               for n in range(args.max_degree + 1)}
+        report["tables"].append(table)
+        cells = [str(b) for b in table["betti"]]
+        cells.append("<=%d*" % table["top_degree"]["betti_upper_bound"])
+        md.append("| %s | %s |" % (kind, " | ".join(cells)))
+    if kinds:
+        md += ["", "(*) top degree bounded only from above: its boundary "
+               "out is not part of the table", ""]
+    for token in tokens:
+        mrep, ok = _map_report(A, token, args.max_degree, args.max_dim,
+                               cache_dir, args.matrix_size)
+        report["maps"].append(mrep)
+        failed = failed or not ok
+        md += ["## Map %s" % token, ""]
+        if mrep.get("evidence") == "chain_map":
+            md.append("chain map verified: %s" % mrep["chain_map_verified"])
+            md += ["", "| degree | source betti | target betti | rank |",
+                   "|---|---|---|---|"]
+            for row in mrep["induced_ranks"]:
+                md.append("| %d | %d | %d | %d |"
+                          % (row["degree"], row["source_betti"],
+                             row["target_betti"], row["rank"]))
+            md.append("")
+        else:
+            for ident in mrep["identities"]:
+                md.append("- %s: %s" % (ident["id"], ident["status"]))
+            md.append("")
 
     config = {"algebra": args.algebra, "complex": kinds, "maps": tokens,
               "max_degree": args.max_degree, "matrix_size": args.matrix_size,
@@ -395,26 +382,17 @@ def cmd_verify(args, argv):
     t0 = time.time()
     cache.reset_counters()
     cache_dir = _resolve_cache(args.cache)
-    try:
-        config = SuiteConfig(cutoff=args.cutoff, matrix_size=args.matrix_size,
-                             seed=args.seed, max_dim=args.max_dim,
-                             cache_dir=cache_dir,
-                             debug_break_phi=args.debug_break_phi)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        if args.suite == "all":
-            reports = run_all(config)
-        elif args.suite in SUITE_IDS:
-            reports = [run_suite(args.suite, config)]
-        else:
-            print("error: unknown suite %r (have %s, all)"
-                  % (args.suite, ", ".join(SUITE_IDS)), file=sys.stderr)
-            return 2
-    except ResourceBoundExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+    config = SuiteConfig(cutoff=args.cutoff, matrix_size=args.matrix_size,
+                         seed=args.seed, max_dim=args.max_dim,
+                         cache_dir=cache_dir,
+                         debug_break_phi=args.debug_break_phi)
+    if args.suite == "all":
+        reports = run_all(config)
+    elif args.suite in SUITE_IDS:
+        reports = [run_suite(args.suite, config)]
+    else:
+        raise UsageError("unknown suite %r (have %s, all)"
+                         % (args.suite, ", ".join(SUITE_IDS)))
 
     total = {"pass": 0, "fail": 0, "skipped": 0}
     md = ["# verification report", ""]
@@ -448,7 +426,7 @@ def main(argv=None):
             return cmd_compute(args, ["leibhom"] + argv)
         if args.command == "verify":
             return cmd_verify(args, ["leibhom"] + argv)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceBoundExceeded as exc:

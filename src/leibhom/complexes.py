@@ -520,13 +520,8 @@ def build_complex(A: Algebra, kind: str, cutoff: int, max_dim=DEFAULT_MAX_DIM,
         check_bound(A, kind, n, max_dim)
         dims.append(degree_dim(A, kind, n))
         boundaries.append(boundary_matrix(A, kind, n, cache_dir, max_dim))
-
-    def labeler(m):
-        return basis_labels(A, kind, m)
-
-    meta = {"algebra": A.name, "fingerprint": A.fingerprint(), "kind": kind}
-    C = ChainComplex(kind, dims, boundaries, labeler, meta)
-    C._ranks = _REGISTRY.setdefault((meta["fingerprint"], kind), {})
+    C = ChainComplex(kind, dims, boundaries)
+    C._ranks = _REGISTRY.setdefault((A.fingerprint(), kind), {})
     return C
 
 
@@ -597,9 +592,11 @@ def basis_labels(A: Algebra, kind: str, n: int):
 class KahlerModule:
     """Differential forms of a presented commutative algebra A = Q[t]/(r).
 
-    Omega^0 = A, Omega^1 = A dg / (r'(g) A dg) presented in the quotient of
-    the basis-times-dg spanning set, and Omega^n = 0 for n >= 2 because A is
-    cyclic as a module over itself. diff_coords gives d(e_i) in Omega^1.
+    Omega^0 = A, and Omega^1 = A dg / (r'(g) A dg) is the cokernel of
+    multiplication by r'(g), computed as H_0 of the two-term complex
+    A --r'(g)--> A; its representatives are the basis directions rep_indices.
+    Omega^n = 0 for n >= 2 because A is cyclic as a module over itself.
+    diff_coords gives d(e_i) in Omega^1.
     """
 
     def __init__(self, A: Algebra):
@@ -632,23 +629,12 @@ class KahlerModule:
             if c:
                 for i, v in powers[k].items():
                     _acc(rprime, i, c * v)
-        self._rprime = rprime
-
-        sub = Echelon()
-        for i in range(d):
-            vec = multiply_coords(A, rprime, {i: 1})
-            if vec:
-                sub.insert(vec)
-        full = Echelon(track=True)
-        for k in sorted(sub.pivots):
-            full.insert(sub.pivots[k][0])
-        self._rep_positions = []
-        self.rep_indices = []
-        for i in range(d):
-            if full.insert({i: 1}) is not None:
-                self._rep_positions.append(full.num_inserted - 1)
-                self.rep_indices.append(i)
-        self._quot_solver = full
+        mult = SparseMatrix(d, d, [multiply_coords(A, rprime, {i: 1})
+                                   for i in range(d)])
+        self._omega1 = ChainComplex("KAHLER", [d, d], [None, mult]).homology(0)
+        # H_0 representatives are standard basis vectors {i: 1}
+        self.rep_indices = [next(iter(rep))
+                            for rep in self._omega1.representatives]
         self.dim1 = len(self.rep_indices)
 
         # d(e_i) = p_i'(g) dg where e_i = p_i(g)
@@ -671,21 +657,12 @@ class KahlerModule:
 
     def project1(self, coords: dict) -> dict:
         """Class of (coords) dg in Omega^1, in the rep_indices coordinate system."""
-        expressed = self._quot_solver.express(coords)
-        out = {}
-        for pos, slot in enumerate(self._rep_positions):
-            v = expressed.get(slot, 0)
-            if v:
-                out[pos] = v
-        return out
+        return {pos: v for pos, v in enumerate(self._omega1.class_coords(coords))
+                if v}
 
     def diff_coords(self, i: int) -> dict:
         """d(e_i) as an Omega^1 coordinate vector."""
         return dict(self._diffs[i])
-
-    def labels1(self):
-        names = self.algebra.basis_names
-        return ["%s.dg" % names[i] for i in self.rep_indices]
 
 
 def kahler_module(A: Algebra) -> KahlerModule:

@@ -4,7 +4,9 @@ A complex built at cutoff c carries boundaries d_1..d_c and yields
 trustworthy homology through degree c-1 only (degree c lacks its incoming
 boundary); the API enforces this. Homology data is computed lazily in two
 stages: Betti numbers need only two ranks, while representatives and the
-coordinate solver are materialized on first use.
+coordinate solver are materialized on first use. The solver is a single
+tracked Echelon built modulo the image of d_{n+1}, so class coordinates come
+out of one reduction.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
 
 
 class ChainComplex:
-    def __init__(self, kind, dims, boundaries, labeler=None, meta=None):
+    def __init__(self, kind, dims, boundaries):
         self.kind = kind
         self.dims = list(dims)
         self.boundaries = list(boundaries)  # boundaries[n] = d_n, index 0 unused
-        self.labeler = labeler
-        self.meta = dict(meta or {})
         # {n: rank d_n}; build_complex swaps in the registry's memo, shared by
         # every complex over the same boundaries, so each is ranked once
         self._ranks = {}
@@ -41,11 +41,6 @@ class ChainComplex:
             raise ValueError("boundary degree %d outside 1..%d" % (n, self.cutoff))
         return self.boundaries[n]
 
-    def labels(self, n: int):
-        if self.labeler is None:
-            return ["%s_%d[%d]" % (self.kind, n, i) for i in range(self.dims[n])]
-        return self.labeler(n)
-
     def rank_boundary(self, n: int) -> int:
         if n <= 0 or n > self.cutoff:
             if n <= 0:
@@ -62,6 +57,9 @@ class ChainComplex:
                              % (n, self.cutoff - 1, self.cutoff))
         if n not in self._homology:
             betti = self.dims[n] - self.rank_boundary(n) - self.rank_boundary(n + 1)
+            if betti < 0:
+                raise ValueError("%s betti %d in degree %d: the boundaries do "
+                                 "not compose to zero" % (self.kind, betti, n))
             self._homology[n] = HomologyData(self, n, betti)
         return self._homology[n]
 
@@ -86,10 +84,10 @@ def verify_boundary_squares(C: ChainComplex):
 class HomologyData:
     """Betti number plus (lazily) representatives and a coordinate solver.
 
-    The solver spans all of C_n by the image of d_{n+1}, then the chosen
-    representative cycles, then a standard-basis completion. Expressing any
-    vector against it yields its class coordinates; a cycle is a boundary iff
-    those coordinates vanish.
+    The solver is one echelon modulo the image of d_{n+1}: it spans the rest
+    of C_n by the chosen representative cycles, then a standard-basis
+    completion. Expressing any vector against it yields its class
+    coordinates; a cycle is a boundary iff those coordinates vanish.
     """
 
     def __init__(self, complex_: ChainComplex, degree: int, betti: int):
@@ -99,7 +97,7 @@ class HomologyData:
         self._solver = None
         self._reps = None
         self._rep_positions = None
-        self._completion_positions = None
+        self._completion_start = None
 
     @property
     def representatives(self):
@@ -118,38 +116,29 @@ class HomologyData:
         # both ranks are memoized (homology() needed them for the betti
         # number); eliminating in another order here must agree with them
         assert C.rank_boundary(n) == dim_n - len(kernel)
-        image = Echelon()
-        if n + 1 <= C.cutoff:
-            for col in C.boundary(n + 1).columns:
-                if col:
-                    image.insert(col)
-        image_vectors = [image.pivots[k][0] for k in sorted(image.pivots)]
-        assert C.rank_boundary(n + 1) == len(image_vectors)
-        full = Echelon(track=True)
-        for v in image_vectors:
-            full.insert(v)
+        solver = Echelon(track=True, modulo=C.boundary(n + 1).columns)
+        assert C.rank_boundary(n + 1) == solver.rank
         want = dim_n - C.rank_boundary(n)  # dim of the cycle space
         reps = []
         rep_positions = []
         for k in kernel:
-            if full.rank >= want:
+            if solver.rank >= want:
                 break
-            if full.insert(k) is not None:
+            if solver.insert(k) is not None:
                 reps.append(dict(k))
-                rep_positions.append(full.num_inserted - 1)
+                rep_positions.append(solver.num_inserted - 1)
         if len(reps) != self.betti:
             raise RuntimeError("representative count %d != betti %d (degree %d)"
                                % (len(reps), self.betti, n))
-        completion_positions = set()
+        # every insert from here on is a standard-basis completion direction
+        self._completion_start = solver.num_inserted
         for i in range(dim_n):
-            if full.rank == dim_n:
+            if solver.rank == dim_n:
                 break
-            if full.insert({i: 1}) is not None:
-                completion_positions.add(full.num_inserted - 1)
-        self._solver = full
+            solver.insert({i: 1})
+        self._solver = solver
         self._reps = reps
         self._rep_positions = rep_positions
-        self._completion_positions = completion_positions
 
     def _reduce(self, vec: dict):
         """(class coordinates, whether vec is a cycle) from one solver pass.
@@ -160,7 +149,7 @@ class HomologyData:
         self._ensure_solver()
         coords = self._solver.express(vec)
         cycle = not any(c for p, c in coords.items()
-                        if p in self._completion_positions)
+                        if p >= self._completion_start)
         return tuple(coords.get(p, 0) for p in self._rep_positions), cycle
 
     def class_coords(self, vec: dict):
@@ -350,13 +339,7 @@ def mapping_cone(F: ChainMapRep) -> MappingCone:
             mat.columns[c_block + j] = col
         boundaries.append(mat)
 
-    def labeler(n):
-        left = ["C[%d]:%s" % (n - 1, lab) for lab in (C.labels(n - 1) if n >= 1 else [])]
-        right = ["C'[%d]:%s" % (n, lab) for lab in Cp.labels(n)]
-        return left + right
-
-    cone = ChainComplex("CONE(%s)" % F.kind, dims, boundaries, labeler,
-                        meta={"of": F.kind})
+    cone = ChainComplex("CONE(%s)" % F.kind, dims, boundaries)
     proj_maps = {}
     for n in range(1, cutoff + 1):
         m = SparseMatrix(C.dims[n - 1], dims[n])

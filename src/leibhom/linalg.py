@@ -6,6 +6,8 @@ elimination engine, Echelon, serves every caller: a fraction-free integer
 column echelon (Bareiss-style cross-multiplication) that counts rank for the
 large streamed computations and, with tracking on, also yields kernel
 relations, span membership and exact coordinates over the inserted vectors.
+Built modulo a family S, it works in the quotient by span(S): the homology
+solver eliminates a chain modulo the boundaries in one echelon this way.
 
 Echelon always leads with the smallest index. rank_only, which only needs a
 count, feeds it columns shortest first and rows in reverse, so that each
@@ -176,13 +178,25 @@ class Echelon:
     vectors it equals, a rejected insert leaves its combination in
     .relations (a kernel vector of the inserted family), and express()
     writes a vector of the span over the inserted vectors.
+
+    The vectors of modulo are reduced first and kept as pivots with an empty
+    combination, so rank counts them, and insert, relations and express()
+    all hold modulo their span: a relation sums to an element of span(modulo),
+    and express() leaves a remainder there. They are not inserts and take no
+    insert index.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self, track: bool = False, modulo=()):
         self.track = track
         self.pivots: dict = {}       # lead -> (integer vector, combo or None)
         self.relations: list = []    # integer combos of inserts summing to 0
         self.num_inserted = 0
+        for vec in modulo:
+            work = integerize(vec)[0]
+            combo = {} if track else None
+            lead = self._reduce(work, combo)
+            if lead is not None:
+                self.pivots[lead] = (dict(work), combo)
 
     @property
     def rank(self) -> int:
@@ -192,7 +206,8 @@ class Echelon:
         """Reduce vec (and combo alongside) in place; its new lead or None.
 
         combo is scaled and combined exactly like vec, so an invariant
-        vec = sum combo[i] * inserted_i holds throughout.
+        vec = sum combo[i] * inserted_i (modulo span(modulo)) holds
+        throughout.
         """
         pivots = self.pivots
         while vec:
@@ -247,10 +262,10 @@ class Echelon:
     def express(self, vec: dict):
         """Exact coefficients over the inserted vectors, or None outside the span.
 
-        Returns {insert index: coeff} with vec = sum coeff * inserted. The
-        reduction tracks -vec as one more insert under the key -1, which no
-        insert uses; once the work vector is zero, s * (-vec) + sum c_i *
-        inserted_i = 0 with s the integer scale left under -1.
+        Returns {insert index: coeff} with vec = sum coeff * inserted (modulo
+        span(modulo)). The reduction tracks -vec as one more insert under the
+        key -1, which no insert uses; once the work vector is zero, s * (-vec)
+        + sum c_i * inserted_i = 0 with s the integer scale left under -1.
         """
         if not self.track:
             raise ValueError("echelon built without tracking")

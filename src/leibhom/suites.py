@@ -35,8 +35,7 @@ SUITE_IDS = ("core", "degree0", "commutative", "matrices", "groupring",
 GROUP_NAMES = ("cyclic:1", "cyclic:2", "cyclic:3", "s3")
 
 # degree dimension above which d o d is checked by streaming the columns of
-# d_n instead of storing d_n; the relative naturality check stores the M_2
-# Hochschild complexes up to twice this size
+# d_n instead of storing d_n
 STREAM_STORE_LIMIT = 100000
 
 
@@ -730,8 +729,8 @@ def _relative_naturality_small(checks, config):
     cla_a = build_complex(f.source, "CLAMBDA", cut, max_dim=config.max_dim)
     cla_b = build_complex(f.target, "CLAMBDA", cut, max_dim=config.max_dim)
     mcl = mapping_cone(cmaps.morphism_complex_map(f, "CLAMBDA", cla_a, cla_b))
-    chh_ga = build_complex(GA, "CHH", cut - 1, max_dim=2 * STREAM_STORE_LIMIT)
-    chh_gb = build_complex(GB, "CHH", cut - 1, max_dim=2 * STREAM_STORE_LIMIT)
+    chh_ga = build_complex(GA, "CHH", cut - 1, max_dim=config.max_dim)
+    chh_gb = build_complex(GB, "CHH", cut - 1, max_dim=config.max_dim)
     VA = compose_maps(cmaps.proj_I(f.source, chh_a, cla_a),
                       compose_maps(cmaps.trace(GA, f.source, chh_ga, chh_a),
                                    cmaps.phi(GA, cl_ga, chh_ga)))

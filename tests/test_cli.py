@@ -116,6 +116,11 @@ def test_compute_exit_codes(tmp_path):
                    "--out", out).returncode == 2
     assert run_cli("compute", "--algebra", "dual", "--maps", "LIFT_P",
                    "--matrix-size", "2", "--out", out).returncode == 2
+    # a bad matrix size is an input error, not a failed verification
+    r = run_cli("compute", "--algebra", "dual", "--maps", "TRACE",
+                "--matrix-size", "0", "--out", out)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
 def test_compute_algebra_from_file_hashes_input(tmp_path):
@@ -133,6 +138,23 @@ def test_compute_algebra_from_file_hashes_input(tmp_path):
     r = run_cli("compute", "--algebra", str(src), "--complex", "BAR",
                 "--out", str(out))
     assert r.returncode == 2
+
+
+def test_compute_refuses_an_algebra_that_fails_validation(tmp_path):
+    # b a = a and nothing else: associativity fails at (b, b, a) and the
+    # declared unit a is no unit; its CHH "betti" numbers come out negative
+    bad = tmp_path / "nonassoc.json"
+    bad.write_text(json.dumps({
+        "name": "nonassoc", "dim": 2, "basis": ["a", "b"],
+        "unit": ["1", "0"], "table": [[1, 0, [[0, "1"]]]]}))
+    r = run_cli("algebra", "validate", str(bad))
+    assert r.returncode == 1
+    out = tmp_path / "out"
+    r = run_cli("compute", "--algebra", str(bad), "--complex", "CHH,CL",
+                "--max-degree", "3", "--out", str(out))
+    assert r.returncode == 1
+    assert "associativity fails" in r.stderr and "unit axiom fails" in r.stderr
+    assert not out.exists()
 
 
 def test_verify_single_suite(tmp_path):

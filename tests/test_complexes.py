@@ -199,6 +199,20 @@ def test_kahler_differential_is_derivation():
     assert km.omega_dim(0) == 3 and km.omega_dim(1) == 2 and km.omega_dim(2) == 0
 
 
+def test_kahler_omega1_is_the_cokernel_of_rprime():
+    # truncated_poly:3 = Q[x]/(x^3): r'(x) = 3x^2, so Omega^1 = A/(x^2) on
+    # 1.dx, x.dx, and x^2 dx = 0
+    km = kahler_module(builtin_algebra("truncated_poly:3"))
+    assert km.rep_indices == [0, 1]
+    assert km.project1({2: Fraction(5)}) == {}
+    assert km.project1({0: Fraction(1, 2), 1: 3, 2: 7}) == {0: Fraction(1, 2), 1: 3}
+    assert km.diff_coords(2) == {1: 2}
+    # dual = Q[eps]/(eps^2): r' = 2 eps, so Omega^1 = Q deps
+    km = kahler_module(builtin_algebra("dual"))
+    assert km.rep_indices == [0]
+    assert km.project1({1: 1}) == {} and km.diff_coords(1) == {0: 1}
+
+
 def test_registry_and_file_cache(tmp_path):
     from leibhom import cache
     A = builtin_algebra("dual")

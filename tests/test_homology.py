@@ -57,6 +57,33 @@ def test_homology_degree_bounds():
         C.homology(-1)
 
 
+def test_homology_refuses_a_negative_betti_number():
+    # d_1 d_2 = 1 != 0, so dim - rank d_1 - rank d_2 = 1 - 1 - 1
+    one = SparseMatrix.identity(1)
+    C = ChainComplex("BROKEN", [1, 1, 1], [None, one, one])
+    assert C.betti(0) == 0
+    with pytest.raises(ValueError, match="betti -1"):
+        C.homology(1)
+
+
+def test_solver_build_makes_one_tracked_echelon(monkeypatch):
+    from leibhom import homology, linalg
+    C = build_complex(builtin_algebra("dual"), "CHH", 4)
+    H = C.homology(2)
+    made = []
+
+    class Counting(linalg.Echelon):
+        def __init__(self, track=False, **kwargs):
+            made.append(track)
+            super().__init__(track, **kwargs)
+
+    monkeypatch.setattr(linalg, "Echelon", Counting)
+    monkeypatch.setattr(homology, "Echelon", Counting)
+    assert H.representatives
+    # kernel_basis of d_2, then one solver modulo the image of d_3
+    assert made == [True, True]
+
+
 def test_homology_data_representatives_and_coords():
     C = build_complex(builtin_algebra("dual"), "CHH", 3)
     H = C.homology(1)

@@ -164,6 +164,48 @@ def test_echelon_on_fractions_matches_dense_oracle():
             assert (ech.express(unit) is None) == (not in_span)
 
 
+def test_echelon_modulo_expresses_modulo_the_span():
+    def span_rank(vectors, rows):
+        return dense_rank([[v.get(r, 0) for v in vectors] for r in range(rows)])
+
+    rng = random.Random(31)
+    for _ in range(40):
+        rows = rng.randint(1, 7)
+        S = random_sparse(rng, rows, rng.randint(0, 5), fractions=True)
+        M = random_sparse(rng, rows, rng.randint(1, 6), fractions=True)
+        ech = Echelon(track=True, modulo=S.columns)
+        rank_s = span_rank(S.columns, rows)
+        assert ech.rank == rank_s and ech.num_inserted == 0
+        leads = [ech.insert(col) for col in M.columns]
+        rank_all = span_rank(S.columns + M.columns, rows)
+        assert ech.rank == rank_all
+        assert len(ech.relations) == sum(lead is None for lead in leads) \
+            == M.cols - (rank_all - rank_s)
+        for rel in ech.relations:
+            # a relation of the inserts sums into span(S), not to zero
+            assert rel and span_rank(S.columns + [M.apply(rel)], rows) == rank_s
+        for _ in range(3):
+            x = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                 for c in range(M.cols)}
+            y = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                 for c in range(S.cols)}
+            vec = M.apply(x)
+            for r, v in S.apply(y).items():
+                vec[r] = vec.get(r, 0) + v
+            vec = {r: v for r, v in vec.items() if v}
+            combo = ech.express(vec)
+            assert combo is not None
+            rest = dict(vec)
+            for r, v in M.apply(combo).items():
+                rest[r] = rest.get(r, 0) - v
+            assert span_rank(S.columns + [rest], rows) == rank_s
+        for r in range(rows):
+            unit = {r: Fraction(2, 5)}
+            in_span = span_rank(S.columns + M.columns + [unit], rows) == rank_all
+            assert (ech.express(unit) is None) == (not in_span)
+            assert ech.contains(unit) == in_span
+
+
 def test_matmul_matches_dense_product():
     rng = random.Random(17)
     for _ in range(25):
