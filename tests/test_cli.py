@@ -74,6 +74,28 @@ def test_small_battery_report_is_pinned(tmp_path):
         "4050b11eba171e67d4266dfee89830811668a4d39760853ed854051c03e37132"
 
 
+@pytest.mark.parametrize("args,digest", [
+    (("--algebra", "cyclic:2", "--maps", "PHI,THETA,EPSILON,PROJ_LIE,PROJ_ADJ,"
+      "PROJ_I,P_KAHLER,TRACE,CORNER,BAR_PI,BAR_IOTA,EMBED_CY",
+      "--max-degree", "4"),
+     "1f88521881b5e7b6a5ab48f1001c61b665543142fa671e7ae847109a4545fe28"),
+    (("--algebra", "dual", "--maps", "LIFT_P,THETA_NF,P_KAHLER",
+      "--matrix-size", "3", "--max-degree", "3"),
+     "f61e8f7c011791b0f69b5bfa4d72949e6479f0266f6456ed48aa39e3699a964b"),
+])
+def test_map_reports_are_pinned(tmp_path, args, digest):
+    """Between them these two runs build every comparison map that compute
+    offers, and with them the degree range, shape and columns of each. The
+    report.json is pinned byte for byte."""
+    r = run_cli("compute", *args, "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    raw = (tmp_path / "report.json").read_bytes()
+    for m in json.loads(raw)["maps"]:
+        assert m.get("chain_map_verified", True) is True
+        assert all(i["status"] == "pass" for i in m.get("identities", []))
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
 def test_compute_writes_reports(tmp_path):
     out = tmp_path / "out"
     r = run_cli("compute", "--algebra", "dual", "--complex", "CHH,CLAMBDA",
