@@ -91,17 +91,6 @@ def multiply_coords(A: Algebra, xc: dict, yc: dict) -> dict:
     return out
 
 
-def bracket_coords(A: Algebra, xc: dict, yc: dict) -> dict:
-    out = multiply_coords(A, xc, yc)
-    for k, v in multiply_coords(A, yc, xc).items():
-        val = out.get(k, 0) - v
-        if val:
-            out[k] = val
-        else:
-            out.pop(k, None)
-    return out
-
-
 class ValidationReport:
     def __init__(self, assoc_failures, unit_failures):
         self.assoc_failures = assoc_failures  # list of (i, j, k) triples

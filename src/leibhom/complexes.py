@@ -496,12 +496,8 @@ def boundary_matrix(A: Algebra, kind: str, n: int, cache_dir=None,
         from . import cache
         mat = cache.load_boundary(cache_dir, key[0], kind, n, rows, cols)
     if mat is None:
-        fn = boundary_column_fn(A, kind, n)
-        mat = SparseMatrix(rows, cols)
-        for j in range(cols):
-            c = fn(j)
-            if c:
-                mat.columns[j] = c
+        mat = SparseMatrix.from_columns(rows, cols,
+                                        boundary_column_fn(A, kind, n))
         if cache_dir is not None:
             from . import cache
             cache.save_boundary(cache_dir, key[0], kind, n, mat)

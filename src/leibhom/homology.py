@@ -244,24 +244,19 @@ def induced_map(F: ChainMapRep, n: int) -> SparseMatrix:
     """Matrix of F_* : H_n(source) -> H_{n-shift}(target) in representative bases."""
     if n not in F.maps:
         raise ValueError("chain map has no degree-%d component" % n)
-    m = n - F.shift
     hs = F.source.homology(n)
-    ht = F.target.homology(m)
-    cols = []
+    ht = F.target.homology(n - F.shift)
     mat = F.maps[n]
-    for rep in hs.representatives:
-        coords, cycle = ht._reduce(mat.apply(rep))
+
+    def col(j: int) -> dict:
+        coords, cycle = ht._reduce(mat.apply(hs.representatives[j]))
         if not cycle:
             raise ValueError(
                 "image of a degree-%d representative is not a cycle "
                 "(signals an unverified chain map)" % n)
-        cols.append(coords)
-    out = SparseMatrix(ht.betti, hs.betti)
-    for j, coords in enumerate(cols):
-        for i, v in enumerate(coords):
-            if v:
-                out.columns[j][i] = v
-    return out
+        return {i: v for i, v in enumerate(coords) if v}
+
+    return SparseMatrix.from_columns(ht.betti, hs.betti, col)
 
 
 def induced_rank_streamed(dim_source, dim_below, boundary_col, map_col,
@@ -308,51 +303,64 @@ class MappingCone:
         self.of = of
 
 
+def cone_column_fn(c_block: int, rows_c: int, d_src, f, d_tgt):
+    """Column j of the cone boundary d(c, c') = (-dc, dc' + fc) in one degree n.
+
+    The source is C_{n-1} (+) C'_n, whose first c_block columns are the C
+    block; the target is C_{n-2} (+) C'_{n-1}, whose first rows_c rows are
+    the C block. d_src, f and d_tgt give the columns of d_{n-1} on C, of
+    f_{n-1} and of d_n on C'; d_src or f None is a zero block. The two C
+    block terms land in disjoint rows, so the column needs no pruning.
+    """
+    def col(j: int) -> dict:
+        if j >= c_block:
+            return {rows_c + i: v for i, v in d_tgt(j - c_block).items()}
+        out = {i: -v for i, v in d_src(j).items()} if d_src else {}
+        if f:
+            for i, v in f(j).items():
+                out[rows_c + i] = v
+        return out
+
+    return col
+
+
+def pair_column_fn(c_block_src: int, c_block_tgt: int, v_col, w_col):
+    """Column j of the blockwise map (c, c') -> (V c, W c') between cones.
+
+    c_block_src columns and c_block_tgt rows are the C blocks; v_col and
+    w_col give the columns of V and W, and v_col None is a zero block.
+    """
+    def col(j: int) -> dict:
+        if j < c_block_src:
+            return v_col(j) if v_col else {}
+        return {c_block_tgt + i: v for i, v in w_col(j - c_block_src).items()}
+
+    return col
+
+
 def mapping_cone(F: ChainMapRep) -> MappingCone:
     if F.shift != 0:
         raise ValueError("mapping cone needs a degree-preserving map")
     C, Cp = F.source, F.target
     cutoff = min(C.cutoff, Cp.cutoff)
-    dims = [(C.dims[n - 1] if n >= 1 else 0) + Cp.dims[n] for n in range(cutoff + 1)]
+    cblock = [0] + C.dims[:cutoff]  # cblock[n] = dim C_{n-1}
+    dims = [cblock[n] + Cp.dims[n] for n in range(cutoff + 1)]
     boundaries = [None]
     for n in range(1, cutoff + 1):
-        c_block = C.dims[n - 1]
-        rows_c = C.dims[n - 2] if n >= 2 else 0
-        mat = SparseMatrix(dims[n - 1], dims[n])
-        for j in range(c_block):
-            col = {}
-            if n >= 2:
-                for i, v in C.boundary(n - 1).columns[j].items():
-                    col[i] = -v
-            if n - 1 in F.maps:
-                for i, v in F.maps[n - 1].columns[j].items():
-                    val = col.get(rows_c + i, 0) + v
-                    if val:
-                        col[rows_c + i] = val
-                    else:
-                        col.pop(rows_c + i, None)
-            mat.columns[j] = col
-        for j in range(Cp.dims[n]):
-            col = {}
-            for i, v in Cp.boundary(n).columns[j].items():
-                col[rows_c + i] = v
-            mat.columns[c_block + j] = col
-        boundaries.append(mat)
-
+        fcols = F.maps[n - 1].columns if n - 1 in F.maps else None
+        col = cone_column_fn(
+            cblock[n], cblock[n - 1],
+            C.boundary(n - 1).columns.__getitem__ if n >= 2 else None,
+            fcols.__getitem__ if fcols else None,
+            Cp.boundary(n).columns.__getitem__)
+        boundaries.append(SparseMatrix.from_columns(dims[n - 1], dims[n], col))
     cone = ChainComplex("CONE(%s)" % F.kind, dims, boundaries)
-    proj_maps = {}
-    for n in range(1, cutoff + 1):
-        m = SparseMatrix(C.dims[n - 1], dims[n])
-        for j in range(C.dims[n - 1]):
-            m.columns[j][j] = 1
-        proj_maps[n] = m
-    incl_maps = {}
-    for n in range(cutoff + 1):
-        c_block = C.dims[n - 1] if n >= 1 else 0
-        m = SparseMatrix(dims[n], Cp.dims[n])
-        for j in range(Cp.dims[n]):
-            m.columns[j][c_block + j] = 1
-        incl_maps[n] = m
+    proj_maps = {n: SparseMatrix.from_columns(
+        cblock[n], dims[n], lambda j, b=cblock[n]: {j: 1} if j < b else {})
+        for n in range(1, cutoff + 1)}
+    incl_maps = {n: SparseMatrix.from_columns(
+        dims[n], Cp.dims[n], lambda j, b=cblock[n]: {b + j: 1})
+        for n in range(cutoff + 1)}
     proj = ChainMapRep("CONE_PROJ", cone, C, 1, proj_maps, chain_sign=-1)
     incl = ChainMapRep("CONE_INCL", Cp, cone, 0, incl_maps)
     return MappingCone(cone, proj, incl, F)
@@ -382,18 +390,11 @@ def cone_pair_map(src: MappingCone, tgt: MappingCone, V: ChainMapRep,
         # empty (the component is then the zero map into nothing)
         if vs >= 0 and vs not in V.maps and c_block_src and c_block_tgt:
             continue
-        rows = tgt.cone.dims[n - s]
-        mat = SparseMatrix(rows, src.cone.dims[n])
-        if n >= 1 and vs in V.maps:
-            vm = V.maps[vs]
-            for j in range(c_block_src):
-                for i, val in vm.columns[j].items():
-                    mat.columns[j][i] = val
-        wm = W.maps[n]
-        for j in range(W.source.dims[n]):
-            for i, val in wm.columns[j].items():
-                mat.columns[c_block_src + j][c_block_tgt + i] = val
-        maps[n] = mat
+        v_col = V.maps[vs].columns.__getitem__ if vs in V.maps else None
+        maps[n] = SparseMatrix.from_columns(
+            tgt.cone.dims[n - s], src.cone.dims[n],
+            pair_column_fn(c_block_src, c_block_tgt, v_col,
+                           W.maps[n].columns.__getitem__))
     return ChainMapRep(kind, src.cone, tgt.cone, s, maps)
 
 

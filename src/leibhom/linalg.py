@@ -75,11 +75,13 @@ class SparseMatrix:
         return m
 
     @classmethod
+    def from_columns(cls, rows: int, cols: int, col) -> "SparseMatrix":
+        """The matrix whose column j is the dict col(j), taken as it is."""
+        return cls(rows, cols, [col(j) for j in range(cols)])
+
+    @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.columns[i][i] = 1
-        return m
+        return cls.from_columns(n, n, lambda j: {j: 1})
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.columns)
@@ -101,20 +103,8 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        out = SparseMatrix(self.rows, other.cols)
-        for j in range(other.cols):
-            out.columns[j] = self.apply(other.columns[j])
-        return out
-
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.cols, self.rows)
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                out.columns[i][j] = v
-        return out
+        return SparseMatrix.from_columns(self.rows, other.cols,
+                                         lambda j: self.apply(other.columns[j]))
 
     def scaled(self, coeff) -> "SparseMatrix":
         out = SparseMatrix(self.rows, self.cols)
@@ -122,9 +112,6 @@ class SparseMatrix:
             for j, col in enumerate(self.columns):
                 out.columns[j] = {i: coeff * v for i, v in col.items()}
         return out
-
-    def __neg__(self):
-        return self.scaled(-1)
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

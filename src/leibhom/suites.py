@@ -20,9 +20,10 @@ from .complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
                         boundary_column_fn, build_complex, degree_dim,
                         index_tuple, kahler_module, tuple_index,
                         verify_d2_streamed)
-from .homology import (ChainComplex, ChainMapRep, compose_maps, cone_pair_map,
-                       exactness_check, induced_map, induced_rank_streamed,
-                       les_of_cone, mapping_cone, verify_boundary_squares,
+from .homology import (ChainComplex, ChainMapRep, compose_maps, cone_column_fn,
+                       cone_pair_map, exactness_check, induced_map,
+                       induced_rank_streamed, les_of_cone, mapping_cone,
+                       pair_column_fn, verify_boundary_squares,
                        verify_chain_map)
 from .linalg import SparseMatrix, rank_only
 from .perms import (cyclic_class, cyclic_index, cyclic_shift, face_cyclic,
@@ -662,47 +663,40 @@ def suite_relative(config: SuiteConfig):
     return _report("relative", config, checks)
 
 
+def _relative_stream(f, glf, V, W, m, cyclic):
+    """The stream of (tr o phi) on cone(glf: CL(GA) -> CL(GB)) at cone degree m.
+
+    The result is (columns, split, boundary column, map column), as
+    _streamed_surjectivity takes it. The cone is the one mapping_cone would
+    build, and the map is the cone pair of tr o phi on both sides, followed
+    by the cyclic projections V and W of the sources and targets of f when
+    cyclic is set. Every column is generated and none is stored.
+    """
+    GA, GB = glf.source, glf.target
+    c_block = degree_dim(GA, "CL", m - 1)
+    rows_c = degree_dim(GA, "CL", m - 2)
+    bcol = cone_column_fn(c_block, rows_c, boundary_column_fn(GA, "CL", m - 1),
+                          cmaps.morphism_tensor_column_fn(glf, m - 1),
+                          boundary_column_fn(GB, "CL", m))
+    tr_a = cmaps.tr_phi_column_fn(GA, f.source, m - 1)
+    tr_b = cmaps.tr_phi_column_fn(GB, f.target, m)
+    if cyclic:
+        pa, pb = V.maps[m - 2].apply, W.maps[m - 1].apply
+        mcol = pair_column_fn(c_block, V.target.dims[m - 2],
+                              lambda j: pa(tr_a(j)), lambda j: pb(tr_b(j)))
+    else:
+        mcol = pair_column_fn(c_block, V.source.dims[m - 2], tr_a, tr_b)
+    return (c_block + degree_dim(GB, "CL", m),
+            rows_c + degree_dim(GB, "CL", m - 1), bcol, mcol)
+
+
 def _relative_streams(checks, config, mname, f, mch, mcl, V, W):
     """Streamed relative surjectivity of (tr o phi) and I o (tr o phi) at gl_N.
 
     V and W are the cyclic projections I of the source and target of f.
     """
     N = config.matrix_size
-    A, B = f.source, f.target
     glf = matrix_morphism(f, N)
-    GA, GB = glf.source, glf.target
-
-    def stream(m, cyclic):
-        cb = degree_dim(GA, "CL", m - 1)
-        off_b = degree_dim(GA, "CL", m - 2)
-        da = boundary_column_fn(GA, "CL", m - 1)
-        db = boundary_column_fn(GB, "CL", m)
-        fcolA = cmaps.tr_phi_column_fn(GA, A, m - 1)
-        fcolB = cmaps.tr_phi_column_fn(GB, B, m)
-        gf = cmaps.morphism_tensor_column_fn(glf, m - 1)
-        if cyclic:
-            off_t = V.target.dims[m - 2]
-            applyA, applyB = V.maps[m - 2].apply, W.maps[m - 1].apply
-        else:
-            off_t = V.source.dims[m - 2]
-            applyA = applyB = lambda v: v
-
-        def bcol(j):
-            if j < cb:
-                vec = {i: -v for i, v in da(j).items()}
-                for i, v in gf(j).items():
-                    vec[off_b + i] = vec.get(off_b + i, 0) + v
-                return {k: v for k, v in vec.items() if v}
-            return {off_b + i: v for i, v in db(j - cb).items()}
-
-        def mcol(j):
-            if j < cb:
-                return applyA(fcolA(j))
-            return {off_t + i: v for i, v in applyB(fcolB(j - cb)).items()}
-
-        return (cb + degree_dim(GB, "CL", m),
-                off_b + degree_dim(GB, "CL", m - 1), bcol, mcol)
-
     for comp, cone_t, cyclic in (("trace_phi", mch, False),
                                  ("cyclic_projection_of_trace_phi", mcl, True)):
         for n in range(min(2, config.cutoff - 2) + 1):
@@ -710,7 +704,8 @@ def _relative_streams(checks, config, mname, f, mch, mcl, V, W):
                 checks, "relative_%s_surjective[%s:n=%d]" % (comp, mname, n),
                 cone_t.cone.homology(n + 1), n, N,
                 "relative target at cone degree %d is zero" % (n + 1),
-                lambda m=n + 2, cyclic=cyclic: stream(m, cyclic),
+                lambda m=n + 2, cyclic=cyclic:
+                    _relative_stream(f, glf, V, W, m, cyclic),
                 "streamed rank >= %(r)d of relative betti %(b)d over "
                 "%(cols)d columns, N=%(N)d")
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from leibhom.algebra import (BUILTIN_MORPHISMS, BUILTIN_NAMES, Algebra,
-                             bracket_coords, builtin_algebra,
-                             builtin_morphism, group_algebra,
+                             builtin_algebra, builtin_morphism, group_algebra,
                              identity_morphism, matrix_algebra,
                              matrix_morphism, multiply_coords,
                              validate_algebra, validate_morphism)
+from leibhom.complexes import bracket_table
 
 
 def test_all_builtins_pass_validation():
@@ -91,18 +91,16 @@ def test_s3_is_noncommutative():
 
 def test_bracket_is_commutator():
     A = builtin_algebra("s3")
-    x = {1: Fraction(1), 4: Fraction(2)}
-    y = {2: Fraction(1)}
-    xy = multiply_coords(A, x, y)
-    yx = multiply_coords(A, y, x)
-    want = {k: xy.get(k, Fraction(0)) - yx.get(k, Fraction(0))
-            for k in set(xy) | set(yx)}
-    want = {k: v for k, v in want.items() if v}
-    assert bracket_coords(A, x, y) == want
+    table = bracket_table(A)
+    for x in range(A.dim):
+        for y in range(A.dim):
+            xy = multiply_coords(A, {x: 1}, {y: 1})
+            for k, v in multiply_coords(A, {y: 1}, {x: 1}).items():
+                xy[k] = xy.get(k, 0) - v
+            assert dict(table[x][y]) == {k: v for k, v in xy.items() if v}
+    assert any(table[x][y] for x in range(A.dim) for y in range(A.dim))
     # brackets in a commutative algebra vanish
-    D = builtin_algebra("dual")
-    assert bracket_coords(D, {0: Fraction(1), 1: Fraction(2)},
-                          {1: Fraction(5)}) == {}
+    assert not any(any(row) for row in bracket_table(builtin_algebra("dual")))
 
 
 def test_validation_catches_broken_associativity():

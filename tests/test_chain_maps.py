@@ -40,6 +40,54 @@ def assert_chain_map(F, cut=CUT):
     assert ok, (F.kind, wit)
 
 
+def _every_builder(a, b):
+    """Every comparison map, built from source complexes at cutoff a into
+    target complexes at cutoff b, with the top degree lift_p allows."""
+    A, Q, G = (builtin_algebra(n) for n in ("dual", "rationals", "cyclic:2"))
+    MQ = matrix_algebra(Q, 2)
+    km = kahler_module(A)
+    f = builtin_morphism("dual_aug")
+    out = [
+        (cmaps.phi(A, cx(A, "CL", a), cx(A, "CHH", b)), None),
+        (cmaps.theta(A, cx(A, "CE", a), cx(A, "CLAMBDA", b)), None),
+        (cmaps.epsilon(A, cx(A, "CE_ADJ", a), cx(A, "CHH", b)), None),
+        (cmaps.proj_lie(A, cx(A, "CL", a), cx(A, "CE", b)), None),
+        (cmaps.proj_adjoint(A, cx(A, "CL", a), cx(A, "CE_ADJ", b)), None),
+        (cmaps.proj_I(A, cx(A, "CHH", a), cx(A, "CLAMBDA", b)), None),
+        (cmaps.p_kahler(A, km, cx(A, "CL", a), cmaps.omega_complex(km, b)),
+         None),
+        (cmaps.eps_omega(km, cmaps.omega_complex(km, a), cx(A, "CHH", b)),
+         None),
+        (cmaps.trace(MQ, Q, cx(MQ, "CHH", a), cx(Q, "CHH", b)), None),
+        (cmaps.corner(Q, MQ, cx(Q, "CHH", a), cx(MQ, "CHH", b)), None),
+        (cmaps.bar_pi(G, cx(G, "CHH", a), cx(G, "BAR", b)), None),
+        (cmaps.bar_iota(G, cx(G, "BAR", a), cx(G, "CHH", b)), None),
+        (cmaps.embed_cy(A, cx(A, "CHH", a), cx(A, "P", b)), None),
+        (cmaps.cycle_slot_bridge(A, cx(A, "P", a), cx(A, "L", b)), None),
+        (cmaps.lift_p(Q, MQ, cx(Q, "P", a), cx(MQ, "CL", b)), 1),
+        (cmaps.theta_nf(MQ, Q, cx(MQ, "CL", a), cx(Q, "L", b)), None),
+    ]
+    for kind in ("CL", "CHH", "CLAMBDA"):
+        out.append((cmaps.morphism_complex_map(
+            f, kind, cx(f.source, kind, a), cx(f.target, kind, b)), None))
+    return out
+
+
+@pytest.mark.parametrize("a,b", [(4, 2), (2, 4)])
+def test_every_builder_follows_the_degree_rule(a, b):
+    # components for max(0, s) <= n <= min(source cutoff, target cutoff + s),
+    # and n <= N - 1 for the lift into M_N, each target x source in shape
+    built = _every_builder(a, b)
+    assert len(built) == 19
+    for F, top in built:
+        s = F.shift
+        hi = min(a, b + s, a if top is None else top)
+        assert sorted(F.maps) == list(range(max(0, s), hi + 1)), F.kind
+        for n, mat in F.maps.items():
+            assert (mat.rows, mat.cols) == (F.target.dims[n - s],
+                                            F.source.dims[n]), (F.kind, n)
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_phi_theta_epsilon_projections_are_chain_maps(name):
     A = builtin_algebra(name)

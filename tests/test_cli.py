@@ -225,6 +225,29 @@ def test_verify_reports_byte_identical_across_runs(tmp_path):
     assert m2["cache"]["hits"] > 0 and m2["cache"]["writes"] == 0
 
 
+def test_truncated_cache_file_is_rejected_and_rewritten(tmp_path):
+    cdir = tmp_path / "cache"
+
+    def compute(out):
+        r = run_cli("compute", "--algebra", "dual", "--complex", "CHH",
+                    "--max-degree", "3", "--cache", str(cdir),
+                    "--out", str(tmp_path / out))
+        assert r.returncode == 0, r.stderr
+        rep = json.loads((tmp_path / out / "report.json").read_text())
+        man = json.loads((tmp_path / out / "manifest.json").read_text())
+        return rep["tables"][0]["betti"], man
+
+    assert compute("cold")[0] == [2, 1, 1]
+    [path] = cdir.glob("*.CHH.3.bnd")
+    good = path.read_bytes()
+    lines = good.splitlines(keepends=True)
+    path.write_bytes(lines[0] + b"".join(lines[5:]))  # 4 entries dropped
+    betti, man = compute("warm")
+    assert betti == [2, 1, 1]
+    assert man["cache_rejects"] == 1 and man["cache"]["writes"] == 1
+    assert path.read_bytes() == good
+
+
 def test_cache_env_var_used(tmp_path):
     cdir = tmp_path / "envcache"
     out = tmp_path / "out"

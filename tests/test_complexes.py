@@ -1,5 +1,6 @@
 """Boundary generators checked against independent dense oracles."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -42,14 +43,15 @@ def hochschild_oracle_column(A, n, jidx):
 
 def leibniz_oracle_column(A, n, jidx):
     """d(x_1 x ... x x_n) = sum_{i<j} (-1)^j (... [x_i,x_j] at i ... no j ...)."""
-    from leibhom.algebra import bracket_coords
     d = A.dim
     t = index_tuple(jidx, d, n)
     out = {}
     for j in range(2, n + 1):
         for i in range(1, j):
-            br = bracket_coords(A, {t[i - 1]: Fraction(1)},
-                                {t[j - 1]: Fraction(1)})
+            x, y = {t[i - 1]: Fraction(1)}, {t[j - 1]: Fraction(1)}
+            br = multiply_coords(A, x, y)
+            for k, c in multiply_coords(A, y, x).items():
+                br[k] = br.get(k, 0) - c
             for k, c in br.items():
                 nt = t[:i - 1] + (k,) + t[i:j - 1] + t[j:]
                 pos = tuple_index(nt, d)
@@ -243,12 +245,40 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
     assert type(back.entry(0, 0)) is int and back.entry(2, 0) == -7
     assert back.entry(1, 1) == Fraction(-3, 5)
     assert type(back.entry(2, 1)) is Fraction
-    path = cache.boundary_path(cdir, "f" * 16, "CHH", 1)
     for bad in ("1.5", "1/0", "x"):
-        with open(path, "w") as fh:
-            fh.write("0 0 1\n1 1 %s\n" % bad)
         with pytest.raises(ValueError):
-            cache.load_boundary(cdir, "f" * 16, "CHH", 1, 3, 2)
+            cache._parse_value(bad)
+
+
+def test_cache_rejects_files_that_fail_their_header(tmp_path):
+    from leibhom import cache
+    cdir = str(tmp_path)
+    fp = "f" * 64
+    mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5)}])
+    path = cache.boundary_path(cdir, fp, "CHH", 1)
+    cache.save_boundary(cdir, fp, "CHH", 1, mat)
+    head, *body = open(path).read().splitlines(keepends=True)
+    assert head.split() == ["leibhom-boundary", "1", fp, "CHH", "1", "3", "2",
+                            "3", hashlib.sha256("".join(body).encode())
+                            .hexdigest()]
+    cache.reset_counters()
+    assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2) == mat
+    # another shape, another full fingerprint behind the same file name,
+    # a headerless body, a dropped line, a changed value, a bad value
+    tampered = [
+        (head, body, (3, 3), fp),
+        (head, body, (3, 2), fp[:16] + "e" * 48),
+        ("", body, (3, 2), fp),
+        (head, body[1:], (3, 2), fp),
+        (head, body[:2] + ["1 1 -3/4\n"], (3, 2), fp),
+        (head, body[:2] + ["1 1 x\n"], (3, 2), fp),
+    ]
+    for k, (h, b, (rows, cols), want_fp) in enumerate(tampered):
+        with open(path, "w") as fh:
+            fh.write(h + "".join(b))
+        assert cache.load_boundary(cdir, want_fp, "CHH", 1, rows, cols) is None
+        assert cache.COUNTERS["rejects"] == k + 1
+    assert cache.COUNTERS["hits"] == 1 and cache.COUNTERS["misses"] == 0
 
 
 def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):

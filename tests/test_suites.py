@@ -5,9 +5,12 @@ import json
 
 import pytest
 
-from leibhom.complexes import clear_registry
-from leibhom.suites import (SUITE_IDS, SuiteConfig, report_failed, run_all,
-                            run_suite)
+from leibhom import chain_maps as cmaps
+from leibhom.algebra import builtin_morphism, matrix_morphism
+from leibhom.complexes import build_complex, clear_registry
+from leibhom.homology import compose_maps, cone_pair_map, mapping_cone
+from leibhom.suites import (SUITE_IDS, SuiteConfig, _relative_stream,
+                            report_failed, run_all, run_suite)
 
 FAST = SuiteConfig(cutoff=3, matrix_size=2, seed=42)
 
@@ -121,3 +124,37 @@ def test_relative_suite_reports_control_descriptively():
     assert rows
     assert all(r["status"] == "skipped" for r in rows)
     assert any("hypothesis gate" in r["detail"] for r in rows)
+
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_relative_stream_generates_the_materialized_cone_columns(cyclic):
+    # the streamed cone of gl_2(dual_aug) on CL and its cone pair map of
+    # tr o phi (then I when cyclic), against mapping_cone and cone_pair_map
+    f = builtin_morphism("dual_aug")
+    glf = matrix_morphism(f, 2)
+    A, B, GA, GB = f.source, f.target, glf.source, glf.target
+
+    def cx(X, kind, cutoff=4):
+        return build_complex(X, kind, cutoff)
+
+    def tr_phi(X, GX, proj):
+        F = compose_maps(cmaps.trace(GX, X, cx(GX, "CHH", 3), cx(X, "CHH")),
+                         cmaps.phi(GX, cx(GX, "CL"), cx(GX, "CHH", 3)))
+        return compose_maps(proj, F) if cyclic else F
+
+    mcc = mapping_cone(cmaps.morphism_complex_map(glf, "CL", cx(GA, "CL"),
+                                                  cx(GB, "CL")))
+    kind = "CLAMBDA" if cyclic else "CHH"
+    mct = mapping_cone(cmaps.morphism_complex_map(f, kind, cx(A, kind),
+                                                  cx(B, kind)))
+    V = cmaps.proj_I(A, cx(A, "CHH"), cx(A, "CLAMBDA"))
+    W = cmaps.proj_I(B, cx(B, "CHH"), cx(B, "CLAMBDA"))
+    pair = cone_pair_map(mcc, mct, tr_phi(A, GA, V), tr_phi(B, GB, W))
+    for m in (2, 3, 4):
+        cols, split, bcol, mcol = _relative_stream(f, glf, V, W, m, cyclic)
+        d = mcc.cone.boundary(m)
+        assert (cols, split) == (d.cols, d.rows)
+        for j in range(cols):
+            assert bcol(j) == d.columns[j], (m, j)
+            assert mcol(j) == pair.maps[m].columns[j], (m, j)
