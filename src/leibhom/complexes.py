@@ -20,6 +20,14 @@ for determinism experiments.
 Tensor basis order is lexicographic with the first factor most significant,
 matching itertools.product. Wedge bases are increasing index tuples in
 lexicographic order. For L and P the permutation index is the major key.
+
+The CL, CHH, L and P boundaries are signed sums of slot contractions: slots
+i < j of an m-slot tensor t (index x) are multiplied or bracketed into the
+basis element k at slot i, and slot j is deleted. The lower index is
+
+  (x // d^(m-j)) * d^(m-1-j) + x % d^(m-1-j) + (k - t_i) * d^(m-2-i)
+
+so no tuple is built per term.
 """
 
 from __future__ import annotations
@@ -211,46 +219,56 @@ def _zero_column(_j: int) -> dict:
     return {}
 
 
-def _cl_column_fn(A: Algebra, n: int):
-    d = A.dim
-    if n == 1:
-        return _zero_column
-    br = bracket_table(A)
+def _contraction_column_fn(d: int, table, m: int, parts):
+    """Column function of a signed sum of slot contractions on m-slot tensors.
+
+    A column index is s * d^m + x: x is the m-slot tensor index and s picks
+    parts[s], the terms (i, j, swapped, sign, base) of permutation part s
+    (CL and CHH have the one part s = 0). Each term contracts slots i < j by
+    the rule in the module docstring, with the product table[t_i][t_j]
+    (table[t_j][t_i] when swapped), and adds base, the row offset of the
+    term's permutation part. The products are looked up in flat pair tables
+    indexed a * d + b, one of them transposed for the swapped terms.
+    """
+    flat = {False: [table[a][b] for a in range(d) for b in range(d)],
+            True: [table[b][a] for a in range(d) for b in range(d)]}
+    compiled = [tuple((i, j, d ** (m - j), d ** (m - 1 - j), d ** (m - 2 - i),
+                       sign, base, flat[swapped])
+                      for i, j, swapped, sign, base in terms)
+                for terms in parts]
+    dm = d ** m
 
     def col(jidx: int) -> dict:
-        t = index_tuple(jidx, d, n)
+        s, x = divmod(jidx, dm)
+        t = index_tuple(x, d, m)
         out = {}
-        for j1 in range(2, n + 1):
-            sign = 1 if j1 % 2 == 0 else -1
-            aj = t[j1 - 1]
-            for i1 in range(1, j1):
-                for k, coeff in br[t[i1 - 1]][aj]:
-                    nt = t[:i1 - 1] + (k,) + t[i1:j1 - 1] + t[j1:]
-                    _acc(out, tuple_index(nt, d), sign * coeff)
+        for i, j, q, r, w, sign, base, tab in compiled[s]:
+            a = t[i]
+            rest = base + x // q * r + x % r - a * w
+            for k, c in tab[a * d + t[j]]:
+                _acc(out, rest + k * w, sign * c)
         return out
 
     return col
+
+
+def _hochschild_faces(n: int):
+    """Faces 0..n of b on n+1 slots; face n wraps slot n to the front."""
+    return [(i, i + 1, False, 1 if i % 2 == 0 else -1) for i in range(n)] + \
+        [(0, n, True, 1 if n % 2 == 0 else -1)]
+
+
+def _cl_column_fn(A: Algebra, n: int):
+    if n == 1:
+        return _zero_column
+    terms = [(i, j, False, 1 if j % 2 else -1, 0)
+             for j in range(1, n) for i in range(j)]
+    return _contraction_column_fn(A.dim, bracket_table(A), n, [terms])
 
 
 def _chh_column_fn(A: Algebra, n: int):
-    d = A.dim
-    prod = A.products
-
-    def col(jidx: int) -> dict:
-        t = index_tuple(jidx, d, n + 1)
-        out = {}
-        for i in range(n):
-            sign = 1 if i % 2 == 0 else -1
-            for k, coeff in prod[t[i]][t[i + 1]]:
-                nt = t[:i] + (k,) + t[i + 2:]
-                _acc(out, tuple_index(nt, d), sign * coeff)
-        sign = 1 if n % 2 == 0 else -1
-        for k, coeff in prod[t[n]][t[0]]:
-            nt = (k,) + t[1:n]
-            _acc(out, tuple_index(nt, d), sign * coeff)
-        return out
-
-    return col
+    terms = [face + (0,) for face in _hochschild_faces(n)]
+    return _contraction_column_fn(A.dim, A.products, n + 1, [terms])
 
 
 def _clambda_column_fn(A: Algebra, n: int):
@@ -394,59 +412,24 @@ def _l_transport_terms(sigma):
 
 
 def _l_column_fn(A: Algebra, n: int):
-    d = A.dim
     if n == 1:
         return _zero_column
-    perms = symmetric_group(n)
     pidx_lo = symmetric_index(n - 1)
-    prod = A.products
-    dn = d ** n
-    dlo = d ** (n - 1)
-
-    def col(jidx: int) -> dict:
-        s_i, t_i = divmod(jidx, dn)
-        t = index_tuple(t_i, d, n)
-        out = {}
-        for i1, j1, swapped, sign, new_perm in _l_transport_terms(perms[s_i]):
-            x, y = t[i1 - 1], t[j1 - 1]
-            if swapped:
-                x, y = y, x
-            base = pidx_lo[new_perm] * dlo
-            for k, coeff in prod[x][y]:
-                nt = t[:i1 - 1] + (k,) + t[i1:j1 - 1] + t[j1:]
-                _acc(out, base + tuple_index(nt, d), sign * coeff)
-        return out
-
-    return col
+    dlo = A.dim ** (n - 1)
+    parts = [[(i1 - 1, j1 - 1, swapped, sign, pidx_lo[new_perm] * dlo)
+              for i1, j1, swapped, sign, new_perm in _l_transport_terms(sigma)]
+             for sigma in symmetric_group(n)]
+    return _contraction_column_fn(A.dim, A.products, n, parts)
 
 
 def _p_column_fn(A: Algebra, n: int):
-    d = A.dim
-    cyc_hi = cyclic_class(n + 1)
     cidx_lo = cyclic_index(n)
-    prod = A.products
-    dhi = d ** (n + 1)
-    dlo = d ** n
-
-    def col(jidx: int) -> dict:
-        s_i, t_i = divmod(jidx, dhi)
-        sigma = cyc_hi[s_i]
-        t = index_tuple(t_i, d, n + 1)
-        out = {}
-        for i in range(n + 1):
-            base = cidx_lo[face_cyclic(sigma, i)] * dlo
-            sign = 1 if i % 2 == 0 else -1
-            if i < n:
-                for k, coeff in prod[t[i]][t[i + 1]]:
-                    nt = t[:i] + (k,) + t[i + 2:]
-                    _acc(out, base + tuple_index(nt, d), sign * coeff)
-            else:
-                for k, coeff in prod[t[n]][t[0]]:
-                    nt = (k,) + t[1:n]
-                    _acc(out, base + tuple_index(nt, d), sign * coeff)
-        return out
-
-    return col
+    dlo = A.dim ** n
+    faces = _hochschild_faces(n)
+    parts = [[face + (cidx_lo[face_cyclic(sigma, f)] * dlo,)
+              for f, face in enumerate(faces)]
+             for sigma in cyclic_class(n + 1)]
+    return _contraction_column_fn(A.dim, A.products, n + 1, parts)
 
 
 _COLUMN_BUILDERS = {

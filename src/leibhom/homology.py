@@ -47,7 +47,10 @@ class ChainComplex:
                 return 0
             raise ValueError("rank of d_%d not available at cutoff %d" % (n, self.cutoff))
         if n not in self._ranks:
-            self._ranks[n] = rank_only(self.boundaries[n])
+            d = self.boundaries[n]
+            rank = rank_only(d)
+            assert 0 <= rank <= min(d.rows, d.cols), (self.kind, n, rank)
+            self._ranks[n] = rank
         return self._ranks[n]
 
     def homology(self, n: int) -> "HomologyData":

@@ -5,6 +5,9 @@ Algebra files: {"name", "dim", "basis": [names], "unit": ["p/q", ...],
 zero. Morphism files: {"source", "target", "matrix": [[...]]} with source and
 target either a builtin name or an inline algebra object. Rationals are
 always emitted reduced as "p/q"; bare integers are accepted on input.
+A value read back is an int whenever it is integral ("-1/1", "4/2", 3) and a
+Fraction otherwise, so a file algebra runs the same int arithmetic as the
+builtin it was saved from.
 """
 
 from __future__ import annotations
@@ -25,14 +28,19 @@ def frac_to_str(v) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def frac_from_json(v) -> Fraction:
-    if isinstance(v, int):
-        return Fraction(v)
+def _int_if_integral(v):
+    return v.numerator if v.denominator == 1 else v
+
+
+def frac_from_json(v):
+    """An int when the value is integral, else a reduced Fraction."""
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            return _int_if_integral(Fraction(v))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError("bad rational %r: %s" % (v, exc))
+    if isinstance(v, int):
+        return int(v)
     raise FormatError("rational must be an int or 'p/q' string, got %r" % (v,))
 
 
@@ -89,8 +97,8 @@ def algebra_from_dict(d) -> Algebra:
                 raise FormatError("product index %r out of range" % (k,))
             val = frac_from_json(c)
             if val:
-                cell[k] = cell.get(k, Fraction(0)) + val
-        prods[i][j] = {k: v for k, v in cell.items() if v}
+                cell[k] = cell.get(k, 0) + val
+        prods[i][j] = {k: _int_if_integral(v) for k, v in cell.items() if v}
     table = tuple(tuple(tuple(sorted(prods[i][j].items())) for j in range(dim))
                   for i in range(dim))
     return Algebra(str(d["name"]), [str(b) for b in basis], unit, table)

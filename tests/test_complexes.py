@@ -17,6 +17,8 @@ from leibhom.complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
                                verify_d2_streamed, wedge_basis)
 from leibhom.homology import ChainComplex, verify_boundary_squares
 from leibhom.linalg import SparseMatrix
+from leibhom.perms import cyclic_class, cyclic_index, face_cyclic
+from leibhom.serialize import load_algebra, save_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +78,135 @@ def test_leibniz_boundary_matches_oracle(name, maxn):
         fn = boundary_column_fn(A, "CL", n)
         for j in range(degree_dim(A, "CL", n)):
             assert fn(j) == leibniz_oracle_column(A, n, j), (n, j)
+
+
+def cycle_set_oracle_column(A, n, jidx):
+    """P: the sum over i of (-1)^i face_cyclic(sigma, i) x (i-th Hochschild face)."""
+    d = A.dim
+    s, x = divmod(jidx, d ** (n + 1))
+    sigma = cyclic_class(n + 1)[s]
+    t = index_tuple(x, d, n + 1)
+    out = {}
+    for i in range(n + 1):
+        base = cyclic_index(n)[face_cyclic(sigma, i)] * d ** n
+        if i < n:
+            fused = multiply_coords(A, {t[i]: Fraction(1)}, {t[i + 1]: Fraction(1)})
+        else:
+            fused = multiply_coords(A, {t[n]: Fraction(1)}, {t[0]: Fraction(1)})
+        for k, c in fused.items():
+            nt = t[:i] + (k,) + t[i + 2:] if i < n else (k,) + t[1:n]
+            pos = base + tuple_index(nt, d)
+            out[pos] = out.get(pos, Fraction(0)) + (-1) ** i * c
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("name,maxn", [("dual", 3), ("s3", 3)])
+def test_cycle_set_boundary_matches_oracle(name, maxn):
+    A = builtin_algebra(name)
+    for n in range(1, maxn + 1):
+        fn = boundary_column_fn(A, "P", n)
+        for j in range(degree_dim(A, "P", n)):
+            assert fn(j) == cycle_set_oracle_column(A, n, j), (n, j)
+
+
+def columns_digest(A, kind, n):
+    """sha256 over every column of d_n, entries sorted, values as reduced p/q."""
+    fn = boundary_column_fn(A, kind, n)
+    h = hashlib.sha256()
+    for j in range(degree_dim(A, kind, n)):
+        h.update(("%d:%s;" % (j, ",".join(
+            "%d=%s" % (r, Fraction(v)) for r, v in sorted(fn(j).items())))).encode())
+    return h.hexdigest()
+
+
+# columns_digest of d_1, d_2, ... for CL, CHH, P and L. L has no independent
+# oracle here, so these pins are what guard its generator.
+PINNED_COLUMNS = {
+    ("dual", "CL"): (
+        "95be64bfc138a94992d9af8f944263b3c0e934f6069a718869b3d232d9f442e8",
+        "bee3a810c2ae1d3584081e5bd3e2f89b80aa5fa63ffe660b0f754c8eac27bf96",
+        "162002140057c14581f23ea0bc6308adb644ca9ee07dbed73c00f29de609ee81",
+        "c4be00dd70a06398dea35c33ef0fb319f0c632e175b892b01cc5013ecae288df",
+    ),
+    ("dual", "CHH"): (
+        "bee3a810c2ae1d3584081e5bd3e2f89b80aa5fa63ffe660b0f754c8eac27bf96",
+        "34ddda8ff2d6ae30ef4085c1eb101deb4754fd2affc02ed4959e85350787c606",
+        "d3a38bec245c167e86af5d037fddf2dd5489ab617747106179b1fcddf59d680f",
+        "f24b147709157f8945d545cea7bce59988ea659d5d018ed62daa03396d20e5ab",
+    ),
+    ("dual", "P"): (
+        "bee3a810c2ae1d3584081e5bd3e2f89b80aa5fa63ffe660b0f754c8eac27bf96",
+        "cc7dc4ed9fcec4bec2eb4bb7f9e5c9e780961c2492fea4e5c23f080ede700ad0",
+        "b25d3211dd976b1454c6729df065397cd4e5ca7a949a89f4493448b451d27c62",
+        "806a3e092e98ebc2f4b54fdce5c586bea02aeedb17992b855ffaa4dcf4b0ed2b",
+    ),
+    ("dual", "L"): (
+        "95be64bfc138a94992d9af8f944263b3c0e934f6069a718869b3d232d9f442e8",
+        "162002140057c14581f23ea0bc6308adb644ca9ee07dbed73c00f29de609ee81",
+        "d6dc5d0840c69d69bf3f9bb12dd1c541e36802cddf775f6a125a5ae59220a035",
+        "3d04b424902ca8420fa169ca094207d65f87f3347f496b6d8a11420649e743f8",
+    ),
+    ("s3", "CL"): (
+        "4d0abf09e1a346c2cce4b4f00e11d4b8a280230f9464518b725b6d94a077f287",
+        "dcafebfefe2adf1c8de804d151960bab0c7daf544c618540ac23d3b2fc5e3f77",
+        "4f76e65dcf13d92131eaf3f09ecddc984c0a6891b74411518e51a05c83deeda0",
+    ),
+    ("s3", "CHH"): (
+        "dcafebfefe2adf1c8de804d151960bab0c7daf544c618540ac23d3b2fc5e3f77",
+        "cef1b46db2eb1fa83fa53ed112833b6bca477cc7419858c4c8c87948e075a5ed",
+        "1b460f3bcd45dfbfcb5ee926fb11936d32ea7ca48c6b7648413bef03320452bc",
+    ),
+    ("s3", "P"): (
+        "dcafebfefe2adf1c8de804d151960bab0c7daf544c618540ac23d3b2fc5e3f77",
+        "ce8dee39bcf9e5b6943ec4b812b29ea57b0ed0d543128675d7f5c9feb822cc3f",
+        "fa3bb47cd5e9e34f784972a2b66ec734a021412bd21ebf9e011f0d3cb6afade6",
+    ),
+    ("s3", "L"): (
+        "4d0abf09e1a346c2cce4b4f00e11d4b8a280230f9464518b725b6d94a077f287",
+        "0d065471b1153c549af279bafb3a508ea7adf1ea6b0685ce8f643179c9377eda",
+        "516fb2f37e4e8c52c47fac9804f2cb7b4511ee3c227c37074fe497632ff6c993",
+    ),
+    ("gl2dual.json", "CL"): (
+        "162002140057c14581f23ea0bc6308adb644ca9ee07dbed73c00f29de609ee81",
+        "244400ac54877572cd308168d9dbe6749e6ced5b81088f8a65116ae4233ca695",
+        "09fec2bedbae91d082d876e7f80d0d9194a0d20da9a07c4a1a3114c6729c5bfc",
+    ),
+    ("gl2dual.json", "CHH"): (
+        "244400ac54877572cd308168d9dbe6749e6ced5b81088f8a65116ae4233ca695",
+        "c7ba1af64c8ea4471ee4ccc598905ba453dcd91b6ebce5b1398d786f0e1d6d07",
+        "0ac1dbf2e7ed7aa658420311b2052374b72446e3950e86bfe359815e3e532ee4",
+    ),
+    ("gl2dual.json", "P"): (
+        "244400ac54877572cd308168d9dbe6749e6ced5b81088f8a65116ae4233ca695",
+        "58f6ff9583e52a2d38b93c209b60f7ace7a9fd1f9ee2daf94c519becbea643cd",
+        "378ffb28910623036e379d89a721657ab2588a9564d7bb1eae4b93189a6e6970",
+    ),
+    ("gl2dual.json", "L"): (
+        "162002140057c14581f23ea0bc6308adb644ca9ee07dbed73c00f29de609ee81",
+        "24c3db8e2771f2823536ab664c2a9ac45765f1ce004ba61ccc50d24d2776940d",
+        "50e77197060fea7fea61a7c360143c358ed227a7f8ab4b89d0aeefcb557cde07",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_algebras(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("pin") / "gl2dual.json")
+    save_algebra(matrix_algebra(builtin_algebra("dual"), 2), path)
+    return {"dual": builtin_algebra("dual"), "s3": builtin_algebra("s3"),
+            "gl2dual.json": load_algebra(path)}
+
+
+@pytest.mark.parametrize("name,maxn", [("dual", 4), ("s3", 3), ("gl2dual.json", 3)])
+@pytest.mark.parametrize("kind", ["CL", "CHH", "P", "L"])
+def test_generated_columns_are_pinned(pinned_algebras, name, maxn, kind):
+    # the file shares its fingerprint, and so its cached bracket table, with
+    # matrix_algebra(dual, 2); start from an empty cache to read the file's own
+    clear_registry()
+    A = pinned_algebras[name]
+    got = tuple(columns_digest(A, kind, n) for n in range(1, maxn + 1))
+    assert got == PINNED_COLUMNS[name, kind]
+    clear_registry()
 
 
 def test_degree_dim_formulas():

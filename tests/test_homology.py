@@ -66,6 +66,16 @@ def test_homology_refuses_a_negative_betti_number():
         C.homology(1)
 
 
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_rank_boundary_refuses_an_impossible_rank(monkeypatch, bad):
+    from leibhom import homology
+    monkeypatch.setattr(homology, "rank_only", lambda M: bad)
+    C = ChainComplex("STUB", [1, 1], [None, SparseMatrix.identity(1)])
+    with pytest.raises(AssertionError):
+        C.rank_boundary(1)
+    assert 1 not in C._ranks
+
+
 def test_solver_build_makes_one_tracked_echelon(monkeypatch):
     from leibhom import homology, linalg
     C = build_complex(builtin_algebra("dual"), "CHH", 4)

@@ -6,9 +6,15 @@ from fractions import Fraction
 import pytest
 
 from leibhom.algebra import BUILTIN_NAMES, builtin_algebra
+from leibhom.complexes import build_complex
 from leibhom.serialize import (FormatError, algebra_from_dict,
-                               algebra_to_dict, load_algebra, load_morphism,
-                               save_algebra)
+                               algebra_to_dict, frac_from_json, load_algebra,
+                               load_morphism, save_algebra)
+
+
+def constants(A):
+    return list(A.unit) + [c for row in A.products for cell in row
+                           for _, c in cell]
 
 
 def test_roundtrip_all_builtins(tmp_path):
@@ -22,6 +28,8 @@ def test_roundtrip_all_builtins(tmp_path):
         assert B.basis_names == A.basis_names
         assert B.unit == A.unit
         assert B.products == A.products
+        # integral constants come back as int, as the builtins hold them
+        assert {type(c) for c in constants(B)} == {int}, name
 
 
 def test_dict_roundtrip_preserves_fractions():
@@ -32,6 +40,44 @@ def test_dict_roundtrip_preserves_fractions():
                   or row[2] == [[1, "2/3"]]]
     B = algebra_from_dict(d)
     assert B.products[1][0] == ((1, Fraction(2, 3)),)
+    assert type(B.products[1][0][0][1]) is Fraction
+
+
+@pytest.mark.parametrize("raw,want", [
+    ("2/3", Fraction(2, 3)), ("-4/6", Fraction(-2, 3)), ("4/2", 2),
+    ("-1/1", -1), ("0/5", 0), ("7", 7), (3, 3), (-2, -2),
+])
+def test_values_load_as_int_when_integral(raw, want):
+    got = frac_from_json(raw)
+    assert got == want
+    assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("term,want", [("1/2", 1), ("1/3", Fraction(2, 3))])
+def test_repeated_product_terms_sum_to_int_when_integral(term, want):
+    B = algebra_from_dict({"name": "x", "dim": 1, "basis": ["1"], "unit": ["1"],
+                           "table": [[0, 0, [[0, term], [0, term]]]]})
+    assert B.products[0][0] == ((0, want),)
+    assert type(B.products[0][0][0][1]) is type(want)
+
+
+def test_half_unit_basis_of_the_dual_numbers_keeps_the_bettis():
+    """The dual numbers in the basis {1/2, eps}: unit (2, 0), e0 e0 = e0/2.
+
+    A change of basis must not move any betti number, and this one runs the
+    Fraction path that integral files no longer reach."""
+    half = algebra_from_dict({
+        "name": "dual_half", "dim": 2, "basis": ["h", "eps"],
+        "unit": ["2", "0"],
+        "table": [[0, 0, [[0, "1/2"]]], [0, 1, [[1, "1/2"]]],
+                  [1, 0, [[1, "1/2"]]]],
+    })
+    assert type(half.products[0][0][0][1]) is Fraction
+    dual = builtin_algebra("dual")
+    for kind in ("CL", "CHH"):
+        want = [build_complex(dual, kind, 5).betti(n) for n in range(5)]
+        got = [build_complex(half, kind, 5).betti(n) for n in range(5)]
+        assert got == want, kind
 
 
 def test_serialized_dict_is_json_clean():
