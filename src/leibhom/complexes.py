@@ -27,7 +27,8 @@ basis element k at slot i, and slot j is deleted. The lower index is
 
   (x // d^(m-j)) * d^(m-1-j) + x % d^(m-1-j) + (k - t_i) * d^(m-2-i)
 
-so no tuple is built per term.
+with the digits read off as t_i = x // d^(m-1-i) % d, so no tuple is built
+per column or term.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import comb, factorial
 
 from .algebra import Algebra
 from .homology import ChainComplex
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, ZeroTest
 from .perms import cyclic_class, cyclic_index, face_cyclic, symmetric_group, symmetric_index
 
 KINDS = ("CL", "CHH", "CLAMBDA", "CE", "CE_ADJ", "BAR", "L", "P")
@@ -232,21 +233,27 @@ def _contraction_column_fn(d: int, table, m: int, parts):
     """
     flat = {False: [table[a][b] for a in range(d) for b in range(d)],
             True: [table[b][a] for a in range(d) for b in range(d)]}
-    compiled = [tuple((i, j, d ** (m - j), d ** (m - 1 - j), d ** (m - 2 - i),
-                       sign, base, flat[swapped])
+    compiled = [tuple((d ** (m - 1 - i), d ** (m - j), d ** (m - 1 - j),
+                       d ** (m - 2 - i), sign, base, flat[swapped])
                       for i, j, swapped, sign, base in terms)
                 for terms in parts]
     dm = d ** m
 
     def col(jidx: int) -> dict:
         s, x = divmod(jidx, dm)
-        t = index_tuple(x, d, m)
         out = {}
-        for i, j, q, r, w, sign, base, tab in compiled[s]:
-            a = t[i]
+        get = out.get
+        # _acc inlined: the hot loop of every streamed d.d check
+        for p, q, r, w, sign, base, tab in compiled[s]:
+            a = x // p % d
             rest = base + x // q * r + x % r - a * w
-            for k, c in tab[a * d + t[j]]:
-                _acc(out, rest + k * w, sign * c)
+            for k, c in tab[a * d + x // r % d]:
+                idx = rest + k * w
+                val = get(idx, 0) + sign * c
+                if val:
+                    out[idx] = val
+                else:
+                    out.pop(idx, None)
         return out
 
     return col
@@ -514,10 +521,10 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, cache_dir=None,
     if n < 2:
         return None
     lower = boundary_matrix(A, kind, n - 1, cache_dir, max_dim)
+    vanishes = ZeroTest((lower, 1))
     fn = boundary_column_fn(A, kind, n)
     for j in range(degree_dim(A, kind, n)):
-        v = fn(j)
-        if v and lower.apply(v):
+        if not vanishes(fn(j)):
             return (n, j)
     return None
 

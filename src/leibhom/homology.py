@@ -11,8 +11,8 @@ out of one reduction.
 
 from __future__ import annotations
 
-from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
-                     rank_only)
+from .linalg import (Echelon, SparseMatrix, ZeroTest, blocked_rank,
+                     kernel_basis, rank_only)
 
 
 class ChainComplex:
@@ -74,12 +74,16 @@ class ChainComplex:
 
 
 def verify_boundary_squares(C: ChainComplex):
-    """True iff dated d = 0 in all composable degrees; else (False, (degree, column))."""
+    """Check d_{n-1} o d_n = 0 for 2 <= n <= cutoff, column by column.
+
+    Returns (True, None), or (False, (degree, column)) for the first column
+    of d_n that d_{n-1} does not send to zero.
+    """
     for n in range(2, C.cutoff + 1):
         upper = C.boundaries[n]
-        lower = C.boundaries[n - 1]
+        vanishes = ZeroTest((C.boundaries[n - 1], 1))
         for j in range(upper.cols):
-            if lower.apply(upper.columns[j]):
+            if not vanishes(upper.columns[j]):
                 return False, (n, j)
     return True, None
 
@@ -216,15 +220,11 @@ def verify_chain_map(F: ChainMapRep, max_degree=None):
         if not (1 <= n <= src.cutoff and 1 <= n - s <= tgt.cutoff):
             continue
         upper = F.maps[n]
-        lower = F.maps[n - 1]
         dsrc = src.boundary(n)
-        dtgt = tgt.boundary(n - s)
+        vanishes = ZeroTest((tgt.boundary(n - s), 1),
+                            (F.maps[n - 1], -F.chain_sign))
         for j in range(dsrc.cols):
-            lhs = dtgt.apply(upper.columns[j])
-            rhs = lower.apply(dsrc.columns[j])
-            if F.chain_sign == -1:
-                rhs = {k: -v for k, v in rhs.items()}
-            if lhs != rhs:
+            if not vanishes(upper.columns[j], dsrc.columns[j]):
                 return False, (n, j)
     return True, None
 

@@ -39,8 +39,9 @@ def frac_from_json(v):
             return _int_if_integral(Fraction(v))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError("bad rational %r: %s" % (v, exc))
-    if isinstance(v, int):
-        return int(v)
+    if type(v) is int:
+        return v
+    # bool is an int subclass: JSON true/false is refused, not read as 1/0
     raise FormatError("rational must be an int or 'p/q' string, got %r" % (v,))
 
 

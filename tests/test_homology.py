@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from leibhom import complexes
 from leibhom.algebra import builtin_algebra
 from leibhom.chain_maps import phi, proj_I
 from leibhom.complexes import build_complex
@@ -18,7 +19,7 @@ from leibhom.homology import (ChainComplex, ChainMapRep, compose_maps,
                               induced_rank_streamed, les_of_cone,
                               mapping_cone, verify_boundary_squares,
                               verify_chain_map)
-from leibhom.linalg import SparseMatrix, rank_only
+from leibhom.linalg import ZERO_TEST_CAP, SparseMatrix, rank_only
 
 
 def test_betti_oracles_rationals():
@@ -323,3 +324,111 @@ def test_cone_pair_map_is_chain_map():
     ok, wit = verify_chain_map(rel, 4)
     assert ok, wit
 
+
+# -- corrupted columns: every check names the dict product's first failure --
+#
+# The checks decide "is this product zero?" with linalg.ZeroTest. An int
+# bump stays in its row-tuple form; a Fraction bump and one above
+# ZERO_TEST_CAP send the vector to the dict-product fallback. Each check must
+# name the same (degree, column) as the plain dict products below.
+
+BUMPS = [1, Fraction(1, 2), ZERO_TEST_CAP + 92]
+
+
+def _bumped(M, r, j, bump):
+    """A copy of M with bump added to its entry (r, j)."""
+    columns = [dict(c) for c in M.columns]
+    col = columns[j]
+    col[r] = col.get(r, 0) + bump
+    if not col[r]:
+        del col[r]
+    return SparseMatrix(M.rows, M.cols, columns)
+
+
+def _reached(M):
+    """A row that a nonzero entry of M sits in."""
+    return next(r for col in M.columns for r in col)
+
+
+def _dict_squares_witness(C):
+    for n in range(2, C.cutoff + 1):
+        for j, col in enumerate(C.boundaries[n].columns):
+            if C.boundaries[n - 1].apply(col):
+                return False, (n, j)
+    return True, None
+
+
+def _dict_chain_map_witness(F, top):
+    for n in F.degrees():
+        if n > top or n - 1 not in F.maps:
+            continue
+        if not (1 <= n <= F.source.cutoff
+                and 1 <= n - F.shift <= F.target.cutoff):
+            continue
+        dsrc = F.source.boundary(n)
+        dtgt = F.target.boundary(n - F.shift)
+        for j in range(dsrc.cols):
+            lhs = dtgt.apply(F.maps[n].columns[j])
+            rhs = F.maps[n - 1].apply(dsrc.columns[j])
+            if lhs != {k: F.chain_sign * v for k, v in rhs.items()}:
+                return False, (n, j)
+    return True, None
+
+
+@pytest.mark.parametrize("bump", BUMPS)
+@pytest.mark.parametrize("degree", [2, 3])
+def test_corrupted_boundary_square_witness_is_the_dict_products(bump, degree):
+    C = build_complex(builtin_algebra("dual"), "CHH", 4)
+    # the bumped column of d_degree is one that d_{degree+1} reaches, so the
+    # square above fails if the one below does not
+    boundaries = list(C.boundaries)
+    boundaries[degree] = _bumped(C.boundaries[degree], 0,
+                                 _reached(C.boundaries[degree + 1]), bump)
+    bad = ChainComplex("CHH", C.dims, boundaries)
+    want = _dict_squares_witness(bad)
+    assert want[0] is False
+    assert verify_boundary_squares(bad) == want
+
+
+@pytest.mark.parametrize("bump", BUMPS)
+@pytest.mark.parametrize("which", ["phi_3", "phi_4", "cone_proj_3"])
+def test_corrupted_chain_map_witness_is_the_dict_products(bump, which):
+    A = builtin_algebra("dual")
+    chh = build_complex(A, "CHH", 4)
+    if which == "cone_proj_3":
+        F = mapping_cone(proj_I(A, chh, build_complex(A, "CLAMBDA", 4))).proj
+        assert F.chain_sign == -1
+    else:
+        F = phi(A, build_complex(A, "CL", 4), chh)
+    n = int(which[-1])
+    maps = dict(F.maps)
+    dtgt = F.target.boundary(n - F.shift)
+    r = next(r for r, col in enumerate(dtgt.columns) if col)
+    maps[n] = _bumped(F.maps[n], r, 1, bump)
+    bad = ChainMapRep(F.kind, F.source, F.target, F.shift, maps, F.chain_sign)
+    want = _dict_chain_map_witness(bad, 4)
+    assert want[0] is False
+    assert verify_chain_map(bad, 4) == want
+
+
+@pytest.mark.parametrize("bump", BUMPS)
+@pytest.mark.parametrize("factor", ["upper", "lower"])
+def test_corrupted_streamed_d2_witness_is_the_dict_products(bump, factor,
+                                                            monkeypatch):
+    A = builtin_algebra("dual")
+    lower = complexes.boundary_matrix(A, "P", 3)
+    upper = SparseMatrix.from_columns(
+        lower.cols, complexes.degree_dim(A, "P", 4),
+        complexes.boundary_column_fn(A, "P", 4))
+    if factor == "lower":
+        lower = _bumped(lower, 0, _reached(upper), bump)
+    else:
+        r = next(r for r, col in enumerate(lower.columns) if col)
+        upper = _bumped(upper, r, 5, bump)
+    monkeypatch.setattr(complexes, "boundary_matrix",
+                        lambda *args, **kwargs: lower)
+    monkeypatch.setattr(complexes, "boundary_column_fn",
+                        lambda *args: lambda j: dict(upper.columns[j]))
+    want = next((4, j) for j, col in enumerate(upper.columns)
+                if lower.apply(col))
+    assert complexes.verify_d2_streamed(A, "P", 4) == want

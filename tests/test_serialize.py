@@ -96,6 +96,9 @@ def test_serialized_dict_is_json_clean():
     (lambda d: d["table"].append([0, 0, [[0, "x"]]]), "bad rational"),
     (lambda d: d["table"].append("junk"), "table"),
     (lambda d: d.update(table="junk"), "table"),
+    # JSON true/false are bools, an int subclass, and no rationals
+    (lambda d: d.update(unit=[True, 0]), "got True"),
+    (lambda d: d["table"].append([1, 1, [[0, False]]]), "got False"),
 ])
 def test_malformed_algebra_dict_raises(mutate, fragment):
     d = algebra_to_dict(builtin_algebra("dual"))
