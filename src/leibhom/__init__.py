@@ -13,10 +13,10 @@ from .algebra import (Algebra, AlgebraMorphism, BUILTIN_MORPHISMS,
                       matrix_morphism, validate_algebra, validate_morphism)
 from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
                      rank_only)
-from .complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
-                        basis_labels, boundary_column_fn, boundary_matrix,
-                        build_complex, clear_registry, cyclic_quotient,
-                        degree_dim, kahler_module, verify_d2_streamed,
+from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
+                        ResourceBoundExceeded, Session, basis_labels,
+                        boundary_column_fn, boundary_matrix, build_complex,
+                        cyclic_quotient, degree_dim, verify_d2_streamed,
                         wedge_basis)
 from .homology import (ChainComplex, ChainMapRep, HomologyData, MappingCone,
                        compose_maps, cone_pair_map, exactness_check,

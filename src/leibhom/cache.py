@@ -6,8 +6,10 @@ degree, the shape, the number of entries and the sha256 of the body; the
 body holds the sorted nonzero entries as "row col value" lines with exact
 rationals. A file whose header does not name the boundary asked for, or
 whose body fails its line count, digest or parse, is rejected: the loader
-returns None and the caller recomputes and overwrites it. Hit counters let
-determinism checks compare cold and warm runs.
+returns None and the caller recomputes and overwrites it. Both functions
+count their hits, misses, writes and rejects in the counts dict passed last
+(a Session's cache_counts), so determinism checks can compare cold and warm
+runs.
 """
 
 from __future__ import annotations
@@ -19,14 +21,6 @@ from fractions import Fraction
 from .linalg import SparseMatrix
 
 FORMAT = "leibhom-boundary 1"
-
-COUNTERS = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
-
-
-def reset_counters() -> None:
-    for k in COUNTERS:
-        COUNTERS[k] = 0
-
 
 def boundary_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> str:
     return os.path.join(cache_dir, "%s.%s.%d.bnd" % (fingerprint[:16], kind, degree))
@@ -54,7 +48,7 @@ def _header_prefix(fingerprint: str, kind: str, degree: int, rows: int,
 
 
 def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
-                  mat: SparseMatrix) -> None:
+                  mat: SparseMatrix, counts: dict) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     path = boundary_path(cache_dir, fingerprint, kind, degree)
     entries = mat.entries_sorted()
@@ -67,11 +61,11 @@ def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
             len(entries), hashlib.sha256(body.encode("ascii")).hexdigest()))
         fh.write(body)
     os.replace(tmp, path)
-    COUNTERS["writes"] += 1
+    counts["writes"] += 1
 
 
 def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
-                  rows: int, cols: int):
+                  rows: int, cols: int, counts: dict):
     """The cached matrix, or None on a miss or a rejected file.
 
     The body is read, hashed and parsed in batches of lines, so no file is
@@ -79,7 +73,7 @@ def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
     """
     path = boundary_path(cache_dir, fingerprint, kind, degree)
     if not os.path.exists(path):
-        COUNTERS["misses"] += 1
+        counts["misses"] += 1
         return None
     prefix = _header_prefix(fingerprint, kind, degree, rows, cols)
     mat = SparseMatrix(rows, cols)
@@ -103,7 +97,7 @@ def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
         if count != int(nnz) or digest.hexdigest() != want:
             raise ValueError("body does not match its header")
     except ValueError:
-        COUNTERS["rejects"] += 1
+        counts["rejects"] += 1
         return None
-    COUNTERS["hits"] += 1
+    counts["hits"] += 1
     return mat

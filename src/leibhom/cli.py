@@ -15,11 +15,11 @@ import os
 import sys
 import time
 
-from . import cache
 from .algebra import (BUILTIN_NAMES, builtin_algebra, matrix_algebra,
                       validate_algebra)
-from .complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
-                        basis_labels, build_complex, kahler_module)
+from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
+                        ResourceBoundExceeded, Session, basis_labels,
+                        build_complex)
 from .homology import induced_map, verify_chain_map
 from .linalg import rank_only
 from .serialize import FormatError, load_algebra
@@ -115,7 +115,8 @@ def _resolve_cache(arg):
     return cache_dir or None
 
 
-def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0):
+def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
+                   counts):
     """Write report.json, report.md and manifest.json once each."""
     os.makedirs(outdir, exist_ok=True)
     paths = {name: os.path.join(outdir, name)
@@ -126,8 +127,8 @@ def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0):
         "config": config,
         "inputs": {p: _sha256_file(p) for p in inputs},
         # "cache" keeps its three keys: perfbench/run.py compares it whole
-        "cache": {k: cache.COUNTERS[k] for k in ("hits", "misses", "writes")},
-        "cache_rejects": cache.COUNTERS["rejects"],
+        "cache": {k: counts[k] for k in ("hits", "misses", "writes")},
+        "cache_rejects": counts["rejects"],
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
     }
@@ -188,8 +189,8 @@ def _load_compute_algebra(spec):
     return builtin_algebra(spec), []
 
 
-def _betti_table(A, kind, maxdeg, max_dim, cache_dir):
-    C = build_complex(A, kind, maxdeg, max_dim=max_dim, cache_dir=cache_dir)
+def _betti_table(A, kind, maxdeg, session):
+    C = build_complex(A, kind, maxdeg, session)
     betti = [C.betti(n) for n in range(maxdeg)]
     top_rank = C.rank_boundary(maxdeg)
     table = {
@@ -223,11 +224,7 @@ def _induced_rows(F):
     return rows
 
 
-def _map_report(A, token, maxdeg, max_dim, cache_dir, N):
-    def cx(kind, cut=maxdeg, alg=A):
-        return build_complex(alg, kind, cut, max_dim=max_dim,
-                             cache_dir=cache_dir)
-
+def _map_report(A, token, maxdeg, session, N):
     needs_group = token in ("BAR_PI", "BAR_IOTA")
     if needs_group and A.group_meta is None:
         raise UsageError("%s needs a group algebra, %s is not one"
@@ -240,9 +237,9 @@ def _map_report(A, token, maxdeg, max_dim, cache_dir, N):
         if N < 3:
             raise UsageError("%s needs --matrix-size at least 3" % token)
         MA = matrix_algebra(A, N)
-        pcx = cx("P", 2)
-        clma = cx("CL", 3, MA)
-        lba = cx("L", 3)
+        pcx = build_complex(A, "P", 2, session)
+        clma = build_complex(MA, "CL", 3, session)
+        lba = build_complex(A, "L", 3, session)
         lift = cmaps.lift_p(A, MA, pcx, clma)
         ok_round, ok_nf = lift_identities(A, MA, lift, lba)
         rep["evidence"] = "composite_identity"
@@ -258,16 +255,20 @@ def _map_report(A, token, maxdeg, max_dim, cache_dir, N):
 
     if token in _PLAIN_MAPS:
         builder, src, tgt = _PLAIN_MAPS[token]
-        F = builder(A, cx(src), cx(tgt))
+        F = builder(A, build_complex(A, src, maxdeg, session),
+                    build_complex(A, tgt, maxdeg, session))
     elif token == "P_KAHLER":
-        km = kahler_module(A)
-        F = cmaps.p_kahler(A, km, cx("CL"), cmaps.omega_complex(km, maxdeg))
+        km = KahlerModule(A)
+        F = cmaps.p_kahler(A, km, build_complex(A, "CL", maxdeg, session),
+                           cmaps.omega_complex(km, maxdeg))
     elif token == "TRACE":
         MA = matrix_algebra(A, N)
-        F = cmaps.trace(MA, A, cx("CHH", maxdeg, MA), cx("CHH"))
+        F = cmaps.trace(MA, A, build_complex(MA, "CHH", maxdeg, session),
+                        build_complex(A, "CHH", maxdeg, session))
     elif token == "CORNER":
         MA = matrix_algebra(A, N)
-        F = cmaps.corner(A, MA, cx("CHH"), cx("CHH", maxdeg, MA))
+        F = cmaps.corner(A, MA, build_complex(A, "CHH", maxdeg, session),
+                         build_complex(MA, "CHH", maxdeg, session))
     else:
         raise UsageError("unknown map kind %r (have %s)"
                          % (token, ", ".join(MAP_TOKENS)))
@@ -282,8 +283,7 @@ def _map_report(A, token, maxdeg, max_dim, cache_dir, N):
 
 def cmd_compute(args, argv):
     t0 = time.time()
-    cache.reset_counters()
-    cache_dir = _resolve_cache(args.cache)
+    session = Session(args.max_dim, _resolve_cache(args.cache))
     A, inputs = _load_compute_algebra(args.algebra)
     kinds = [k for k in args.complex.split(",") if k]
     for k in kinds:
@@ -325,8 +325,7 @@ def cmd_compute(args, argv):
         if kind == "BAR" and A.group_meta is None:
             print("error: BAR needs a group algebra", file=sys.stderr)
             return 2
-        C, table = _betti_table(A, kind, args.max_degree, args.max_dim,
-                                cache_dir)
+        C, table = _betti_table(A, kind, args.max_degree, session)
         if args.dump_labels:
             table["labels"] = {str(n): basis_labels(A, kind, n)
                                for n in range(args.max_degree + 1)}
@@ -338,8 +337,8 @@ def cmd_compute(args, argv):
         md += ["", "(*) top degree bounded only from above: its boundary "
                "out is not part of the table", ""]
     for token in tokens:
-        mrep, ok = _map_report(A, token, args.max_degree, args.max_dim,
-                               cache_dir, args.matrix_size)
+        mrep, ok = _map_report(A, token, args.max_degree, session,
+                               args.matrix_size)
         report["maps"].append(mrep)
         failed = failed or not ok
         md += ["## Map %s" % token, ""]
@@ -360,7 +359,8 @@ def cmd_compute(args, argv):
     config = {"algebra": args.algebra, "complex": kinds, "maps": tokens,
               "max_degree": args.max_degree, "matrix_size": args.matrix_size,
               "max_dim": args.max_dim, "dump_labels": args.dump_labels}
-    _write_outputs(args.out, report, md, argv, config, inputs, t0)
+    _write_outputs(args.out, report, md, argv, config, inputs, t0,
+                   session.cache_counts)
     return 1 if failed else 0
 
 
@@ -382,11 +382,10 @@ def _suite_md(rep):
 
 def cmd_verify(args, argv):
     t0 = time.time()
-    cache.reset_counters()
-    cache_dir = _resolve_cache(args.cache)
     config = SuiteConfig(cutoff=args.cutoff, matrix_size=args.matrix_size,
-                         seed=args.seed, max_dim=args.max_dim,
-                         cache_dir=cache_dir,
+                         seed=args.seed,
+                         session=Session(args.max_dim,
+                                         _resolve_cache(args.cache)),
                          debug_break_phi=args.debug_break_phi)
     if args.suite == "all":
         reports = run_all(config)
@@ -413,7 +412,8 @@ def cmd_verify(args, argv):
         for c in rep["checks"]:
             if c["status"] == "fail":
                 print("  FAIL %s  witness=%s" % (c["id"], c.get("witness")))
-    _write_outputs(args.out, report, md, argv, cfg_echo, [], t0)
+    _write_outputs(args.out, report, md, argv, cfg_echo, [], t0,
+                   config.session.cache_counts)
     return 1 if total["fail"] else 0
 
 

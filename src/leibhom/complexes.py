@@ -13,9 +13,9 @@ Over a finite-dimensional unital Q-algebra A of dimension d:
 
 All boundaries are generated one column at a time so huge degrees can be
 streamed (for d.d = 0 checks or rank streams) without materializing the
-matrix. Fully built matrices, and the ranks of their boundaries, live in a
-process registry keyed by algebra fingerprint; clear_registry() empties it
-for determinism experiments.
+matrix. Fully built matrices, and the ranks of their boundaries, live in the
+registry of a Session, keyed by algebra fingerprint: one session per run,
+so nothing built in one run is seen by another.
 
 Tensor basis order is lexicographic with the first factor most significant,
 matching itertools.product. Wedge bases are increasing index tuples in
@@ -37,6 +37,7 @@ import itertools
 from functools import lru_cache
 from math import comb, factorial
 
+from . import cache
 from .algebra import Algebra
 from .homology import ChainComplex
 from .linalg import SparseMatrix, ZeroTest
@@ -147,28 +148,20 @@ def proj_to_wedge(t):
     return sign, tuple(arr)
 
 
-_BRACKET_TABLES: dict = {}
-
-
 def bracket_table(A: Algebra):
     """brackets[i][j] = [e_i, e_j] as a tuple of (basis index, coeff) pairs."""
-    key = A.fingerprint()
-    tab = _BRACKET_TABLES.get(key)
-    if tab is None:
-        tab = []
-        for i in range(A.dim):
-            row = []
-            for j in range(A.dim):
-                acc = {}
-                for k, c in A.products[i][j]:
-                    _acc(acc, k, c)
-                for k, c in A.products[j][i]:
-                    _acc(acc, k, -c)
-                row.append(tuple(sorted(acc.items())))
-            tab.append(tuple(row))
-        tab = tuple(tab)
-        _BRACKET_TABLES[key] = tab
-    return tab
+    tab = []
+    for i in range(A.dim):
+        row = []
+        for j in range(A.dim):
+            acc = {}
+            for k, c in A.products[i][j]:
+                _acc(acc, k, c)
+            for k, c in A.products[j][i]:
+                _acc(acc, k, -c)
+            row.append(tuple(sorted(acc.items())))
+        tab.append(tuple(row))
+    return tuple(tab)
 
 
 # ------------------------------------------------------------------- sizes
@@ -206,9 +199,7 @@ def _work_estimate(A: Algebra, kind: str, n: int) -> int:
     return degree_dim(A, kind, n)
 
 
-def check_bound(A: Algebra, kind: str, n: int, max_dim=DEFAULT_MAX_DIM) -> None:
-    if max_dim is None:
-        return
+def check_bound(A: Algebra, kind: str, n: int, max_dim: int) -> None:
     size = _work_estimate(A, kind, n)
     if size > max_dim:
         raise ResourceBoundExceeded(kind, n, size, max_dim)
@@ -460,67 +451,76 @@ def boundary_column_fn(A: Algebra, kind: str, n: int):
     return _COLUMN_BUILDERS[kind](A, n)
 
 
-# ------------------------------------------------------------------ registry
+# ------------------------------------------------------------------ session
 
-# (fingerprint, kind, n) -> d_n, and (fingerprint, kind) -> {n: rank d_n}: the
-# rank memo lives with the boundaries it describes and is cleared with them
-_REGISTRY: dict = {}
+class Session:
+    """One run's boundaries, their ranks, and its disk cache with its counts.
+
+    boundaries maps (fingerprint, kind, n) to d_n, and ranks maps
+    (fingerprint, kind) to {n: rank d_n}, the memo every complex built over
+    those boundaries shares, so each is ranked once. max_dim bounds every
+    degree the session builds; cache_dir, if set, is the boundary disk cache,
+    and cache_counts counts its hits, misses, writes and rejects.
+    """
+
+    def __init__(self, max_dim=DEFAULT_MAX_DIM, cache_dir=None):
+        self.max_dim = max_dim
+        self.cache_dir = cache_dir
+        self.boundaries = {}
+        self.ranks = {}
+        self.cache_counts = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
 
 
-def clear_registry() -> None:
-    _REGISTRY.clear()
-    _BRACKET_TABLES.clear()
-
-
-def boundary_matrix(A: Algebra, kind: str, n: int, cache_dir=None,
-                    max_dim=DEFAULT_MAX_DIM) -> SparseMatrix:
+def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
+                    cached=True) -> SparseMatrix:
+    """d_n from the session, else from its disk cache if cached, else built."""
+    if session is None:
+        session = Session()
     key = (A.fingerprint(), kind, n)
-    hit = _REGISTRY.get(key)
+    hit = session.boundaries.get(key)
     if hit is not None:
         return hit
-    check_bound(A, kind, n, max_dim)
+    check_bound(A, kind, n, session.max_dim)
     rows = degree_dim(A, kind, n - 1)
     cols = degree_dim(A, kind, n)
+    cache_dir = session.cache_dir if cached else None
     mat = None
     if cache_dir is not None:
-        from . import cache
-        mat = cache.load_boundary(cache_dir, key[0], kind, n, rows, cols)
+        mat = cache.load_boundary(cache_dir, key[0], kind, n, rows, cols,
+                                  session.cache_counts)
     if mat is None:
         mat = SparseMatrix.from_columns(rows, cols,
                                         boundary_column_fn(A, kind, n))
         if cache_dir is not None:
-            from . import cache
-            cache.save_boundary(cache_dir, key[0], kind, n, mat)
-    _REGISTRY[key] = mat
+            cache.save_boundary(cache_dir, key[0], kind, n, mat,
+                                session.cache_counts)
+    session.boundaries[key] = mat
     return mat
 
 
-def build_complex(A: Algebra, kind: str, cutoff: int, max_dim=DEFAULT_MAX_DIM,
-                  cache_dir=None) -> ChainComplex:
-    """Boundaries d_1..d_cutoff as a ChainComplex."""
+def build_complex(A: Algebra, kind: str, cutoff: int, session=None,
+                  cached=True) -> ChainComplex:
+    """d_1..d_cutoff as a ChainComplex that shares the session's ranks."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    dims = [degree_dim(A, kind, 0)]
-    boundaries = [None]
-    for n in range(1, cutoff + 1):
-        check_bound(A, kind, n, max_dim)
-        dims.append(degree_dim(A, kind, n))
-        boundaries.append(boundary_matrix(A, kind, n, cache_dir, max_dim))
-    C = ChainComplex(kind, dims, boundaries)
-    C._ranks = _REGISTRY.setdefault((A.fingerprint(), kind), {})
-    return C
+    if session is None:
+        session = Session()
+    boundaries = [None] + [boundary_matrix(A, kind, n, session, cached)
+                           for n in range(1, cutoff + 1)]
+    dims = [degree_dim(A, kind, 0)] + [d.cols for d in boundaries[1:]]
+    return ChainComplex(kind, dims, boundaries,
+                        session.ranks.setdefault((A.fingerprint(), kind), {}))
 
 
-def verify_d2_streamed(A: Algebra, kind: str, n: int, cache_dir=None,
-                       max_dim=DEFAULT_MAX_DIM):
+def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     """Check d_{n-1} o d_n = 0 without storing d_n; None or (degree, column).
 
-    Only d_{n-1} is materialized (it is subject to max_dim); the columns of
-    d_n are generated, checked, and dropped.
+    Only d_{n-1} is materialized (it is subject to the session's max_dim);
+    the columns of d_n are generated, checked, and dropped.
     """
     if n < 2:
         return None
-    lower = boundary_matrix(A, kind, n - 1, cache_dir, max_dim)
+    lower = boundary_matrix(A, kind, n - 1, session)
     vanishes = ZeroTest((lower, 1))
     fn = boundary_column_fn(A, kind, n)
     for j in range(degree_dim(A, kind, n)):
@@ -649,7 +649,3 @@ class KahlerModule:
     def diff_coords(self, i: int) -> dict:
         """d(e_i) as an Omega^1 coordinate vector."""
         return dict(self._diffs[i])
-
-
-def kahler_module(A: Algebra) -> KahlerModule:
-    return KahlerModule(A)

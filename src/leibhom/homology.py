@@ -16,13 +16,13 @@ from .linalg import (Echelon, SparseMatrix, ZeroTest, blocked_rank,
 
 
 class ChainComplex:
-    def __init__(self, kind, dims, boundaries):
+    def __init__(self, kind, dims, boundaries, ranks=None):
         self.kind = kind
         self.dims = list(dims)
         self.boundaries = list(boundaries)  # boundaries[n] = d_n, index 0 unused
-        # {n: rank d_n}; build_complex swaps in the registry's memo, shared by
+        # {n: rank d_n}; build_complex passes its session's memo, shared by
         # every complex over the same boundaries, so each is ranked once
-        self._ranks = {}
+        self._ranks = {} if ranks is None else ranks
         self._homology = {}
         if len(self.boundaries) != len(self.dims):
             raise ValueError("need one boundary slot per degree")

@@ -67,8 +67,9 @@ def algebra_from_dict(d) -> Algebra:
     for key in ("name", "dim", "basis", "unit", "table"):
         if key not in d:
             raise FormatError("algebra object missing key %r" % key)
+    # type() and not isinstance: JSON true/false are bools, an int subclass
     dim = d["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FormatError("dim must be a positive integer")
     basis = d["basis"]
     if not isinstance(basis, list) or len(basis) != dim:
@@ -85,7 +86,7 @@ def algebra_from_dict(d) -> Algebra:
             i, j, terms = entry
         except (TypeError, ValueError):
             raise FormatError("table entry %r is not [i, j, terms]" % (entry,))
-        if not (isinstance(i, int) and isinstance(j, int)
+        if not (type(i) is int and type(j) is int
                 and 0 <= i < dim and 0 <= j < dim):
             raise FormatError("table indices (%r, %r) out of range" % (i, j))
         cell = {}
@@ -94,7 +95,7 @@ def algebra_from_dict(d) -> Algebra:
                 k, c = term
             except (TypeError, ValueError):
                 raise FormatError("product term %r is not [k, coeff]" % (term,))
-            if not (isinstance(k, int) and 0 <= k < dim):
+            if not (type(k) is int and 0 <= k < dim):
                 raise FormatError("product index %r out of range" % (k,))
             val = frac_from_json(c)
             if val:

@@ -11,15 +11,14 @@ matrices, so every suite finishes quickly at the default config.
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (BUILTIN_MORPHISMS, BUILTIN_NAMES, builtin_algebra,
                       builtin_morphism, matrix_algebra, matrix_morphism,
                       validate_morphism)
-from .complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
+from .complexes import (KINDS, KahlerModule, ResourceBoundExceeded, Session,
                         boundary_column_fn, build_complex, degree_dim,
-                        index_tuple, kahler_module, tuple_index,
-                        verify_d2_streamed)
+                        index_tuple, tuple_index, verify_d2_streamed)
 from .homology import (ChainComplex, ChainMapRep, compose_maps, cone_column_fn,
                        cone_pair_map, exactness_check, induced_map,
                        induced_rank_streamed, les_of_cone, mapping_cone,
@@ -46,8 +45,8 @@ class SuiteConfig:
     cutoff: int = 4
     matrix_size: int = 3
     seed: int = 0
-    max_dim: int = DEFAULT_MAX_DIM
-    cache_dir: str = None
+    # the run's boundaries, ranks, dimension bound and disk cache
+    session: Session = field(default_factory=Session)
     debug_break_phi: bool = False
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ class SuiteConfig:
             "cutoff": self.cutoff,
             "matrix_size": self.matrix_size,
             "seed": self.seed,
-            "max_dim": self.max_dim,
+            "max_dim": self.session.max_dim,
             "debug_break_phi": self.debug_break_phi,
         }
 
@@ -113,14 +112,9 @@ def _report(suite, config, checks: _Checks):
     }
 
 
-def _cx(config, A, kind, cutoff):
-    """The complex built under the config's bound and through its disk cache."""
-    return build_complex(A, kind, cutoff, max_dim=config.max_dim,
-                         cache_dir=config.cache_dir)
-
-
 def _complexes(config, A, kinds, cutoff):
-    return {kind: _cx(config, A, kind, cutoff) for kind in kinds}
+    return {kind: build_complex(A, kind, cutoff, config.session)
+            for kind in kinds}
 
 
 def _random_coords(rng, dim, count=1):
@@ -148,7 +142,7 @@ def _maps_equal(F: ChainMapRep, G: ChainMapRep, top: int):
     return True, None
 
 
-def _d2_checks(checks, A, label, kinds, cutoff, config):
+def _d2_checks(checks, A, label, kinds, cutoff, session):
     for kind in kinds:
         cid = "boundary_squares_to_zero[%s:%s]" % (label, kind)
         try:
@@ -160,13 +154,12 @@ def _d2_checks(checks, A, label, kinds, cutoff, config):
                     direct_cut = n - 1
                 else:
                     break
-            C = _cx(config, A, kind, direct_cut)
+            C = build_complex(A, kind, direct_cut, session)
             ok, wit = verify_boundary_squares(C)
             for n in streamed:
                 if not ok:
                     break
-                bad = verify_d2_streamed(A, kind, n, cache_dir=config.cache_dir,
-                                         max_dim=config.max_dim)
+                bad = verify_d2_streamed(A, kind, n, session)
                 if bad is not None:
                     ok, wit = False, bad
             detail = "degrees <= %d, dims %s" % (cutoff, C.dims)
@@ -217,7 +210,7 @@ def suite_core(config: SuiteConfig):
     for name in config.algebras:
         A = builtin_algebra(name)
         kinds = [k for k in KINDS if k != "BAR" or A.group_meta is not None]
-        _d2_checks(checks, A, name, kinds, cutoff, config)
+        _d2_checks(checks, A, name, kinds, cutoff, config.session)
         cx = _complexes(config, A, ("CL", "CHH", "CLAMBDA", "CE", "CE_ADJ"), cutoff)
         ph = cmaps.phi(A, cx["CL"], cx["CHH"], broken=config.debug_break_phi)
         th = cmaps.theta(A, cx["CE"], cx["CLAMBDA"])
@@ -260,7 +253,7 @@ def suite_core(config: SuiteConfig):
     # small matrix algebra sanity at reduced cutoff
     MQ = matrix_algebra(builtin_algebra("rationals"), 2)
     _d2_checks(checks, MQ, "M2(rationals)", ("CL", "CHH", "CLAMBDA"), min(3, cutoff),
-               config)
+               config.session)
     cx = _complexes(config, MQ, ("CL", "CHH"), min(3, cutoff))
     checks.chain_map("phi_is_chain_map[M2(rationals)]",
                      cmaps.phi(MQ, cx["CL"], cx["CHH"]), min(3, cutoff))
@@ -359,7 +352,7 @@ def suite_commutative(config: SuiteConfig):
             checks.skip("commutative_suite[%s]" % name,
                         "algebra is not commutative")
             continue
-        cl = _cx(config, A, "CL", cutoff)
+        cl = build_complex(A, "CL", cutoff, config.session)
         zero = all(cl.boundary(n).is_zero() for n in range(1, cutoff + 1))
         checks.record("loday_boundary_vanishes[%s]" % name, zero,
                       "all CL boundaries are zero matrices, degrees <= %d" % cutoff)
@@ -368,8 +361,8 @@ def suite_commutative(config: SuiteConfig):
         checks.record("leibniz_betti_is_dimension_power[%s]" % name, got == want,
                       "betti %s vs dim^n %s, n <= %d" % (got, want, cutoff - 1),
                       None if got == want else {"betti": got, "expected": want})
-        km = kahler_module(A)
-        chh = _cx(config, A, "CHH", cutoff)
+        km = KahlerModule(A)
+        chh = build_complex(A, "CHH", cutoff, config.session)
         om = cmaps.omega_complex(km, cutoff)
         p = cmaps.p_kahler(A, km, cl, om)
         eo = cmaps.eps_omega(km, om, chh)
@@ -423,7 +416,7 @@ def suite_matrices(config: SuiteConfig):
     # Leibniz homology of gl_N(Q) is one-dimensional in each low degree
     GQ = matrix_algebra(builtin_algebra("rationals"), N)
     try:
-        clq = _cx(config, GQ, "CL", cutoff)
+        clq = build_complex(GQ, "CL", cutoff, config.session)
         got = [clq.betti(n) for n in range(cutoff)]
         ok = all(b == 1 for b in got)
         checks.record("matrix_leibniz_betti_is_one[gl%d(rationals)]" % N, ok,
@@ -436,8 +429,8 @@ def suite_matrices(config: SuiteConfig):
         A = builtin_algebra(aname)
         MA = matrix_algebra(A, 2)
         cut = min(3, cutoff)
-        chh_a = _cx(config, A, "CHH", cut + 1)
-        chh_ma = _cx(config, MA, "CHH", cut)
+        chh_a = build_complex(A, "CHH", cut + 1, config.session)
+        chh_ma = build_complex(MA, "CHH", cut, config.session)
         tr = cmaps.trace(MA, A, chh_ma, chh_a)
         co = cmaps.corner(A, MA, chh_a, chh_ma)
         for label, F in (("trace", tr), ("corner", co)):
@@ -468,7 +461,7 @@ def _tr_phi_surjectivity(checks, config, aname):
     A = builtin_algebra(aname)
     N = config.matrix_size
     MA = matrix_algebra(A, N)
-    chh_a = _cx(config, A, "CHH", max(config.cutoff, 3))
+    chh_a = build_complex(A, "CHH", max(config.cutoff, 3), config.session)
     for n in range(3):
         _streamed_surjectivity(
             checks, "trace_phi_surjective_onto_hochschild[%s:n=%d]" % (aname, n),
@@ -517,8 +510,8 @@ def _lift_checks(checks, config):
                     "lift at degree 3 needs matrix size >= 3, have %d" % N)
         return
     MA = matrix_algebra(A, N)
-    pcx = build_complex(A, "P", 2, max_dim=config.max_dim)
-    clma = _cx(config, MA, "CL", 3)
+    pcx = build_complex(A, "P", 2, config.session, cached=False)
+    clma = build_complex(MA, "CL", 3, config.session)
     lift = cmaps.lift_p(A, MA, pcx, clma)
     # frozen formula instance in degree 1: tau_2 (x) (a, b) -> E^a_12 (x) E^b_21
     idx = MA.matrix_meta["index"]
@@ -534,7 +527,7 @@ def _lift_checks(checks, config):
                 ok = False
     checks.record("lift_of_transposition_hits_offdiagonal_units[dual]", ok,
                   "lift(tau_2 (x) (a,b)) = E^a_12 (x) E^b_21, all basis pairs")
-    lba = build_complex(A, "L", 3, max_dim=config.max_dim)
+    lba = build_complex(A, "L", 3, config.session, cached=False)
     roundtrip, normal_form = lift_identities(A, MA, lift, lba)
     checks.record("standard_cycle_roundtrip[dual]", roundtrip,
                   "tr o phi o lift(tau_3 (x) (a1,a2,a3)) = a1(x)a2(x)a3, "
@@ -552,8 +545,8 @@ def suite_groupring(config: SuiteConfig):
     cutoff = config.cutoff
     for gname in GROUP_NAMES:
         A = builtin_algebra(gname)
-        bar = _cx(config, A, "BAR", cutoff)
-        chh = _cx(config, A, "CHH", cutoff)
+        bar = build_complex(A, "BAR", cutoff, config.session)
+        chh = build_complex(A, "CHH", cutoff, config.session)
         pi = cmaps.bar_pi(A, chh, bar)
         io = cmaps.bar_iota(A, bar, chh)
         for label, F in (("bar_projection", pi), ("bar_inclusion", io)):
@@ -616,8 +609,8 @@ def suite_relative(config: SuiteConfig):
                       rep.ok and rep.surjective, rep.describe())
         cones = {}
         for kind in ("CL", "CHH", "CLAMBDA"):
-            s = _cx(config, f.source, kind, cutoff + 1)
-            t = _cx(config, f.target, kind, cutoff + 1)
+            s = build_complex(f.source, kind, cutoff + 1, config.session)
+            t = build_complex(f.target, kind, cutoff + 1, config.session)
             fmap = cmaps.morphism_complex_map(f, kind, s, t)
             checks.chain_map("tensor_extension_is_chain_map[%s:%s]" % (mname, kind),
                              fmap, cutoff + 1)
@@ -716,16 +709,17 @@ def _relative_naturality_small(checks, config):
     glf = matrix_morphism(f, 2)
     GA, GB = glf.source, glf.target
     cut = min(4, config.cutoff)
-    cl_ga = build_complex(GA, "CL", cut, max_dim=config.max_dim)
-    cl_gb = build_complex(GB, "CL", cut, max_dim=config.max_dim)
+    session = config.session
+    cl_ga = build_complex(GA, "CL", cut, session, cached=False)
+    cl_gb = build_complex(GB, "CL", cut, session, cached=False)
     mcc = mapping_cone(cmaps.morphism_complex_map(glf, "CL", cl_ga, cl_gb))
-    chh_a = build_complex(f.source, "CHH", cut, max_dim=config.max_dim)
-    chh_b = build_complex(f.target, "CHH", cut, max_dim=config.max_dim)
-    cla_a = build_complex(f.source, "CLAMBDA", cut, max_dim=config.max_dim)
-    cla_b = build_complex(f.target, "CLAMBDA", cut, max_dim=config.max_dim)
+    chh_a = build_complex(f.source, "CHH", cut, session, cached=False)
+    chh_b = build_complex(f.target, "CHH", cut, session, cached=False)
+    cla_a = build_complex(f.source, "CLAMBDA", cut, session, cached=False)
+    cla_b = build_complex(f.target, "CLAMBDA", cut, session, cached=False)
     mcl = mapping_cone(cmaps.morphism_complex_map(f, "CLAMBDA", cla_a, cla_b))
-    chh_ga = build_complex(GA, "CHH", cut - 1, max_dim=config.max_dim)
-    chh_gb = build_complex(GB, "CHH", cut - 1, max_dim=config.max_dim)
+    chh_ga = build_complex(GA, "CHH", cut - 1, session, cached=False)
+    chh_gb = build_complex(GB, "CHH", cut - 1, session, cached=False)
     VA = compose_maps(cmaps.proj_I(f.source, chh_a, cla_a),
                       compose_maps(cmaps.trace(GA, f.source, chh_ga, chh_a),
                                    cmaps.phi(GA, cl_ga, chh_ga)))
@@ -758,7 +752,8 @@ def suite_appendix(config: SuiteConfig):
                   "every face of tau_n is tau_{n-1}, n <= 5")
     # acyclicity of the cycle-set complex via A = Q
     Q = builtin_algebra("rationals")
-    pq = build_complex(Q, "P", min(5, cutoff + 1), max_dim=config.max_dim)
+    pq = build_complex(Q, "P", min(5, cutoff + 1), config.session,
+                       cached=False)
     got = [pq.betti(n) for n in range(min(5, cutoff + 1))]
     want = [1] + [0] * (len(got) - 1)
     checks.record("cycle_set_complex_acyclic", got == want,
@@ -766,9 +761,9 @@ def suite_appendix(config: SuiteConfig):
                   None if got == want else {"betti": got})
     for name in ("rationals", "dual", "split:2"):
         A = builtin_algebra(name)
-        _d2_checks(checks, A, name, ("P",), cutoff, config)
-        P = _cx(config, A, "P", cutoff + 1)
-        chh = _cx(config, A, "CHH", cutoff + 1)
+        _d2_checks(checks, A, name, ("P",), cutoff, config.session)
+        P = build_complex(A, "P", cutoff + 1, config.session)
+        chh = build_complex(A, "CHH", cutoff + 1, config.session)
         emb = cmaps.embed_cy(A, chh, P)
         checks.chain_map("cyclic_embedding_is_chain_map[%s]" % name, emb, cutoff)
         top = min(3, cutoff - 1)
@@ -783,14 +778,14 @@ def suite_appendix(config: SuiteConfig):
                 allok = False
         checks.record("cycle_complex_computes_hochschild[%s]" % name, allok,
                       "induced isomorphism, " + "; ".join(rows))
-        lcx = _cx(config, A, "L", cutoff + 1)
+        lcx = build_complex(A, "L", cutoff + 1, config.session)
         checks.chain_map("diagonal_faces_match_transported_boundary[%s]" % name,
                          cmaps.cycle_slot_bridge(A, P, lcx), cutoff,
                          "signed slot bridge intertwines the two boundaries, "
                          "degrees <= %d" % cutoff)
     # independent oracle for the dual numbers: the two-periodic resolution
     dual = builtin_algebra("dual")
-    chh = _cx(config, dual, "CHH", cutoff + 1)
+    chh = build_complex(dual, "CHH", cutoff + 1, config.session)
     per = _periodic_dual_complex(cutoff + 1)
     top = min(3, cutoff - 1)
     got = [chh.betti(n) for n in range(top + 1)]

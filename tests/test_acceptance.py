@@ -15,8 +15,8 @@ from leibhom import chain_maps as cmaps
 from leibhom.algebra import (BUILTIN_NAMES, builtin_algebra,
                              builtin_morphism, matrix_algebra,
                              matrix_morphism)
-from leibhom.complexes import (boundary_column_fn, build_complex, degree_dim,
-                               verify_d2_streamed)
+from leibhom.complexes import (Session, boundary_column_fn, build_complex,
+                               degree_dim, verify_d2_streamed)
 from leibhom.homology import (compose_maps, cone_pair_map, exactness_check,
                               induced_map, induced_rank_streamed,
                               les_of_cone, mapping_cone,
@@ -54,7 +54,7 @@ def test_criterion_01_boundary_squares_vanish_everywhere():
         for kind in _kinds_for(A):
             if max(degree_dim(A, kind, n) for n in range(5)) > 100000:
                 for n in range(2, 5):
-                    wit = verify_d2_streamed(A, kind, n, max_dim=BIG)
+                    wit = verify_d2_streamed(A, kind, n, Session(max_dim=BIG))
                     assert wit is None, (name, kind, wit)
             else:
                 C = build_complex(A, kind, 4)
@@ -148,7 +148,7 @@ def test_criterion_06_morita_trace():
         chh_a = build_complex(A, "CHH", 3)
         for N in (2, 3):
             MA = matrix_algebra(A, N)
-            chh_ma = build_complex(MA, "CHH", 3, max_dim=BIG)
+            chh_ma = build_complex(MA, "CHH", 3, Session(max_dim=BIG))
             tr = cmaps.trace(MA, A, chh_ma, chh_a)
             co = cmaps.corner(A, MA, chh_a, chh_ma)
             ok, wit = verify_chain_map(tr, 3)

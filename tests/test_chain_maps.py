@@ -20,7 +20,7 @@ import pytest
 from leibhom import chain_maps as cmaps
 from leibhom.algebra import (builtin_algebra, builtin_morphism,
                              matrix_algebra)
-from leibhom.complexes import (build_complex, index_tuple, kahler_module,
+from leibhom.complexes import (KahlerModule, build_complex, index_tuple,
                                tuple_index)
 from leibhom.homology import (compose_maps, induced_map, mapping_cone,
                               verify_chain_map)
@@ -45,7 +45,7 @@ def _every_builder(a, b):
     target complexes at cutoff b, with the top degree lift_p allows."""
     A, Q, G = (builtin_algebra(n) for n in ("dual", "rationals", "cyclic:2"))
     MQ = matrix_algebra(Q, 2)
-    km = kahler_module(A)
+    km = KahlerModule(A)
     f = builtin_morphism("dual_aug")
     out = [
         (cmaps.phi(A, cx(A, "CL", a), cx(A, "CHH", b)), None),
@@ -153,7 +153,7 @@ def test_degree_zero_isomorphisms_dual():
 
 def test_kahler_square_on_presented_commutative():
     A = builtin_algebra("truncated_poly:3")
-    km = kahler_module(A)
+    km = KahlerModule(A)
     cl, chh = cx(A, "CL"), cx(A, "CHH")
     om = cmaps.omega_complex(km, CUT)
     assert list(om.dims) == [3, 2, 0, 0, 0]

@@ -3,18 +3,19 @@
 import hashlib
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
+from leibhom import cache
 from leibhom.algebra import (builtin_algebra, matrix_algebra,
                              multiply_coords)
-from leibhom.complexes import (DEFAULT_MAX_DIM, KINDS, ResourceBoundExceeded,
-                               basis_labels, boundary_column_fn,
+from leibhom.complexes import (KINDS, KahlerModule, ResourceBoundExceeded,
+                               Session, basis_labels, boundary_column_fn,
                                boundary_matrix, build_complex, check_bound,
-                               clear_registry, cyclic_quotient, degree_dim,
-                               index_tuple, kahler_module, tuple_index,
-                               verify_d2_streamed, wedge_basis)
+                               cyclic_quotient, degree_dim, index_tuple,
+                               tuple_index, verify_d2_streamed, wedge_basis)
 from leibhom.homology import ChainComplex, verify_boundary_squares
 from leibhom.linalg import SparseMatrix
 from leibhom.perms import cyclic_class, cyclic_index, face_cyclic
@@ -200,13 +201,9 @@ def pinned_algebras(tmp_path_factory):
 @pytest.mark.parametrize("name,maxn", [("dual", 4), ("s3", 3), ("gl2dual.json", 3)])
 @pytest.mark.parametrize("kind", ["CL", "CHH", "P", "L"])
 def test_generated_columns_are_pinned(pinned_algebras, name, maxn, kind):
-    # the file shares its fingerprint, and so its cached bracket table, with
-    # matrix_algebra(dual, 2); start from an empty cache to read the file's own
-    clear_registry()
     A = pinned_algebras[name]
     got = tuple(columns_digest(A, kind, n) for n in range(1, maxn + 1))
     assert got == PINNED_COLUMNS[name, kind]
-    clear_registry()
 
 
 def test_degree_dim_formulas():
@@ -297,7 +294,7 @@ def test_resource_bound_raises_with_details():
     assert e.kind == "CHH" and e.degree == 5
     assert e.size == 6 ** 6 and e.bound == 1000
     with pytest.raises(ResourceBoundExceeded):
-        build_complex(A, "CHH", 5, max_dim=1000)
+        build_complex(A, "CHH", 5, Session(max_dim=1000))
 
 
 def test_basis_labels_shapes():
@@ -317,15 +314,15 @@ def test_kahler_module_presence_and_dims():
     dims = {"rationals": 0, "dual": 1, "truncated_poly:3": 2, "split:2": 0,
             "cyclic:2": 0, "cyclic:3": 0}
     for name, want in dims.items():
-        km = kahler_module(builtin_algebra(name))
+        km = KahlerModule(builtin_algebra(name))
         assert km.dim1 == want, name
     with pytest.raises(ValueError):
-        kahler_module(builtin_algebra("s3"))
+        KahlerModule(builtin_algebra("s3"))
 
 
 def test_kahler_differential_is_derivation():
     # basis of truncated_poly:3 is 1, x, x^2; d(x^k) = k x^(k-1) dx
-    km = kahler_module(builtin_algebra("truncated_poly:3"))
+    km = KahlerModule(builtin_algebra("truncated_poly:3"))
     assert km.diff_coords(0) == {}
     assert km.diff_coords(1) == km.project1({0: Fraction(1)})
     assert km.diff_coords(2) == km.project1({1: Fraction(2)})
@@ -335,43 +332,50 @@ def test_kahler_differential_is_derivation():
 def test_kahler_omega1_is_the_cokernel_of_rprime():
     # truncated_poly:3 = Q[x]/(x^3): r'(x) = 3x^2, so Omega^1 = A/(x^2) on
     # 1.dx, x.dx, and x^2 dx = 0
-    km = kahler_module(builtin_algebra("truncated_poly:3"))
+    km = KahlerModule(builtin_algebra("truncated_poly:3"))
     assert km.rep_indices == [0, 1]
     assert km.project1({2: Fraction(5)}) == {}
     assert km.project1({0: Fraction(1, 2), 1: 3, 2: 7}) == {0: Fraction(1, 2), 1: 3}
     assert km.diff_coords(2) == {1: 2}
     # dual = Q[eps]/(eps^2): r' = 2 eps, so Omega^1 = Q deps
-    km = kahler_module(builtin_algebra("dual"))
+    km = KahlerModule(builtin_algebra("dual"))
     assert km.rep_indices == [0]
     assert km.project1({1: 1}) == {} and km.diff_coords(1) == {0: 1}
 
 
 def test_registry_and_file_cache(tmp_path):
-    from leibhom import cache
     A = builtin_algebra("dual")
-    clear_registry()
-    cache.reset_counters()
     cdir = str(tmp_path)
-    M1 = boundary_matrix(A, "CHH", 2, cache_dir=cdir)
-    assert cache.COUNTERS["misses"] == 1 and cache.COUNTERS["writes"] == 1
-    # registry absorbs the second request, no new file traffic
-    M2 = boundary_matrix(A, "CHH", 2, cache_dir=cdir)
+    session = Session(cache_dir=cdir)
+    M1 = boundary_matrix(A, "CHH", 2, session)
+    assert session.cache_counts == {"hits": 0, "misses": 1, "writes": 1,
+                                    "rejects": 0}
+    # the session's registry absorbs the second request, no new file traffic
+    M2 = boundary_matrix(A, "CHH", 2, session)
     assert M2 is M1
-    assert cache.COUNTERS["hits"] == 0
-    clear_registry()
-    M3 = boundary_matrix(A, "CHH", 2, cache_dir=cdir)
-    assert cache.COUNTERS["hits"] == 1
-    assert M3 == M1
-    clear_registry()
+    assert session.cache_counts["hits"] == 0
+    # a new session reads the file back
+    later = Session(cache_dir=cdir)
+    M3 = boundary_matrix(A, "CHH", 2, later)
+    assert later.cache_counts == {"hits": 1, "misses": 0, "writes": 0,
+                                  "rejects": 0}
+    assert M3 == M1 and M3 is not M1
+    # an uncached build neither reads nor writes the cache
+    M4 = boundary_matrix(A, "CHH", 3, later, cached=False)
+    assert later.cache_counts["hits"] == 1
+    assert later.cache_counts["misses"] == 0
+    assert not os.path.exists(
+        cache.boundary_path(cdir, A.fingerprint(), "CHH", 3))
+    assert boundary_matrix(A, "CHH", 3, later) is M4
 
 
 def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
-    from leibhom import cache
     cdir = str(tmp_path)
     mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5),
                                               2: Fraction(1, 2)}])
-    cache.save_boundary(cdir, "f" * 16, "CHH", 1, mat)
-    back = cache.load_boundary(cdir, "f" * 16, "CHH", 1, 3, 2)
+    counts = Session().cache_counts
+    cache.save_boundary(cdir, "f" * 16, "CHH", 1, mat, counts)
+    back = cache.load_boundary(cdir, "f" * 16, "CHH", 1, 3, 2, counts)
     assert back == mat
     assert type(back.entry(0, 0)) is int and back.entry(2, 0) == -7
     assert back.entry(1, 1) == Fraction(-3, 5)
@@ -382,18 +386,18 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
 
 
 def test_cache_rejects_files_that_fail_their_header(tmp_path):
-    from leibhom import cache
     cdir = str(tmp_path)
     fp = "f" * 64
     mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5)}])
     path = cache.boundary_path(cdir, fp, "CHH", 1)
-    cache.save_boundary(cdir, fp, "CHH", 1, mat)
+    cache.save_boundary(cdir, fp, "CHH", 1, mat, Session().cache_counts)
     head, *body = open(path).read().splitlines(keepends=True)
     assert head.split() == ["leibhom-boundary", "1", fp, "CHH", "1", "3", "2",
                             "3", hashlib.sha256("".join(body).encode())
                             .hexdigest()]
-    cache.reset_counters()
-    assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2) == mat
+    session = Session(cache_dir=cdir)
+    counts = session.cache_counts
+    assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2, counts) == mat
     # another shape, another full fingerprint behind the same file name,
     # a headerless body, a dropped line, a changed value, a bad value
     tampered = [
@@ -407,9 +411,10 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
     for k, (h, b, (rows, cols), want_fp) in enumerate(tampered):
         with open(path, "w") as fh:
             fh.write(h + "".join(b))
-        assert cache.load_boundary(cdir, want_fp, "CHH", 1, rows, cols) is None
-        assert cache.COUNTERS["rejects"] == k + 1
-    assert cache.COUNTERS["hits"] == 1 and cache.COUNTERS["misses"] == 0
+        assert cache.load_boundary(cdir, want_fp, "CHH", 1, rows, cols,
+                                   counts) is None
+        assert counts["rejects"] == k + 1
+    assert counts["hits"] == 1 and counts["misses"] == 0
 
 
 def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):
@@ -423,28 +428,55 @@ def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):
 
     monkeypatch.setattr(homology, "rank_only", counting)
     A = builtin_algebra("dual")
-    clear_registry()
-    first = build_complex(A, "CHH", 4)
+    session = Session()
+    first = build_complex(A, "CHH", 4, session)
     bettis = [first.betti(n) for n in range(4)]
     assert len(ranked) == 4 and len({id(M) for M in ranked}) == 4
     # a second complex over the same boundaries reads the shared ranks,
     # also through the solver, which cross-checks them
-    again = build_complex(A, "CHH", 4)
+    again = build_complex(A, "CHH", 4, session)
     assert [again.betti(n) for n in range(4)] == bettis
     assert again.homology(2).representatives
-    assert build_complex(A, "CHH", 2).betti(1) == bettis[1]
+    assert build_complex(A, "CHH", 2, session).betti(1) == bettis[1]
     assert len(ranked) == 4
     # a complex built by hand keeps its own memo
     by_hand = ChainComplex("CHH", again.dims, again.boundaries)
     assert [by_hand.betti(n) for n in range(4)] == bettis
     assert len(ranked) == 8
-    # clear_registry() forgets the ranks along with the matrices
-    clear_registry()
-    fresh = build_complex(A, "CHH", 4)
+    # a fresh session forgets the ranks along with the matrices
+    fresh = build_complex(A, "CHH", 4, Session())
     assert [fresh.betti(n) for n in range(4)] == bettis
     assert len(ranked) == 12
     assert all(fresh.boundary(n) is not first.boundary(n) for n in (1, 2, 3, 4))
-    clear_registry()
+
+
+def test_sessions_share_no_boundaries_ranks_or_counts(tmp_path, monkeypatch):
+    import leibhom.homology as homology
+    ranked = []
+    real = homology.rank_only
+    monkeypatch.setattr(homology, "rank_only",
+                        lambda M: ranked.append(M) or real(M))
+    A = builtin_algebra("dual")
+    cdir = str(tmp_path)
+    one, two = Session(cache_dir=cdir), Session(cache_dir=cdir)
+    C1 = build_complex(A, "CHH", 3, one)
+    assert [C1.betti(n) for n in range(3)] == [2, 1, 1]
+    assert len(ranked) == 3
+    assert one.cache_counts == {"hits": 0, "misses": 3, "writes": 3,
+                                "rejects": 0}
+    C2 = build_complex(A, "CHH", 3, two)
+    assert [C2.betti(n) for n in range(3)] == [2, 1, 1]
+    assert len(ranked) == 6
+    assert two.cache_counts == {"hits": 3, "misses": 0, "writes": 0,
+                                "rejects": 0}
+    assert one.cache_counts["hits"] == 0
+    assert all(C1.boundary(n) is not C2.boundary(n) for n in (1, 2, 3))
+    assert one.ranks is not two.ranks
+    # without a session, every build starts from nothing
+    for _ in range(2):
+        C = build_complex(A, "CHH", 3)
+        assert [C.betti(n) for n in range(3)] == [2, 1, 1]
+    assert len(ranked) == 12
 
 
 def test_boundary_matrix_consistent_with_build_complex():

@@ -1,5 +1,5 @@
-"""Property-based tests (hypothesis) of per-element index arithmetic and of
-the exact zero test of matrix products."""
+"""Property-based tests (hypothesis) of per-element index arithmetic, of
+the exact zero test of matrix products, and of the quotient solver."""
 
 from fractions import Fraction
 
@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibhom.complexes import _contraction_column_fn, index_tuple, tuple_index
-from leibhom.linalg import ZERO_TEST_CAP, SparseMatrix, ZeroTest, vec_scaled_add
+from leibhom.linalg import (ZERO_TEST_CAP, Echelon, SparseMatrix, ZeroTest,
+                            vec_scaled_add)
 
 
 @st.composite
@@ -102,3 +103,59 @@ def test_zero_test_sees_a_product_cancel_and_a_bump(case):
     vec_scaled_add(bumped, {r: 1}, bump)
     N = SparseMatrix(M.rows, 1, [bumped])
     assert ZeroTest((M, 1), (N, -1))(v, {0: 1}) == (not bump)
+
+
+def dense_rank(vecs, size):
+    """Rank by Gaussian elimination on dense Fraction rows."""
+    rows = [[Fraction(v.get(k, 0)) for k in range(size)] for v in vecs]
+    rank = 0
+    for col in range(size):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def quotient_problems(draw):
+    """(size, modulo family S, inserts, query v); v is drawn freely or as a
+    combination of S and the inserts, so it lies in their span about half
+    the time."""
+    size = draw(st.integers(1, 5))
+    S = draw(st.lists(vectors(size), max_size=3))
+    inserts = draw(st.lists(vectors(size), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        v = draw(vectors(size))
+    else:
+        v = {}
+        for w in S + inserts:
+            vec_scaled_add(v, w, draw(VALUES))
+    return size, S, inserts, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_problems())
+def test_tracked_echelon_modulo_a_family_expresses_over_its_inserts(problem):
+    """Echelon(track=True, modulo=S): rank is the dense rank of S with the
+    inserts, express(v) is None exactly outside their span, and otherwise
+    sum c_i * insert_i - v lies in span(S)."""
+    size, S, inserts, v = problem
+    ech = Echelon(track=True, modulo=S)
+    for w in inserts:
+        ech.insert(w)
+    family = S + inserts
+    assert ech.rank == dense_rank(family, size)
+    coeffs = ech.express(v)
+    inside = dense_rank(family + [v], size) == dense_rank(family, size)
+    assert (coeffs is not None) == inside
+    if coeffs is not None:
+        assert set(coeffs) <= set(range(len(inserts)))
+        rest = {k: -c for k, c in v.items()}
+        for i, c in coeffs.items():
+            vec_scaled_add(rest, inserts[i], c)
+        assert Echelon(modulo=S).contains(rest)

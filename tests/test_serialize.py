@@ -99,6 +99,9 @@ def test_serialized_dict_is_json_clean():
     # JSON true/false are bools, an int subclass, and no rationals
     (lambda d: d.update(unit=[True, 0]), "got True"),
     (lambda d: d["table"].append([1, 1, [[0, False]]]), "got False"),
+    (lambda d: d.update(dim=True, basis=["a"], unit=["1"], table=[]), "dim"),
+    (lambda d: d["table"].append([True, False, []]), "table indices"),
+    (lambda d: d["table"].append([1, 1, [[False, "1"]]]), "product index"),
 ])
 def test_malformed_algebra_dict_raises(mutate, fragment):
     d = algebra_to_dict(builtin_algebra("dual"))

@@ -7,7 +7,7 @@ import pytest
 
 from leibhom import chain_maps as cmaps
 from leibhom.algebra import builtin_morphism, matrix_morphism
-from leibhom.complexes import build_complex, clear_registry
+from leibhom.complexes import build_complex
 from leibhom.homology import compose_maps, cone_pair_map, mapping_cone
 from leibhom.suites import (SUITE_IDS, SuiteConfig, _relative_stream,
                             report_failed, run_all, run_suite)
@@ -64,10 +64,9 @@ def test_report_shape_and_config_echo():
 
 
 def test_run_all_order_and_determinism():
-    clear_registry()
-    first = run_all(FAST)
-    clear_registry()
-    second = run_all(FAST)
+    # each config brings its own session, so the second run rebuilds it all
+    first = run_all(SuiteConfig(cutoff=3, matrix_size=2, seed=42))
+    second = run_all(SuiteConfig(cutoff=3, matrix_size=2, seed=42))
     assert [r["suite"] for r in first] == list(SUITE_IDS)
     blob1 = json.dumps(first, sort_keys=True)
     blob2 = json.dumps(second, sort_keys=True)
