@@ -120,8 +120,9 @@ def columns_digest(A, kind, n):
     return h.hexdigest()
 
 
-# columns_digest of d_1, d_2, ... for CL, CHH, P and L. L has no independent
-# oracle here, so these pins are what guard its generator.
+# columns_digest of d_1, d_2, ... for CL, CHH, P and L, and for the derived
+# kinds CLAMBDA, CE, CE_ADJ and BAR. L and the derived kinds have no
+# independent oracle here, so these pins are what guard their generators.
 PINNED_COLUMNS = {
     ("dual", "CL"): (
         "95be64bfc138a94992d9af8f944263b3c0e934f6069a718869b3d232d9f442e8",
@@ -187,6 +188,67 @@ PINNED_COLUMNS = {
         "24c3db8e2771f2823536ab664c2a9ac45765f1ce004ba61ccc50d24d2776940d",
         "50e77197060fea7fea61a7c360143c358ed227a7f8ab4b89d0aeefcb557cde07",
     ),
+    ("dual", "CLAMBDA"): (
+        "5578a44007e3068dbfa7e9b12b3945764ebf2160b21e7360a47ecfa3dc4133fa",
+        "b73d706baad912b4c8a29665f1ca5c68b95d8a27983acca06ba6a2b96943da3f",
+        "5d4ad1d4438f5adf0f40e3c1bb1ddb9509fcb63b27da564fea7bc27ae7a5530a",
+        "b9b59f6e9f3d0455165fcfddb53071fe7b328841a9d942523fabe43803d9544f",
+    ),
+    ("dual", "CE"): (
+        "95be64bfc138a94992d9af8f944263b3c0e934f6069a718869b3d232d9f442e8",
+        "5578a44007e3068dbfa7e9b12b3945764ebf2160b21e7360a47ecfa3dc4133fa",
+    ),
+    ("dual", "CE_ADJ"): (
+        "bee3a810c2ae1d3584081e5bd3e2f89b80aa5fa63ffe660b0f754c8eac27bf96",
+        "95be64bfc138a94992d9af8f944263b3c0e934f6069a718869b3d232d9f442e8",
+    ),
+    ("s3", "CLAMBDA"): (
+        "e5d2077b00a681bb3e6d6b914c21c0d60f4007b52f8c2786bb26cce06f37ec63",
+        "009a3c0a238d6ca4ac6c19bccacff02b9e7c6652c68a71836cda94d40407a486",
+        "5d029244a42a6dce0a734270dc029c16df57b2a9a7ceb9b80940e2b060a95355",
+        "ffc4d2e54bc02281227c4a731de5b0dd7e6dba7f5ade02721630c897422ada7b",
+    ),
+    ("s3", "CE"): (
+        "4d0abf09e1a346c2cce4b4f00e11d4b8a280230f9464518b725b6d94a077f287",
+        "e5d2077b00a681bb3e6d6b914c21c0d60f4007b52f8c2786bb26cce06f37ec63",
+        "3d38fe639ca9fb52aa9f68e08f3bdbbd7a31b7cba4c7a0f27b2b2499bbc32a2d",
+        "00be6c9ebf85349e1bab4a05bd25b12ff2d33a79be46d390ea580fb7c0954561",
+    ),
+    ("s3", "CE_ADJ"): (
+        "dcafebfefe2adf1c8de804d151960bab0c7daf544c618540ac23d3b2fc5e3f77",
+        "1c6ccf561429192aacb83acbb389970d15d4cf3b5498587ea830866f5ac96752",
+        "394cc61ca91f90707b4ae08cdeade9739c171babe4dae99facbf9a5ce09015b2",
+        "f8073f55f72121efb8f35e8b2eaa9c2ffe629495f38cd3f2f31b2bbe024aa172",
+    ),
+    ("gl2dual.json", "CLAMBDA"): (
+        "a39de9da13c2c2a60d10206cc85f3c1179a9fc9a19a515f1f577904826eae879",
+        "4f3b4b8710243300340027845d70b34d2e78cb910b95ab6c66fd89cee1e34f52",
+        "8570ee49029b6d69d81d7393cdf5831be17f26a8de8dd10f1926eb0c47c25abb",
+    ),
+    ("gl2dual.json", "CE"): (
+        "162002140057c14581f23ea0bc6308adb644ca9ee07dbed73c00f29de609ee81",
+        "a39de9da13c2c2a60d10206cc85f3c1179a9fc9a19a515f1f577904826eae879",
+        "02ff6f31555e7e988ace2efe233ef9268202ee60af99c3e55a2329c17854b773",
+        "bb4885c817d4ad8e9144c8a3a220a148d563330d24b201b443de56cdeaa5b13e",
+    ),
+    ("gl2dual.json", "CE_ADJ"): (
+        "244400ac54877572cd308168d9dbe6749e6ced5b81088f8a65116ae4233ca695",
+        "41c898ac93b09cbb3175929a5370737f3bc5d623c46345009f8011e4492e3a61",
+        "bfebfb200ae2390363e8072e0b7b58c70e47b66c9a69fc75223883323ae492d7",
+        "0e288d84499a9025ba63d9711769b318d13cd0435ff289da3603966a1622e521",
+    ),
+    ("cyclic:3", "BAR"): (
+        "1cc8fe743c99ade50c247bcbc36469f03f3d95d8888062062d3c7ac6b6e3d2c0",
+        "cb330ba046ab9ab1a1ce8285cfa5fe24944f46b6bb4864cd004a9bdfdd2e0360",
+        "a10b461b04735478ce90e0d776af671dbed3fa260fc94c3098cc309975b8c825",
+        "dc687396cc92311fd4e21120e9563a2028c899ee998f67eb47be2ea9de6f9d4b",
+    ),
+    ("s3", "BAR"): (
+        "4d0abf09e1a346c2cce4b4f00e11d4b8a280230f9464518b725b6d94a077f287",
+        "8cadf3d776300094a557b153fa07c89f390040a9df0432921a14d8cc009d4e96",
+        "fa22658887481f06890cc07d3b3bbe6c4b5e544c8d4ece888a1018ab4753074a",
+        "c7a77cf85a4cfd335fe3c235cd1f9a7727559d11791d15a97b8f15fb1f51fa71",
+    ),
 }
 
 
@@ -195,7 +257,8 @@ def pinned_algebras(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("pin") / "gl2dual.json")
     save_algebra(matrix_algebra(builtin_algebra("dual"), 2), path)
     return {"dual": builtin_algebra("dual"), "s3": builtin_algebra("s3"),
-            "gl2dual.json": load_algebra(path)}
+            "gl2dual.json": load_algebra(path),
+            "cyclic:3": builtin_algebra("cyclic:3")}
 
 
 @pytest.mark.parametrize("name,maxn", [("dual", 4), ("s3", 3), ("gl2dual.json", 3)])
@@ -204,6 +267,15 @@ def test_generated_columns_are_pinned(pinned_algebras, name, maxn, kind):
     A = pinned_algebras[name]
     got = tuple(columns_digest(A, kind, n) for n in range(1, maxn + 1))
     assert got == PINNED_COLUMNS[name, kind]
+
+
+@pytest.mark.parametrize("name,kind", [
+    key for key in PINNED_COLUMNS if key[1] in ("CLAMBDA", "CE", "CE_ADJ", "BAR")])
+def test_derived_columns_are_pinned(pinned_algebras, name, kind):
+    A = pinned_algebras[name]
+    want = PINNED_COLUMNS[name, kind]
+    got = tuple(columns_digest(A, kind, n) for n in range(1, len(want) + 1))
+    assert got == want
 
 
 def test_degree_dim_formulas():
