@@ -14,6 +14,9 @@ from fractions import Fraction
 from . import perms
 from .linalg import Echelon, SparseMatrix, kernel_basis
 
+# largest dimension N * N * dim A of a matrix algebra
+MATRIX_MAX_DIM = 4096
+
 
 class Presentation:
     """Single-generator presentation A = Q[t]/(r(t)), used for Kahler modules.
@@ -298,7 +301,7 @@ def builtin_algebra(name: str) -> Algebra:
     raise ValueError("unknown builtin algebra %r" % name)
 
 
-def matrix_algebra(A: Algebra, N: int, max_dim: int = 4096) -> Algebra:
+def matrix_algebra(A: Algebra, N: int) -> Algebra:
     """N x N matrices over A; basis E^b_{ij} ordered lexicographically by (i, j, b).
 
     Multiplication is E^a_{ij} E^b_{kl} = delta_{jk} E^{ab}_{il}. Index
@@ -307,8 +310,9 @@ def matrix_algebra(A: Algebra, N: int, max_dim: int = 4096) -> Algebra:
     if N < 1:
         raise ValueError("matrix size must be >= 1")
     dim = N * N * A.dim
-    if dim > max_dim:
-        raise ValueError("matrix algebra dimension %d exceeds bound %d" % (dim, max_dim))
+    if dim > MATRIX_MAX_DIM:
+        raise ValueError("matrix algebra dimension %d exceeds bound %d"
+                         % (dim, MATRIX_MAX_DIM))
     positions = [(i, j, b) for i in range(1, N + 1)
                  for j in range(1, N + 1) for b in range(A.dim)]
     index = {p: t for t, p in enumerate(positions)}
@@ -428,10 +432,10 @@ def _kernel_nilpotency(A: Algebra, kernel):
     return None
 
 
-def matrix_morphism(f: AlgebraMorphism, N: int, max_dim: int = 4096) -> AlgebraMorphism:
+def matrix_morphism(f: AlgebraMorphism, N: int) -> AlgebraMorphism:
     """Entrywise extension gl_N(f): M_N(source) -> M_N(target)."""
-    MA = matrix_algebra(f.source, N, max_dim)
-    MB = matrix_algebra(f.target, N, max_dim)
+    MA = matrix_algebra(f.source, N)
+    MB = matrix_algebra(f.target, N)
     idx_b = MB.matrix_meta["index"]
     entries = []
     for s, (i, j, b) in enumerate(MA.matrix_meta["positions"]):

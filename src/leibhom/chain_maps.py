@@ -27,8 +27,8 @@ import itertools
 from functools import lru_cache, partial
 
 from .algebra import Algebra, AlgebraMorphism, multiply_coords
-from .complexes import (KahlerModule, _acc, cyclic_quotient, index_tuple,
-                        proj_to_wedge, tuple_index, wedge_basis)
+from .complexes import (KahlerModule, _acc, _derived, cyclic_quotient,
+                        index_tuple, tuple_index, wedge_basis)
 from .homology import ChainComplex, ChainMapRep
 from .linalg import SparseMatrix
 from .perms import (cycle_order_rows, cycle_start_sign, cyclic_class,
@@ -97,7 +97,7 @@ def theta(A: Algebra, ce: ChainComplex, clam: ChainComplex) -> ChainMapRep:
         proj = cyclic_quotient(d, m)[2]
         out = {}
         for s, arr in signed_arrangements(m - 1):
-            image = proj[(c[0],) + tuple(c[1 + x] for x in arr)]
+            image = proj[tuple_index((c[0],) + tuple(c[1 + x] for x in arr), d)]
             if image is not None:
                 _acc(out, image[1], s * image[0])
         return out
@@ -121,41 +121,36 @@ def epsilon(A: Algebra, ce_adj: ChainComplex, chh: ChainComplex) -> ChainMapRep:
     return _chain_map("EPSILON", ce_adj, chh, 0, col)
 
 
-def proj_lie(A: Algebra, cl: ChainComplex, ce: ChainComplex) -> ChainMapRep:
-    """Quotient CL_n -> Lambda^n: sort the tensor slots with sign, kill repeats."""
-    d = A.dim
+def _derived_map(name: str, A: Algebra, kind: str, src: ChainComplex,
+                 tgt: ChainComplex, shift: int, section=False) -> ChainMapRep:
+    """The projection onto a derived kind, or with section=True its section,
+    read from the derived table once per degree (complexes._derived)."""
+    table = {}
 
     def col(n, j):
-        pw = proj_to_wedge(index_tuple(j, d, n))
-        return {} if pw is None else {wedge_basis(d, n)[1][pw[1]]: pw[0]}
+        if n not in table:
+            table[n] = _derived(A, kind, n - shift)
+        if section:
+            return {table[n][2](j): 1}
+        image = table[n][3](j)
+        return {} if image is None else {image[1]: image[0]}
 
-    return _chain_map("PROJ_LIE", cl, ce, 0, col)
+    return _chain_map(name, src, tgt, shift, col)
+
+
+def proj_lie(A: Algebra, cl: ChainComplex, ce: ChainComplex) -> ChainMapRep:
+    """Quotient CL_n -> Lambda^n: sort the tensor slots with sign, kill repeats."""
+    return _derived_map("PROJ_LIE", A, "CE", cl, ce, 0)
 
 
 def proj_adjoint(A: Algebra, cl: ChainComplex, ce_adj: ChainComplex) -> ChainMapRep:
     """CL_m -> A (x) Lambda^(m-1): first slot as coefficient, rest wedged."""
-    d = A.dim
-
-    def col(m, j):
-        t = index_tuple(j, d, m)
-        pw = proj_to_wedge(t[1:])
-        if pw is None:
-            return {}
-        cidx_lo = wedge_basis(d, m - 1)[1]
-        return {t[0] * len(cidx_lo) + cidx_lo[pw[1]]: pw[0]}
-
-    return _chain_map("PROJ_ADJOINT", cl, ce_adj, 1, col)
+    return _derived_map("PROJ_ADJOINT", A, "CE_ADJ", cl, ce_adj, 1)
 
 
 def proj_I(A: Algebra, chh: ChainComplex, clam: ChainComplex) -> ChainMapRep:
     """The quotient map CHH_n -> CLAMBDA_n by the signed rotation action."""
-    d = A.dim
-
-    def col(n, j):
-        image = cyclic_quotient(d, n + 1)[2][index_tuple(j, d, n + 1)]
-        return {} if image is None else {image[1]: image[0]}
-
-    return _chain_map("PROJ_I", chh, clam, 0, col)
+    return _derived_map("PROJ_I", A, "CLAMBDA", chh, clam, 0)
 
 
 # ------------------------------------------------------------ Kahler bridge
@@ -246,45 +241,14 @@ def corner(base: Algebra, MA: Algebra, chh_base: ChainComplex,
 
 # -------------------------------------------------------------- group rings
 
-def _group_meta(G: Algebra, what: str) -> dict:
-    if G.group_meta is None:
-        raise ValueError("%s needs a group algebra, got %s" % (what, G.name))
-    return G.group_meta
-
-
 def bar_pi(G: Algebra, chh_g: ChainComplex, bar: ChainComplex) -> ChainMapRep:
     """CHH_n(QG) -> BAR_n: keep tuples whose total product is the identity."""
-    meta = _group_meta(G, "bar projection")
-    cay = meta["cayley"]
-    e = meta["identity"]
-    g = meta["order"]
-
-    def col(n, j):
-        t = index_tuple(j, g, n + 1)
-        prod = t[0]
-        for x in t[1:]:
-            prod = cay[prod][x]
-        return {tuple_index(t[1:], g): 1} if prod == e else {}
-
-    return _chain_map("BAR_PI", chh_g, bar, 0, col)
+    return _derived_map("BAR_PI", G, "BAR", chh_g, bar, 0)
 
 
 def bar_iota(G: Algebra, bar: ChainComplex, chh_g: ChainComplex) -> ChainMapRep:
     """BAR_n -> CHH_n(QG): prepend the inverse of the product; pi o iota = id."""
-    meta = _group_meta(G, "bar section")
-    cay = meta["cayley"]
-    inv = meta["inverse"]
-    e = meta["identity"]
-    g = meta["order"]
-
-    def col(n, j):
-        t = index_tuple(j, g, n)
-        prod = e
-        for x in t:
-            prod = cay[prod][x]
-        return {tuple_index((inv[prod],) + t, g): 1}
-
-    return _chain_map("BAR_IOTA", bar, chh_g, 0, col)
+    return _derived_map("BAR_IOTA", G, "BAR", bar, chh_g, 0, section=True)
 
 
 # ------------------------------------------------- permutation complex maps
@@ -412,7 +376,7 @@ def morphism_complex_map(f: AlgebraMorphism, kind: str, src_cx: ChainComplex,
             out: dict = {}
             for aidx, v in _tensor_expand(fm, cyclic_quotient(d, n + 1)[0][j],
                                           D).items():
-                image = proj_tgt[index_tuple(aidx, D, n + 1)]
+                image = proj_tgt[aidx]
                 if image is not None:
                     _acc(out, image[1], v * image[0])
             return out

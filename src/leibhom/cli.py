@@ -5,7 +5,8 @@ and induced-map ranks for one algebra), and `verify` (run the bundled
 suites). Every run writes report.json (stable key order, no timing fields),
 report.md (the same content as tables), and manifest.json (command echo,
 input hashes, cache counters, wall time). Exit codes: 0 success, 1 a
-verification check failed, 2 usage or input error, 3 resource bound exceeded.
+verification check failed, 2 usage, input or file-system error, 3 resource
+bound exceeded.
 """
 
 import argparse
@@ -428,7 +429,7 @@ def main(argv=None):
             return cmd_compute(args, ["leibhom"] + argv)
         if args.command == "verify":
             return cmd_verify(args, ["leibhom"] + argv)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceBoundExceeded as exc:

@@ -21,20 +21,26 @@ Tensor basis order is lexicographic with the first factor most significant,
 matching itertools.product. Wedge bases are increasing index tuples in
 lexicographic order. For L and P the permutation index is the major key.
 
-The CL, CHH, L and P boundaries are signed sums of slot contractions: slots
-i < j of an m-slot tensor t (index x) are multiplied or bracketed into the
-basis element k at slot i, and slot j is deleted. The lower index is
+Every boundary has one of two forms. The CL, CHH, L and P boundaries are
+signed sums of slot contractions: slots i < j of an m-slot tensor t (index
+x) are multiplied or bracketed into the basis element k at slot i, and slot
+j is deleted. The lower index is
 
   (x // d^(m-j)) * d^(m-1-j) + x % d^(m-1-j) + (k - t_i) * d^(m-2-i)
 
 with the digits read off as t_i = x // d^(m-1-i) % d, so no tuple is built
-per column or term.
+per column or term. The CLAMBDA, CE, CE_ADJ and BAR boundaries are derived:
+d_n = proj_{n-1} o d^parent o section_n, the CHH (CLAMBDA, BAR) or CL (CE,
+CE_ADJ) boundary between a section and a projection that is a chain map
+with proj o section = id. _derived states the sections and projections,
+which are also the comparison maps proj_I, proj_lie, proj_adjoint, bar_pi
+and bar_iota.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from . import cache
@@ -93,25 +99,25 @@ def cyclic_quotient(d: int, length: int):
     minimal period p survives iff (-1)^(n p) = 1; its representative is the
     first member met in lexicographic enumeration (the lex-least one).
 
-    Returns (reps, rep_index, proj) where proj maps every tuple to
-    (sign, rep position) or to None on a killed orbit.
+    Returns (reps, rep_index, proj) where proj[x] is (sign, rep position) for
+    the tuple of tensor index x, or None on a killed orbit.
     """
     n = length - 1
     eps = -1 if n % 2 else 1
+    top = d ** n
     reps = []
     rep_index = {}
-    proj = {}
-    for t in itertools.product(range(d), repeat=length):
-        if t in proj:
+    proj = [False] * (d ** length)  # False: not met yet
+    for x, t in enumerate(itertools.product(range(d), repeat=length)):
+        if proj[x] is not False:
             continue
-        orbit = [t]
-        cur = (t[-1],) + t[:-1]
-        while cur != t:
+        # the rotation on tensor indices: the last digit becomes the first
+        orbit = [x]
+        cur = x // d + x % d * top
+        while cur != x:
             orbit.append(cur)
-            cur = (cur[-1],) + cur[:-1]
-        period = len(orbit)
-        alive = eps == 1 or period % 2 == 0
-        if alive:
+            cur = cur // d + cur % d * top
+        if eps == 1 or len(orbit) % 2 == 0:
             pos = len(reps)
             reps.append(t)
             rep_index[t] = pos
@@ -122,7 +128,7 @@ def cyclic_quotient(d: int, length: int):
         else:
             for member in orbit:
                 proj[member] = None
-    return tuple(reps), rep_index, proj
+    return tuple(reps), rep_index, tuple(proj)
 
 
 @lru_cache(maxsize=None)
@@ -269,102 +275,6 @@ def _chh_column_fn(A: Algebra, n: int):
     return _contraction_column_fn(A.dim, A.products, n + 1, [terms])
 
 
-def _clambda_column_fn(A: Algebra, n: int):
-    d = A.dim
-    reps_hi = cyclic_quotient(d, n + 1)[0]
-    proj_lo = cyclic_quotient(d, n)[2]
-    prod = A.products
-
-    def col(jidx: int) -> dict:
-        t = reps_hi[jidx]
-        out = {}
-        for i in range(n):
-            sign = 1 if i % 2 == 0 else -1
-            for k, coeff in prod[t[i]][t[i + 1]]:
-                image = proj_lo[t[:i] + (k,) + t[i + 2:]]
-                if image is not None:
-                    _acc(out, image[1], sign * coeff * image[0])
-        sign = 1 if n % 2 == 0 else -1
-        for k, coeff in prod[t[n]][t[0]]:
-            image = proj_lo[(k,) + t[1:n]]
-            if image is not None:
-                _acc(out, image[1], sign * coeff * image[0])
-        return out
-
-    return col
-
-
-def _ce_column_fn(A: Algebra, n: int):
-    if n == 1:
-        return _zero_column
-    combos = wedge_basis(A.dim, n)[0]
-    cidx_lo = wedge_basis(A.dim, n - 1)[1]
-    br = bracket_table(A)
-
-    def col(jidx: int) -> dict:
-        c = combos[jidx]
-        out = {}
-        for j1 in range(2, n + 1):
-            sign = 1 if j1 % 2 == 0 else -1
-            for i1 in range(1, j1):
-                for k, coeff in br[c[i1 - 1]][c[j1 - 1]]:
-                    pw = proj_to_wedge(c[:i1 - 1] + (k,) + c[i1:j1 - 1] + c[j1:])
-                    if pw is not None:
-                        _acc(out, cidx_lo[pw[1]], sign * coeff * pw[0])
-        return out
-
-    return col
-
-
-def _ce_adj_column_fn(A: Algebra, n: int):
-    d = A.dim
-    combos = wedge_basis(d, n)[0]
-    cidx_lo = wedge_basis(d, n - 1)[1]
-    wlo = comb(d, n - 1)
-    br = bracket_table(A)
-
-    def col(jidx: int) -> dict:
-        a0, cj = divmod(jidx, len(combos))
-        c = combos[cj]
-        out = {}
-        for j1 in range(2, n + 1):
-            sign = -1 if j1 % 2 == 0 else 1
-            for i1 in range(1, j1):
-                for k, coeff in br[c[i1 - 1]][c[j1 - 1]]:
-                    pw = proj_to_wedge(c[:i1 - 1] + (k,) + c[i1:j1 - 1] + c[j1:])
-                    if pw is not None:
-                        _acc(out, a0 * wlo + cidx_lo[pw[1]], sign * coeff * pw[0])
-        for j1 in range(1, n + 1):
-            sign = -1 if j1 % 2 == 0 else 1
-            rest = cidx_lo[c[:j1 - 1] + c[j1:]]
-            for k, coeff in br[a0][c[j1 - 1]]:
-                _acc(out, k * wlo + rest, sign * coeff)
-        return out
-
-    return col
-
-
-def _bar_column_fn(A: Algebra, n: int):
-    meta = A.group_meta
-    if meta is None:
-        raise ValueError("BAR needs a group algebra, got %s" % A.name)
-    g = meta["order"]
-    cay = meta["cayley"]
-
-    def col(jidx: int) -> dict:
-        t = index_tuple(jidx, g, n)
-        out = {}
-        _acc(out, tuple_index(t[1:], g), 1)
-        for i in range(1, n):
-            sign = -1 if i % 2 else 1
-            nt = t[:i - 1] + (cay[t[i - 1]][t[i]],) + t[i + 1:]
-            _acc(out, tuple_index(nt, g), sign)
-        _acc(out, tuple_index(t[:-1], g), -1 if n % 2 else 1)
-        return out
-
-    return col
-
-
 @lru_cache(maxsize=None)
 def _l_transport_terms(sigma):
     """Permutation bookkeeping of the L boundary, independent of the tensor part.
@@ -430,16 +340,84 @@ def _p_column_fn(A: Algebra, n: int):
     return _contraction_column_fn(A.dim, A.products, n + 1, parts)
 
 
+def _derived(A: Algebra, kind: str, n: int):
+    """(parent kind, parent degree, section, proj) of a derived kind at degree n.
+
+    section(j) is the parent index of basis vector j, and proj(x) is
+    (sign, index) or None for parent index x: the quotient (or, for BAR,
+    the retraction) of the parent's degree onto degree n, with
+    proj(section(j)) == (1, j).
+
+      CLAMBDA_n  CHH_n      lex-least orbit member   signed cyclic class
+      CE_n       CL_n       increasing wedge tuple   sorted with sign
+      CE_ADJ_n   CL_{n+1}   a_0, then the wedge      a_0 (x) the rest sorted
+      BAR_n      CHH_n      prepend the inverse      tuples of product e,
+                            of the product           slot 0 dropped
+
+    CLAMBDA's projection and BAR's products are tables within the bound
+    (over the d^(n+1) tensors and the g^n basis vectors). CE and CE_ADJ
+    project by digits: their bound gates comb(d, n), not the d^n tensors a
+    table would hold.
+    """
+    d = A.dim
+    if kind == "CLAMBDA":
+        reps, _, proj = cyclic_quotient(d, n + 1)
+        return "CHH", n, lambda j: tuple_index(reps[j], d), proj.__getitem__
+    if kind == "CE":
+        combos, cidx = wedge_basis(d, n)
+        return ("CL", n, lambda j: tuple_index(combos[j], d),
+                lambda x: _wedged(cidx, index_tuple(x, d, n), 0))
+    if kind == "CE_ADJ":
+        combos, cidx = wedge_basis(d, n)
+        w, dn = len(combos), d ** n
+        return ("CL", n + 1,
+                lambda j: j // w * dn + tuple_index(combos[j % w], d),
+                lambda x: _wedged(cidx, index_tuple(x % dn, d, n), x // dn * w))
+    if kind == "BAR":
+        if A.group_meta is None:
+            raise ValueError("BAR needs a group algebra, got %s" % A.name)
+        cay = A.group_meta["cayley"]
+        inv = A.group_meta["inverse"]
+        gn = d ** n
+        # prods[j]: the product of the n group elements of basis vector j
+        prods = [A.group_meta["identity"]]
+        for _ in range(n):
+            prods = [cay[p][g] for p in prods for g in range(d)]
+        return ("CHH", n, lambda j: inv[prods[j]] * gn + j,
+                lambda x: (1, x % gn) if x // gn == inv[prods[x % gn]] else None)
+    raise ValueError("%r is not a derived complex kind" % kind)
+
+
+def _wedged(cidx, t, base):
+    pw = proj_to_wedge(t)
+    return None if pw is None else (pw[0], base + cidx[pw[1]])
+
+
+def _derived_column_fn(kind: str, A: Algebra, n: int):
+    """d_n of a derived kind: proj_{n-1} o (parent boundary) o section_n."""
+    parent, m, section, _ = _derived(A, kind, n)
+    proj = _derived(A, kind, n - 1)[3]
+    up = _COLUMN_BUILDERS[parent](A, m)
+
+    def col(jidx: int) -> dict:
+        out = {}
+        for x, v in up(section(jidx)).items():
+            image = proj(x)
+            if image is not None:
+                _acc(out, image[1], image[0] * v)
+        return out
+
+    return col
+
+
 _COLUMN_BUILDERS = {
     "CL": _cl_column_fn,
     "CHH": _chh_column_fn,
-    "CLAMBDA": _clambda_column_fn,
-    "CE": _ce_column_fn,
-    "CE_ADJ": _ce_adj_column_fn,
-    "BAR": _bar_column_fn,
     "L": _l_column_fn,
     "P": _p_column_fn,
 }
+_COLUMN_BUILDERS.update({kind: partial(_derived_column_fn, kind)
+                         for kind in ("CLAMBDA", "CE", "CE_ADJ", "BAR")})
 
 
 def boundary_column_fn(A: Algebra, kind: str, n: int):

@@ -229,7 +229,7 @@ def verify_chain_map(F: ChainMapRep, max_degree=None):
     return True, None
 
 
-def compose_maps(G: ChainMapRep, F: ChainMapRep, kind=None) -> ChainMapRep:
+def compose_maps(G: ChainMapRep, F: ChainMapRep) -> ChainMapRep:
     """G after F; defined in degrees where both factors exist."""
     if G.source is not F.target and G.source.dims != F.target.dims:
         raise ValueError("composition mismatch: %s then %s" % (F.kind, G.kind))
@@ -238,7 +238,7 @@ def compose_maps(G: ChainMapRep, F: ChainMapRep, kind=None) -> ChainMapRep:
         gn = n - F.shift
         if gn in G.maps:
             maps[n] = G.maps[gn].matmul(m)
-    return ChainMapRep(kind or ("%s.%s" % (G.kind, F.kind)), F.source, G.target,
+    return ChainMapRep("%s.%s" % (G.kind, F.kind), F.source, G.target,
                        F.shift + G.shift, maps,
                        chain_sign=F.chain_sign * G.chain_sign)
 
@@ -370,7 +370,7 @@ def mapping_cone(F: ChainMapRep) -> MappingCone:
 
 
 def cone_pair_map(src: MappingCone, tgt: MappingCone, V: ChainMapRep,
-                  W: ChainMapRep, kind="CONE_PAIR") -> ChainMapRep:
+                  W: ChainMapRep) -> ChainMapRep:
     """Blockwise map cone(f) -> cone(g) from a commuting square (V, W).
 
     V maps the sources of f and g, W the targets, both with the same shift s;
@@ -398,7 +398,7 @@ def cone_pair_map(src: MappingCone, tgt: MappingCone, V: ChainMapRep,
             tgt.cone.dims[n - s], src.cone.dims[n],
             pair_column_fn(c_block_src, c_block_tgt, v_col,
                            W.maps[n].columns.__getitem__))
-    return ChainMapRep(kind, src.cone, tgt.cone, s, maps)
+    return ChainMapRep("CONE_PAIR", src.cone, tgt.cone, s, maps)
 
 
 def exactness_check(matrices):

@@ -34,10 +34,6 @@ SUITE_IDS = ("core", "degree0", "commutative", "matrices", "groupring",
 
 GROUP_NAMES = ("cyclic:1", "cyclic:2", "cyclic:3", "s3")
 
-# degree dimension above which d o d is checked by streaming the columns of
-# d_n instead of storing d_n
-STREAM_STORE_LIMIT = 100000
-
 
 @dataclass
 class SuiteConfig:
@@ -146,10 +142,13 @@ def _d2_checks(checks, A, label, kinds, cutoff, session):
     for kind in kinds:
         cid = "boundary_squares_to_zero[%s:%s]" % (label, kind)
         try:
+            # degrees over the session's bound are streamed, not stored;
+            # CLAMBDA never is, as its columns read a table over all the
+            # d^(n+1) tensors that the bound gates
             direct_cut = cutoff
             streamed = []
-            for n in range(cutoff, 0, -1):
-                if degree_dim(A, kind, n) > STREAM_STORE_LIMIT:
+            for n in range(cutoff, 1, -1):
+                if kind != "CLAMBDA" and degree_dim(A, kind, n) > session.max_dim:
                     streamed.append(n)
                     direct_cut = n - 1
                 else:

@@ -145,6 +145,21 @@ def test_compute_exit_codes(tmp_path):
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("compute", "--algebra", "{dir}", "--complex", "CL"),
+    ("compute", "--algebra", "dual", "--complex", "CL", "--cache", "{file}"),
+    ("verify", "--suite", "degree0", "--cutoff", "2", "--cache", "{file}"),
+])
+def test_file_system_errors_exit_2(tmp_path, args):
+    # a directory as the algebra file, a file as the cache directory
+    (tmp_path / "plain").write_text("")
+    fill = {"dir": str(tmp_path), "file": str(tmp_path / "plain")}
+    r = run_cli(*[a.format(**fill) for a in args],
+                "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
 def test_compute_algebra_from_file_hashes_input(tmp_path):
     src = tmp_path / "alg.json"
     save_algebra(builtin_algebra("cyclic:2"), str(src))

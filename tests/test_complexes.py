@@ -12,10 +12,11 @@ from leibhom import cache
 from leibhom.algebra import (builtin_algebra, matrix_algebra,
                              multiply_coords)
 from leibhom.complexes import (KINDS, KahlerModule, ResourceBoundExceeded,
-                               Session, basis_labels, boundary_column_fn,
-                               boundary_matrix, build_complex, check_bound,
-                               cyclic_quotient, degree_dim, index_tuple,
-                               tuple_index, verify_d2_streamed, wedge_basis)
+                               Session, _derived, basis_labels,
+                               boundary_column_fn, boundary_matrix,
+                               build_complex, check_bound, cyclic_quotient,
+                               degree_dim, index_tuple, tuple_index,
+                               verify_d2_streamed, wedge_basis)
 from leibhom.homology import ChainComplex, verify_boundary_squares
 from leibhom.linalg import SparseMatrix
 from leibhom.perms import cyclic_class, cyclic_index, face_cyclic
@@ -278,6 +279,22 @@ def test_derived_columns_are_pinned(pinned_algebras, name, kind):
     assert got == want
 
 
+@pytest.mark.parametrize("name,kind", [
+    ("dual", "CLAMBDA"), ("truncated_poly:3", "CLAMBDA"), ("s3", "CLAMBDA"),
+    ("dual", "CE"), ("s3", "CE"), ("dual", "CE_ADJ"), ("s3", "CE_ADJ"),
+    ("cyclic:3", "BAR"), ("s3", "BAR")])
+def test_derived_projection_splits_its_section(name, kind):
+    # the premise of every derived boundary: proj o section = id, with the
+    # section landing in the parent's degree
+    A = builtin_algebra(name)
+    for n in range(5):
+        parent, m, section, proj = _derived(A, kind, n)
+        for j in range(degree_dim(A, kind, n)):
+            x = section(j)
+            assert 0 <= x < degree_dim(A, parent, m)
+            assert proj(x) == (1, j), (n, j)
+
+
 def test_degree_dim_formulas():
     for name in ("dual", "truncated_poly:3", "s3"):
         A = builtin_algebra(name)
@@ -308,9 +325,9 @@ def test_cyclic_quotient_projection_consistent():
         n = length - 1
         eps = -1 if n % 2 else 1
         for t in itertools.product(range(d), repeat=length):
-            image = proj[t]
+            image = proj[tuple_index(t, d)]
             rot = (t[-1],) + t[:-1]
-            rimage = proj[rot]
+            rimage = proj[tuple_index(rot, d)]
             if image is None:
                 assert rimage is None
             else:
@@ -322,7 +339,7 @@ def test_cyclic_quotient_projection_consistent():
                 assert rimage[1] == pos
                 assert rimage[0] == eps * sign
         for r in reps:
-            assert proj[r] == (1, rep_index[r])
+            assert proj[tuple_index(r, d)] == (1, rep_index[r])
 
 
 def test_wedge_basis_is_increasing_tuples():

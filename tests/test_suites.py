@@ -6,11 +6,12 @@ import json
 import pytest
 
 from leibhom import chain_maps as cmaps
-from leibhom.algebra import builtin_morphism, matrix_morphism
-from leibhom.complexes import build_complex
+from leibhom.algebra import builtin_algebra, builtin_morphism, matrix_morphism
+from leibhom.complexes import Session, build_complex
 from leibhom.homology import compose_maps, cone_pair_map, mapping_cone
-from leibhom.suites import (SUITE_IDS, SuiteConfig, _relative_stream,
-                            report_failed, run_all, run_suite)
+from leibhom.suites import (SUITE_IDS, SuiteConfig, _Checks, _d2_checks,
+                            _relative_stream, report_failed, run_all,
+                            run_suite)
 
 FAST = SuiteConfig(cutoff=3, matrix_size=2, seed=42)
 
@@ -157,3 +158,21 @@ def test_relative_stream_generates_the_materialized_cone_columns(cyclic):
         for j in range(cols):
             assert bcol(j) == d.columns[j], (m, j)
             assert mcol(j) == pair.maps[m].columns[j], (m, j)
+
+
+def test_d2_check_streams_the_degrees_over_the_session_bound():
+    # over the bound, L_4 (384 columns) and P_4 (768) are streamed against
+    # the stored L_3 (48) and P_3 (96) instead of skipping the whole row
+    checks = _Checks()
+    _d2_checks(checks, builtin_algebra("dual"), "dual", ("L", "P"), 4,
+               Session(max_dim=100))
+    assert [(row["status"], row["detail"]) for row in checks.rows] == [
+        ("pass", "degrees <= 4, dims [1, 2, 8, 48], degrees [4] streamed"),
+        ("pass", "degrees <= 4, dims [2, 4, 16, 96], degrees [4] streamed"),
+    ]
+    # s3 CLAMBDA_4 has 1560 columns, but generating them reads a table over
+    # all 6^5 tensors, so it is skipped rather than streamed past the bound
+    checks = _Checks()
+    _d2_checks(checks, builtin_algebra("s3"), "s3", ("CLAMBDA",), 4,
+               Session(max_dim=1300))
+    assert [row["status"] for row in checks.rows] == ["skipped"]
