@@ -1,14 +1,16 @@
 """Sparse exact linear algebra against a dense fraction-arithmetic oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from leibhom.algebra import builtin_algebra
+from leibhom.algebra import builtin_algebra, matrix_algebra
 from leibhom.complexes import boundary_matrix
 from leibhom.linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
                             rank_only)
+from leibhom.serialize import load_algebra, save_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +309,67 @@ def test_blocked_rank_early_stop():
             {3: Fraction(1)})
     r1, r2, done = blocked_rank(iter(cols), 1, stop_at_second=2)
     assert (r1, r2, done) == (1, 2, False)
+
+
+# ---------------------------------------------------------------------------
+# pins of the tracked results: kernel relations, and through them the
+# representatives and the report signs, follow every scaling of the tracked
+# reduction, so an edit to it must leave these digests as they are
+
+def entries(vec):
+    return ",".join("%d=%s" % kv for kv in sorted(vec.items()))
+
+
+def vectors_digest(vecs):
+    return hashlib.sha256("".join(entries(v) + ";" for v in vecs)
+                          .encode()).hexdigest()
+
+
+def pivots_digest(ech):
+    """sha256 over every pivot: its lead, its vector and its combination."""
+    return hashlib.sha256("".join(
+        "%d|%s|%s;" % (lead, entries(vec), entries(combo))
+        for lead, (vec, combo) in sorted(ech.pivots.items()))
+        .encode()).hexdigest()
+
+
+PINNED_RELATIONS = {
+    ("s3", "CHH", 3):
+        "c0f91ee1dfcf7c19cd0b970ea47452931b3d4868c40d8c31d633796336964e25",
+    ("cyclic:3", "P", 3):
+        "b2b0bba8fcce83e0e1b6340ed43f02f7fdc410246c74a7df7cd680931042c8e6",
+    ("gl2dual", "CL", 4):
+        "5b744f3cc225f318592ea7d7c8a6a86de02fe726b3298bc41bd6ab79187832c8",
+}
+
+
+@pytest.mark.parametrize("name,kind,n", sorted(PINNED_RELATIONS))
+def test_kernel_basis_relations_are_pinned(tmp_path, name, kind, n):
+    if name == "gl2dual":
+        # as the CL benchmark reads it: saved to a file and loaded back
+        path = str(tmp_path / "gl2dual.json")
+        save_algebra(matrix_algebra(builtin_algebra("dual"), 2), path)
+        A = load_algebra(path)
+    else:
+        A = builtin_algebra(name)
+    relations = kernel_basis(boundary_matrix(A, kind, n))
+    assert vectors_digest(relations) == PINNED_RELATIONS[name, kind, n]
+
+
+def test_tracked_solver_pivots_are_pinned():
+    """The homology solver of s3 CHH in degree 3: pivots modulo the image of
+    d_4, then the kernel of d_3 and a standard-basis completion inserted."""
+    A = builtin_algebra("s3")
+    ech = Echelon(track=True, modulo=boundary_matrix(A, "CHH", 4).columns)
+    assert pivots_digest(ech) == (
+        "481fa508743cca9a0df614bf64eacb7f3e8631a039edd659577d6aca1f64e0cf")
+    d3 = boundary_matrix(A, "CHH", 3)
+    for k in kernel_basis(d3):
+        ech.insert(k)
+    for i in range(d3.cols):
+        ech.insert({i: 1})
+    assert ech.rank == d3.cols
+    assert pivots_digest(ech) == (
+        "2ed58fa9ae85b91e28f82ecc125b09692dd4bfa1097ab40307883065ab49b76f")
+    assert vectors_digest(ech.relations) == (
+        "e9d04b5df705fb0624c745b4624e197c01d14243da93ad2b8b10061e2e9d7c17")
