@@ -293,6 +293,11 @@ def cmd_compute(args, argv):
                   % (k, ", ".join(KINDS)), file=sys.stderr)
             return 2
     tokens = [t for t in args.maps.split(",") if t]
+    for flag, names in (("--complex", kinds), ("--maps", tokens)):
+        repeated = sorted({t for t in names if names.count(t) > 1})
+        if repeated:
+            raise UsageError("%s names %s more than once"
+                             % (flag, ", ".join(repeated)))
     if not kinds and not tokens:
         print("error: nothing to compute; pass --complex and/or --maps",
               file=sys.stderr)

@@ -442,6 +442,8 @@ class Session:
     """
 
     def __init__(self, max_dim=DEFAULT_MAX_DIM, cache_dir=None):
+        if max_dim < 1:
+            raise ValueError("max_dim must be at least 1, got %d" % max_dim)
         self.max_dim = max_dim
         self.cache_dir = cache_dir
         self.boundaries = {}

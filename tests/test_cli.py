@@ -146,6 +146,34 @@ def test_compute_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ("compute", "--algebra", "dual", "--complex", "CL", "--max-degree", "3",
+     "--max-dim", "-5"),
+    ("verify", "--suite", "core", "--cutoff", "2", "--max-dim", "-5"),
+    ("verify", "--suite", "core", "--cutoff", "2", "--max-dim", "0"),
+])
+def test_a_max_dim_below_one_is_a_usage_error(tmp_path, args):
+    out = tmp_path / "out"
+    r = run_cli(*args, "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "max_dim" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,repeated", [
+    (("--complex", "CL,CL"), "--complex names CL more"),
+    (("--complex", "CL,CHH,CL,CHH"), "--complex names CHH, CL more"),
+    (("--complex", "CL", "--maps", "PHI,PHI"), "--maps names PHI more"),
+])
+def test_compute_refuses_a_repeated_token(tmp_path, args, repeated):
+    out = tmp_path / "out"
+    r = run_cli("compute", "--algebra", "dual", "--max-degree", "2", *args,
+                "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and repeated in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
     ("compute", "--algebra", "{dir}", "--complex", "CL"),
     ("compute", "--algebra", "dual", "--complex", "CL", "--cache", "{file}"),
     ("verify", "--suite", "degree0", "--cutoff", "2", "--cache", "{file}"),

@@ -568,6 +568,13 @@ def test_sessions_share_no_boundaries_ranks_or_counts(tmp_path, monkeypatch):
     assert len(ranked) == 12
 
 
+def test_a_session_refuses_a_bound_below_one():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_dim"):
+            Session(max_dim=bad)
+    assert Session(max_dim=1).max_dim == 1
+
+
 def test_boundary_matrix_consistent_with_build_complex():
     A = builtin_algebra("truncated_poly:3")
     C = build_complex(A, "CLAMBDA", 3)

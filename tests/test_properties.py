@@ -1,14 +1,17 @@
 """Property-based tests (hypothesis) of per-element index arithmetic, of
-the exact zero test of matrix products, and of the quotient solver."""
+the exact zero test of matrix products, of the two echelon reductions and
+the quotient solver, and of permutation signs and composition."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibhom.complexes import _contraction_column_fn, index_tuple, tuple_index
 from leibhom.linalg import (ZERO_TEST_CAP, Echelon, SparseMatrix, ZeroTest,
-                            vec_scaled_add)
+                            rank_only, vec_scaled_add)
+from leibhom.perms import compose, identity_perm, invert, sign
 
 
 @st.composite
@@ -159,3 +162,72 @@ def test_tracked_echelon_modulo_a_family_expresses_over_its_inserts(problem):
         for i, c in coeffs.items():
             vec_scaled_add(rest, inserts[i], c)
         assert Echelon(modulo=S).contains(rest)
+
+
+@st.composite
+def echelon_problems(draw):
+    """(modulo family S, matrix M) over a shared row count; the entries
+    give unit, non-unit and negative leads, as ints and as Fractions. M's
+    last columns are combinations of its first ones, so some inserts must
+    reduce to zero."""
+    rows = draw(st.integers(1, 6))
+    S = draw(st.lists(vectors(rows), max_size=2))
+    M = draw(matrices(rows, draw(st.integers(1, 5))))
+    columns = list(M.columns)
+    for _ in range(draw(st.integers(0, 3))):
+        col = {}
+        for c in columns:
+            vec_scaled_add(col, c, draw(VALUES))
+        columns.append(col)
+    return S, SparseMatrix(rows, len(columns), columns)
+
+
+@settings(max_examples=400, deadline=None)
+@given(echelon_problems())
+def test_untracked_and_tracked_reductions_agree(problem):
+    """Inserting M's columns in order, the untracked and the tracked echelon
+    give the same lead for each; rank_only, both ranks and the dense rank
+    agree; every pivot (with its combination, if tracked) and every
+    relation has content 1."""
+    S, M = problem
+    plain = Echelon(modulo=S)
+    tracked = Echelon(track=True, modulo=S)
+    assert sorted(plain.pivots) == sorted(tracked.pivots)
+    assert [plain.insert(c) for c in M.columns] \
+        == [tracked.insert(c) for c in M.columns]
+    assert plain.rank == tracked.rank == dense_rank(S + M.columns, M.rows)
+    assert rank_only(M) == dense_rank(M.columns, M.rows)
+    for vec, _ in plain.pivots.values():
+        assert gcd(*vec.values()) == 1
+        assert dense_rank(S + M.columns + [vec], M.rows) == plain.rank
+    for vec, combo in tracked.pivots.values():
+        assert gcd(*vec.values(), *combo.values()) == 1
+    for rel in tracked.relations:
+        assert gcd(*rel.values()) == 1
+        rest = {}
+        for i, c in rel.items():
+            vec_scaled_add(rest, M.columns[i], c)
+        assert Echelon(modulo=S).contains(rest)
+
+
+def inversions(p):
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
+PERMS = st.integers(0, 7).flatmap(
+    lambda n: st.tuples(*[st.permutations(range(1, n + 1)).map(tuple)] * 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PERMS)
+def test_perm_sign_counts_inversions_and_compose_is_a_group_law(perms):
+    """sign is (-1)^inversions and multiplicative; compose is p after q,
+    associative, with identity_perm as unit and invert as inverse."""
+    p, q, r = perms
+    e = identity_perm(len(p))
+    assert sign(p) == (-1) ** inversions(p)
+    assert compose(p, q) == tuple(p[q[i] - 1] for i in range(len(p)))
+    assert sign(compose(p, q)) == sign(p) * sign(q)
+    assert compose(compose(p, q), r) == compose(p, compose(q, r))
+    assert compose(p, e) == compose(e, p) == p
+    assert compose(p, invert(p)) == compose(invert(p), p) == e
