@@ -186,9 +186,10 @@ def echelon_problems(draw):
 @given(echelon_problems())
 def test_untracked_and_tracked_reductions_agree(problem):
     """Inserting M's columns in order, the untracked and the tracked echelon
-    give the same lead for each; rank_only, both ranks and the dense rank
-    agree; every pivot (with its combination, if tracked) and every
-    relation has content 1."""
+    modulo S give the same lead for each, and both ranks are the dense rank
+    of S with M; rank_only(M) is the dense rank of M. Every pivot (with its
+    combination, if tracked) and every relation has content 1, untracked
+    pivots lie in the span and relations sum into span(S)."""
     S, M = problem
     plain = Echelon(modulo=S)
     tracked = Echelon(track=True, modulo=S)
