@@ -13,6 +13,7 @@ The map pipeline on one algebra A:
                            normal form inverse (composites only).
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,10 @@ import pytest
 from leibhom import chain_maps as cmaps
 from leibhom.algebra import (builtin_algebra, builtin_morphism,
                              matrix_algebra)
-from leibhom.complexes import (KahlerModule, build_complex, index_tuple,
-                               tuple_index)
-from leibhom.homology import (compose_maps, induced_map, mapping_cone,
-                              verify_chain_map)
+from leibhom.complexes import (KahlerModule, build_complex, degree_dim,
+                               index_tuple, tuple_index)
+from leibhom.homology import (ChainComplex, compose_maps, induced_map,
+                              mapping_cone, verify_chain_map)
 from leibhom.linalg import SparseMatrix, rank_only
 from leibhom.perms import cyclic_class, cyclic_index, cyclic_shift, symmetric_index
 
@@ -376,3 +377,147 @@ def test_hochschild_of_dual_matches_periodic_resolution():
     want = [per.betti(n) for n in range(cut)]
     assert want == [2, 1, 1, 1, 1]
     assert [chh.betti(n) for n in range(cut)] == want
+
+
+# ---------------------------------------------------------------------------
+# digest pins of the antisymmetrization maps, column by column
+
+def columns_digest(count, col):
+    """sha256 over col(0..count-1), entries sorted, values as reduced p/q
+    (the form of test_complexes.columns_digest)."""
+    h = hashlib.sha256()
+    for j in range(count):
+        h.update(("%d:%s;" % (j, ",".join(
+            "%d=%s" % (r, Fraction(v)) for r, v in sorted(col(j).items())))).encode())
+    return h.hexdigest()
+
+
+def shell(A, kind, cutoff):
+    """A complex with the dims of `kind` and zero boundaries: enough to build
+    a map's matrices without eliminating or generating any boundary."""
+    dims = [degree_dim(A, kind, n) for n in range(cutoff + 1)]
+    return ChainComplex(kind, dims, [None] + [
+        SparseMatrix(dims[n - 1], dims[n]) for n in range(1, cutoff + 1)])
+
+
+def antisymmetrization(A, which, top):
+    if which == "PHI":
+        return cmaps.phi(A, shell(A, "CL", top), shell(A, "CHH", top - 1))
+    if which == "PHI_BROKEN":
+        return cmaps.phi(A, shell(A, "CL", top), shell(A, "CHH", top - 1),
+                         broken=True)
+    if which == "THETA":
+        return cmaps.theta(A, shell(A, "CE", top), shell(A, "CLAMBDA", top - 1))
+    return cmaps.epsilon(A, shell(A, "CE_ADJ", top), shell(A, "CHH", top))
+
+
+# one digest per source degree, from the lowest degree the map has; the
+# M_2(dual) entry is tr_phi_column_fn for m = 1..4
+PINNED_MAP_COLUMNS = {
+    ("dual", "PHI"): (
+        "65fb0a14bde5cc3703e56caea4088d1762e7c448a2a5a5346d9bad0bd3290955",
+        "6d95cc6cd778a311ca67bcec7b596979475b28ed99fea81b687078cfabb0df67",
+        "5a50a893c4972e35f3febd40ae39293446a01f68371be88bcb31e51789b64112",
+        "c4be00dd70a06398dea35c33ef0fb319f0c632e175b892b01cc5013ecae288df",
+        "7a4e2cdb5edacd966c45bad5a576a3599d6b39c62b5833ae5f57c2a4b2f56874",
+    ),
+    ("cyclic:3", "PHI"): (
+        "6a122996988796aab4d0e2472e3020fd8364b6d89838d8522bdcd34ff70dfcc2",
+        "e947cf53d7b1bef525a75f5eb7e6c7c9c03e2aadd27f941b4981b0be6693e520",
+        "adb95531df6d9cce178e5e36047558b36c0f8fe0b2e4dc7be9b66c3fea6aaa39",
+        "fb6051f46dcbf4bba6e384628f8605eb0cda78a7e442b2b0f91621d9a6adf95a",
+        "b59906ee5bdeec83b9ec603ea6e8715aac12daee2b24bc4657ce0dc33457e8af",
+    ),
+    ("s3", "PHI"): (
+        "5edcd0810f42dd653a421b10badbf4890eb98addf60d92d37fda094ace377bd3",
+        "d112c4b7b441c964ab9aaed0a835c0fd680527b0a0d85995fe33df41ea3ee2c4",
+        "ff22baaf0e89c758c2e69f1b67be5098c5219795c08ae7058089b9f13b7cb91e",
+        "7161fbcc1ace561dd9fb77e2d692ab5477cc584761b0f0988ff18720c75a91fc",
+    ),
+    ("dual", "PHI_BROKEN"): (
+        "65fb0a14bde5cc3703e56caea4088d1762e7c448a2a5a5346d9bad0bd3290955",
+        "6d95cc6cd778a311ca67bcec7b596979475b28ed99fea81b687078cfabb0df67",
+        "630d4c8531b2c715f0b3ffe228b6f3c4935c6f8160f961e122303bd0c0757940",
+        "584745dfb7aaf46fd2fb2dbc2a2626f56665feef0bbfd17d06de5514ac200a82",
+        "55740b1d85f50c34a50116606704eb50451d7bf5637bb38db864c97ef997a8c3",
+    ),
+    ("cyclic:3", "PHI_BROKEN"): (
+        "6a122996988796aab4d0e2472e3020fd8364b6d89838d8522bdcd34ff70dfcc2",
+        "e947cf53d7b1bef525a75f5eb7e6c7c9c03e2aadd27f941b4981b0be6693e520",
+        "8047c74620fa52a408201cc985330f43245200617108a653f94a1918f0fbddda",
+        "90989f401a62283c239d04671e161235455a4c48ad2858d5c87252ebadbd0be7",
+        "88f4aa4c51e7d18033d5eeb8cfcfb3cd5f8ab3d6f090b588b079295438db672d",
+    ),
+    ("s3", "PHI_BROKEN"): (
+        "5edcd0810f42dd653a421b10badbf4890eb98addf60d92d37fda094ace377bd3",
+        "d112c4b7b441c964ab9aaed0a835c0fd680527b0a0d85995fe33df41ea3ee2c4",
+        "589e8c13e132647e5056c7679c98aaaea10a48f991f10acdfdda08b75cae4913",
+        "90ac5bad2b82b48c21d981c2d5e0a024077d22fb090c46da7039021ff05d2456",
+    ),
+    ("dual", "THETA"): (
+        "65fb0a14bde5cc3703e56caea4088d1762e7c448a2a5a5346d9bad0bd3290955",
+        "26a1c1b0b8d748aaf0ae71675b12731e6446a0414564e775ff815c325b663d16",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("cyclic:3", "THETA"): (
+        "6a122996988796aab4d0e2472e3020fd8364b6d89838d8522bdcd34ff70dfcc2",
+        "6a122996988796aab4d0e2472e3020fd8364b6d89838d8522bdcd34ff70dfcc2",
+        "a2aad4477544b78e953531e0139b7393865372e0ec8ddc79b4196318168bdf40",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("s3", "THETA"): (
+        "5edcd0810f42dd653a421b10badbf4890eb98addf60d92d37fda094ace377bd3",
+        "fb5d69375c53dadb0e18b91c90117d6937ebb2feac65afc5db98001f37824f20",
+        "cf734f2287c38ff28b34c53591d8f0f6354f28f77c9dcd29d4b929e49bf557a4",
+        "1d828c57620c7a695e69b9cb504f7f11f6e00d2b575eb1017cf621cc61765063",
+    ),
+    ("dual", "EPSILON"): (
+        "65fb0a14bde5cc3703e56caea4088d1762e7c448a2a5a5346d9bad0bd3290955",
+        "6d95cc6cd778a311ca67bcec7b596979475b28ed99fea81b687078cfabb0df67",
+        "63cc67616b8023fa5cacd725ffab3ff4d23e56a2264854298ebbfff1275b90d1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("cyclic:3", "EPSILON"): (
+        "6a122996988796aab4d0e2472e3020fd8364b6d89838d8522bdcd34ff70dfcc2",
+        "e947cf53d7b1bef525a75f5eb7e6c7c9c03e2aadd27f941b4981b0be6693e520",
+        "96ed863589283ad90a3a7dddeba8cfcbe5d1466bdc8e1786eaec9eb2ef572a56",
+        "dac1873fe30e5d6f6c9c02e8d43fcea394a0e1a3ded56e86d881a944b76734de",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("s3", "EPSILON"): (
+        "5edcd0810f42dd653a421b10badbf4890eb98addf60d92d37fda094ace377bd3",
+        "d112c4b7b441c964ab9aaed0a835c0fd680527b0a0d85995fe33df41ea3ee2c4",
+        "1b88642296caeae4bf1d378e7d78ca14e1a4918a0fc53a2deb4bf6e659c9db61",
+        "7223ad60636e911bf2aa7ee6705a1fb323db49072cc336bca4fb447bde2be726",
+        "7f9bb03b3da200571a3096a521bcb8caf43d165cd4bc955bfddd9badedcca5d7",
+    ),
+    ("M_2(dual)", "TR_PHI"): (
+        "ab0cc5c35e1d67e837fcb1cdfd7d7e59195aa37459669373b6b3a6b6f6937d72",
+        "2bcdbd018b0921fde736212c17580c85707652e9ae18d78eba30a608b5117c68",
+        "ccf0c1658a7f8b6951f2a90d1b6e867f3dc115574405021dcfafdc26b413e4e4",
+        "750c087ee0318be70b9dfa1deea4be87953a1b5dcef39b48fcda3e767df7cc43",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,top", [("dual", 5), ("cyclic:3", 5), ("s3", 4)])
+@pytest.mark.parametrize("which", ["PHI", "PHI_BROKEN", "THETA", "EPSILON"])
+def test_antisymmetrization_columns_are_pinned(name, top, which):
+    F = antisymmetrization(builtin_algebra(name), which, top)
+    got = tuple(columns_digest(mat.cols, mat.columns.__getitem__)
+                for _, mat in sorted(F.maps.items()))
+    assert got == PINNED_MAP_COLUMNS[name, which]
+
+
+def test_trace_phi_stream_columns_are_pinned():
+    A = builtin_algebra("dual")
+    MA = matrix_algebra(A, 2)
+    got = tuple(columns_digest(MA.dim ** m, cmaps.tr_phi_column_fn(MA, A, m))
+                for m in range(1, 5))
+    assert got == PINNED_MAP_COLUMNS["M_2(dual)", "TR_PHI"]
