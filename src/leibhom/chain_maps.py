@@ -16,6 +16,16 @@ projections are the subjects of the verified identities:
 
   epsilon o proj_adjoint = phi        proj_I o phi = theta o proj_lie
 
+phi, theta and epsilon sum sgn(sigma) over the orderings sigma of some
+slots. Each ordering's target index is arithmetic over one cached weight
+table (arrangement_weights), with no tuple built. When two slots that phi
+permutes hold the same basis element, swapping them gives the same tensor
+with the opposite sign, so the orderings cancel in pairs: phi returns such
+a column as zero at once, and so does the streamed trace o phi. Broken mode
+keeps the full loop, since its flipped sign makes such a column nonzero.
+The wedge slots of theta and epsilon are strictly increasing, never
+repeated.
+
 The trace/corner pair, the bar section pi/iota, and the cyclic embedding
 into the permutation complex are split injections chainwise: tr o corner,
 pi o iota are identities, embed_cy induces isomorphisms on homology.
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
+from operator import mul
 
 from .algebra import Algebra, AlgebraMorphism, multiply_coords
 from .complexes import (KahlerModule, _acc, _derived, cyclic_quotient,
@@ -42,6 +53,23 @@ def signed_arrangements(k: int):
     out = []
     for p in itertools.permutations(range(k)):
         out.append((perm_sign(tuple(x + 1 for x in p)), p))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def arrangement_weights(k: int, d: int):
+    """(sign, w) for each (sign, arr) of signed_arrangements(k), in its order,
+    with w[x] = d ** (k - 1 - position of x in arr).
+
+    The tuple index over range(d) of (t[x] for x in arr) is then
+    sum(t[x] * w[x]), with no tuple built.
+    """
+    out = []
+    for s, arr in signed_arrangements(k):
+        w = [0] * k
+        for pos, x in enumerate(arr):
+            w[x] = d ** (k - 1 - pos)
+        out.append((s, tuple(w)))
     return tuple(out)
 
 
@@ -66,6 +94,25 @@ def _chain_map(kind: str, src: ChainComplex, tgt: ChainComplex, shift: int,
     return ChainMapRep(kind, src, tgt, shift, maps)
 
 
+def _phi_column(d: int, broken: bool, m: int, j: int) -> dict:
+    t = index_tuple(j, d, m)
+    rest = t[1:]
+    if broken and m >= 3:
+        # one ordering's sign flipped: a repeated slot no longer cancels
+        bad = _broken_arrangement(m - 1)
+        out = {}
+        for s, arr in signed_arrangements(m - 1):
+            if arr == bad:
+                s = -s
+            _acc(out, tuple_index((t[0],) + tuple(t[1 + x] for x in arr), d), s)
+        return out
+    if len(set(rest)) < m - 1:
+        return {}
+    base = t[0] * d ** (m - 1)
+    return {base + sum(map(mul, rest, w)): s
+            for s, w in arrangement_weights(m - 1, d)}
+
+
 def phi(A: Algebra, cl: ChainComplex, chh: ChainComplex, broken=False) -> ChainMapRep:
     """Antisymmetrization CL_m -> CHH_{m-1}; identity in degrees 1 and 2.
 
@@ -73,52 +120,38 @@ def phi(A: Algebra, cl: ChainComplex, chh: ChainComplex, broken=False) -> ChainM
     slots, with a_1 as the Hochschild base point. broken=True flips one term
     sign from degree 3 on, for verifying that verification fails.
     """
-    d = A.dim
+    return _chain_map("PHI", cl, chh, 1, partial(_phi_column, A.dim, broken))
 
-    def col(m, j):
-        bad = _broken_arrangement(m - 1) if (broken and m >= 3) else None
-        t = index_tuple(j, d, m)
-        out = {}
-        for s, arr in signed_arrangements(m - 1):
-            if arr == bad:
-                s = -s
-            _acc(out, tuple_index((t[0],) + tuple(t[1 + x] for x in arr), d), s)
-        return out
 
-    return _chain_map("PHI", cl, chh, 1, col)
+def _theta_column(d: int, m: int, j: int) -> dict:
+    c = wedge_basis(d, m)[0][j]
+    proj = cyclic_quotient(d, m)[2]
+    base, rest = c[0] * d ** (m - 1), c[1:]
+    out = {}
+    # distinct tensors may still meet in one cyclic class
+    for s, w in arrangement_weights(m - 1, d):
+        image = proj[base + sum(map(mul, rest, w))]
+        if image is not None:
+            _acc(out, image[1], s * image[0])
+    return out
 
 
 def theta(A: Algebra, ce: ChainComplex, clam: ChainComplex) -> ChainMapRep:
     """Antisymmetrization CE_m -> CLAMBDA_{m-1} through the cyclic quotient."""
-    d = A.dim
+    return _chain_map("THETA", ce, clam, 1, partial(_theta_column, A.dim))
 
-    def col(m, j):
-        c = wedge_basis(d, m)[0][j]
-        proj = cyclic_quotient(d, m)[2]
-        out = {}
-        for s, arr in signed_arrangements(m - 1):
-            image = proj[tuple_index((c[0],) + tuple(c[1 + x] for x in arr), d)]
-            if image is not None:
-                _acc(out, image[1], s * image[0])
-        return out
 
-    return _chain_map("THETA", ce, clam, 1, col)
+def _epsilon_column(d: int, n: int, j: int) -> dict:
+    combos = wedge_basis(d, n)[0]
+    a0, cj = divmod(j, len(combos))
+    base = a0 * d ** n
+    return {base + sum(map(mul, combos[cj], w)): s
+            for s, w in arrangement_weights(n, d)}
 
 
 def epsilon(A: Algebra, ce_adj: ChainComplex, chh: ChainComplex) -> ChainMapRep:
     """Degree-preserving antisymmetrization A (x) Lambda^n -> A^(x n+1)."""
-    d = A.dim
-
-    def col(n, j):
-        combos = wedge_basis(d, n)[0]
-        a0, cj = divmod(j, len(combos))
-        c = combos[cj]
-        out = {}
-        for s, arr in signed_arrangements(n):
-            _acc(out, tuple_index((a0,) + tuple(c[x] for x in arr), d), s)
-        return out
-
-    return _chain_map("EPSILON", ce_adj, chh, 0, col)
+    return _chain_map("EPSILON", ce_adj, chh, 0, partial(_epsilon_column, A.dim))
 
 
 def _derived_map(name: str, A: Algebra, kind: str, src: ChainComplex,
@@ -399,7 +432,10 @@ def tr_phi_column_fn(MA: Algebra, base: Algebra, m: int):
     arrs = signed_arrangements(m - 1)
 
     def col(jidx: int) -> dict:
-        pos = [positions[x] for x in index_tuple(jidx, D, m)]
+        t = index_tuple(jidx, D, m)
+        if len(set(t[1:])) < m - 1:
+            return {}  # the phi terms cancel in pairs before the trace
+        pos = [positions[x] for x in t]
         head, rest = pos[0], pos[1:]
         out: dict = {}
         for s, arr in arrs:

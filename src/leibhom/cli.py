@@ -35,17 +35,18 @@ MAP_TOKENS = ("PHI", "THETA", "EPSILON", "PROJ_LIE", "PROJ_ADJ", "PROJ_I",
               "BAR_IOTA", "EMBED_CY")
 
 # token -> (builder, source kind, target kind) for the maps built as
-# builder(A, source complex, target complex) over A itself
+# chain_maps.<builder>(A, source complex, target complex) over A itself; the
+# builder is looked up by name at call time, so a patched one is seen
 _PLAIN_MAPS = {
-    "PHI": (cmaps.phi, "CL", "CHH"),
-    "THETA": (cmaps.theta, "CE", "CLAMBDA"),
-    "EPSILON": (cmaps.epsilon, "CE_ADJ", "CHH"),
-    "PROJ_LIE": (cmaps.proj_lie, "CL", "CE"),
-    "PROJ_ADJ": (cmaps.proj_adjoint, "CL", "CE_ADJ"),
-    "PROJ_I": (cmaps.proj_I, "CHH", "CLAMBDA"),
-    "BAR_PI": (cmaps.bar_pi, "CHH", "BAR"),
-    "BAR_IOTA": (cmaps.bar_iota, "BAR", "CHH"),
-    "EMBED_CY": (cmaps.embed_cy, "CHH", "P"),
+    "PHI": ("phi", "CL", "CHH"),
+    "THETA": ("theta", "CE", "CLAMBDA"),
+    "EPSILON": ("epsilon", "CE_ADJ", "CHH"),
+    "PROJ_LIE": ("proj_lie", "CL", "CE"),
+    "PROJ_ADJ": ("proj_adjoint", "CL", "CE_ADJ"),
+    "PROJ_I": ("proj_I", "CHH", "CLAMBDA"),
+    "BAR_PI": ("bar_pi", "CHH", "BAR"),
+    "BAR_IOTA": ("bar_iota", "BAR", "CHH"),
+    "EMBED_CY": ("embed_cy", "CHH", "P"),
 }
 
 
@@ -109,11 +110,17 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
-def _resolve_cache(arg):
-    cache_dir = arg if arg is not None else os.environ.get(CACHE_ENV)
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-    return cache_dir or None
+def _session(max_dim, cache_arg):
+    """The run's Session, its cache directory not made yet (_make_cache)."""
+    return Session(max_dim, (cache_arg if cache_arg is not None
+                             else os.environ.get(CACHE_ENV)) or None)
+
+
+def _make_cache(session):
+    # called once every setting is accepted, so a refused run leaves no
+    # directory behind, and before any work, so a bad path fails first
+    if session.cache_dir:
+        os.makedirs(session.cache_dir, exist_ok=True)
 
 
 def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
@@ -256,8 +263,8 @@ def _map_report(A, token, maxdeg, session, N):
 
     if token in _PLAIN_MAPS:
         builder, src, tgt = _PLAIN_MAPS[token]
-        F = builder(A, build_complex(A, src, maxdeg, session),
-                    build_complex(A, tgt, maxdeg, session))
+        F = getattr(cmaps, builder)(A, build_complex(A, src, maxdeg, session),
+                                    build_complex(A, tgt, maxdeg, session))
     elif token == "P_KAHLER":
         km = KahlerModule(A)
         F = cmaps.p_kahler(A, km, build_complex(A, "CL", maxdeg, session),
@@ -266,13 +273,10 @@ def _map_report(A, token, maxdeg, session, N):
         MA = matrix_algebra(A, N)
         F = cmaps.trace(MA, A, build_complex(MA, "CHH", maxdeg, session),
                         build_complex(A, "CHH", maxdeg, session))
-    elif token == "CORNER":
+    else:  # CORNER, the last token of MAP_TOKENS
         MA = matrix_algebra(A, N)
         F = cmaps.corner(A, MA, build_complex(A, "CHH", maxdeg, session),
                          build_complex(MA, "CHH", maxdeg, session))
-    else:
-        raise UsageError("unknown map kind %r (have %s)"
-                         % (token, ", ".join(MAP_TOKENS)))
     ok, wit = verify_chain_map(F, maxdeg)
     rep["evidence"] = "chain_map"
     rep["chain_map_verified"] = ok
@@ -284,15 +288,16 @@ def _map_report(A, token, maxdeg, session, N):
 
 def cmd_compute(args, argv):
     t0 = time.time()
-    session = Session(args.max_dim, _resolve_cache(args.cache))
     A, inputs = _load_compute_algebra(args.algebra)
     kinds = [k for k in args.complex.split(",") if k]
-    for k in kinds:
-        if k not in KINDS:
-            print("error: unknown complex kind %r (have %s)"
-                  % (k, ", ".join(KINDS)), file=sys.stderr)
-            return 2
     tokens = [t for t in args.maps.split(",") if t]
+    for what, names, known in (("complex", kinds, KINDS),
+                               ("map", tokens, MAP_TOKENS)):
+        for name in names:
+            if name not in known:
+                print("error: unknown %s kind %r (have %s)"
+                      % (what, name, ", ".join(known)), file=sys.stderr)
+                return 2
     for flag, names in (("--complex", kinds), ("--maps", tokens)):
         repeated = sorted({t for t in names if names.count(t) > 1})
         if repeated:
@@ -305,6 +310,7 @@ def cmd_compute(args, argv):
     if args.max_degree < 1:
         print("error: --max-degree must be at least 1", file=sys.stderr)
         return 2
+    session = _session(args.max_dim, args.cache)
     # an algebra that fails the axioms (only a file can give one) has no
     # homology to report
     validation = validate_algebra(A)
@@ -312,6 +318,7 @@ def cmd_compute(args, argv):
         print("error: %s: %s" % (A.name, validation.describe()),
               file=sys.stderr)
         return 1
+    _make_cache(session)
 
     report = {"algebra": {"name": A.name, "dim": A.dim,
                           "fingerprint": A.fingerprint()},
@@ -388,18 +395,18 @@ def _suite_md(rep):
 
 def cmd_verify(args, argv):
     t0 = time.time()
-    config = SuiteConfig(cutoff=args.cutoff, matrix_size=args.matrix_size,
-                         seed=args.seed,
-                         session=Session(args.max_dim,
-                                         _resolve_cache(args.cache)),
-                         debug_break_phi=args.debug_break_phi)
-    if args.suite == "all":
-        reports = run_all(config)
-    elif args.suite in SUITE_IDS:
-        reports = [run_suite(args.suite, config)]
-    else:
+    if args.suite != "all" and args.suite not in SUITE_IDS:
         raise UsageError("unknown suite %r (have %s, all)"
                          % (args.suite, ", ".join(SUITE_IDS)))
+    config = SuiteConfig(cutoff=args.cutoff, matrix_size=args.matrix_size,
+                         seed=args.seed,
+                         session=_session(args.max_dim, args.cache),
+                         debug_break_phi=args.debug_break_phi)
+    _make_cache(config.session)
+    if args.suite == "all":
+        reports = run_all(config)
+    else:
+        reports = [run_suite(args.suite, config)]
 
     total = {"pass": 0, "fail": 0, "skipped": 0}
     md = ["# verification report", ""]

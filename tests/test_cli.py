@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from leibhom import chain_maps as cmaps
+from leibhom import cli
 from leibhom.algebra import builtin_algebra
 from leibhom.serialize import algebra_to_dict, save_algebra
 
@@ -171,6 +173,53 @@ def test_compute_refuses_a_repeated_token(tmp_path, args, repeated):
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and repeated in r.stderr
     assert not out.exists()
+
+
+def test_compute_refuses_an_unknown_map_before_any_table(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    def no_table(*args):
+        raise AssertionError("a betti table was computed")
+
+    monkeypatch.setattr(cli, "_betti_table", no_table)
+    out = tmp_path / "out"
+    assert cli.main(["compute", "--algebra", "dual", "--complex", "CL",
+                     "--maps", "BOGUS", "--max-degree", "2",
+                     "--out", str(out)]) == 2
+    assert "unknown map kind 'BOGUS'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("compute", "--algebra", "dual", "--complex", "CL", "--max-dim", "-5"),
+    ("compute", "--algebra", "dual", "--complex", "CL", "--maps", "BOGUS"),
+    ("compute", "--algebra", "dual", "--complex", "NOPE"),
+    ("verify", "--suite", "core", "--cutoff", "2", "--max-dim", "-5"),
+    ("verify", "--suite", "core", "--cutoff", "1"),
+    ("verify", "--suite", "nope"),
+])
+def test_a_refused_run_makes_no_cache_directory(tmp_path, args):
+    cache = tmp_path / "cache"
+    assert cli.main([*args, "--cache", str(cache),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not cache.exists()
+
+
+def test_compute_runs_the_map_builder_the_module_holds(tmp_path,
+                                                       monkeypatch):
+    # the builder is looked up when the map is built, so a patched one
+    # (a profiler's wrapper, say) is the one that runs
+    calls = []
+    real = cmaps.phi
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cmaps, "phi", spy)
+    assert cli.main(["compute", "--algebra", "dual", "--maps", "PHI",
+                     "--max-degree", "2", "--out", str(tmp_path)]) == 0
+    assert calls == ["dual"]
 
 
 @pytest.mark.parametrize("args", [

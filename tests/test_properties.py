@@ -1,14 +1,18 @@
 """Property-based tests (hypothesis) of per-element index arithmetic, of
-the exact zero test of matrix products, of the two echelon reductions and
-the quotient solver, and of permutation signs and composition."""
+the antisymmetrization columns, of the exact zero test of matrix products,
+of the two echelon reductions and the quotient solver, and of permutation
+signs and composition."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibhom.complexes import _contraction_column_fn, index_tuple, tuple_index
+from leibhom.chain_maps import _epsilon_column, _phi_column, _theta_column
+from leibhom.complexes import (_contraction_column_fn, cyclic_quotient,
+                               index_tuple, tuple_index, wedge_basis)
 from leibhom.linalg import (ZERO_TEST_CAP, Echelon, SparseMatrix, ZeroTest,
                             rank_only, vec_scaled_add)
 from leibhom.perms import compose, identity_perm, invert, sign
@@ -42,6 +46,103 @@ def test_contraction_index_is_the_sliced_tuple_index(case):
     k = (k0 + a + 2 * b) % d
     lower = tuple_index(t[:i] + (k,) + t[i + 1:j] + t[j + 1:], d)
     assert col(s * d ** m + x) == {s * d ** (m - 1) + lower: sign}
+
+
+def signed_orderings(head, slots, d, flip=None):
+    """(sign, tensor index) of head followed by each ordering of slots, in
+    lex order of the orderings; sign is (-1)^inversions, negated for the
+    ordering `flip`."""
+    for p in itertools.permutations(range(len(slots))):
+        s = (-1) ** inversions(p) * (-1 if p == flip else 1)
+        yield s, tuple_index(head + tuple(slots[x] for x in p), d)
+
+
+def accumulated(terms):
+    """The terms summed into a dict, an entry dropped when it reaches 0."""
+    out = {}
+    for key, val in terms:
+        cur = out.get(key, 0) + val
+        if cur:
+            out[key] = cur
+        else:
+            out.pop(key)
+    return out
+
+
+@st.composite
+def phi_columns(draw):
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    return d, m, draw(st.integers(0, d ** m - 1)), draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(phi_columns())
+def test_phi_column_is_the_signed_sum_over_orderings(case):
+    """Column j of phi_m is sum sgn(p) (t_1, t_(2+p)), in values and in
+    items() order; broken mode flips the first transposition from m = 3."""
+    d, m, j, broken = case
+    t = index_tuple(j, d, m)
+    flip = (1, 0) + tuple(range(2, m - 1)) if broken and m >= 3 else None
+    want = accumulated((idx, s) for s, idx
+                       in signed_orderings(t[:1], t[1:], d, flip))
+    got = _phi_column(d, broken, m, j)
+    assert list(got.items()) == list(want.items())
+
+
+@st.composite
+def repeated_phi_columns(draw):
+    """A column of phi_m, m >= 3, whose slots 2..m repeat a letter."""
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(3, 6))
+    rest = draw(st.lists(st.integers(0, d - 1), min_size=m - 1,
+                         max_size=m - 1))
+    i = draw(st.integers(0, m - 3))
+    rest[draw(st.integers(i + 1, m - 2))] = rest[i]
+    return d, m, tuple_index((draw(st.integers(0, d - 1)),) + tuple(rest), d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_phi_columns())
+def test_broken_phi_keeps_a_repeated_column_nonzero(case):
+    """Unbroken, a repeated slot cancels the column; broken, one flipped
+    ordering leaves it nonzero, so --debug-break-phi still sees it."""
+    d, m, j = case
+    assert _phi_column(d, False, m, j) == {}
+    assert _phi_column(d, True, m, j)
+
+
+@st.composite
+def wedge_columns(draw, lowest):
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(lowest, d))
+    return d, n, draw(st.integers(0, len(wedge_basis(d, n)[0]) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wedge_columns(1))
+def test_theta_column_is_the_signed_sum_over_cyclic_classes(case):
+    """Column j of theta_m: each ordering of the wedge's last m-1 slots,
+    sent through the cyclic quotient, summed in order."""
+    d, m, j = case
+    c = wedge_basis(d, m)[0][j]
+    proj = cyclic_quotient(d, m)[2]
+    want = accumulated((proj[idx][1], s * proj[idx][0]) for s, idx
+                       in signed_orderings(c[:1], c[1:], d)
+                       if proj[idx] is not None)
+    assert list(_theta_column(d, m, j).items()) == list(want.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(wedge_columns(0).flatmap(lambda case: st.tuples(
+    st.just(case), st.integers(0, case[0] - 1))))
+def test_epsilon_column_is_the_signed_sum_over_orderings(case):
+    """Column (a_0, c) of epsilon_n is sum sgn(p) (a_0, c_p)."""
+    (d, n, cj), a0 = case
+    c = wedge_basis(d, n)[0][cj]
+    want = accumulated((idx, s) for s, idx in signed_orderings((a0,), c, d))
+    got = _epsilon_column(d, n, a0 * len(wedge_basis(d, n)[0]) + cj)
+    assert list(got.items()) == list(want.items())
 
 
 # entries inside the row-tuple form, above ZERO_TEST_CAP, and Fractions
