@@ -16,8 +16,7 @@ from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         ResourceBoundExceeded, Session, basis_labels,
                         boundary_column_fn, boundary_matrix, build_complex,
-                        cyclic_quotient, degree_dim, verify_d2_streamed,
-                        wedge_basis)
+                        degree_dim, verify_d2_streamed, wedge_basis)
 from .homology import (ChainComplex, ChainMapRep, HomologyData, MappingCone,
                        compose_maps, cone_pair_map, exactness_check,
                        induced_map, induced_rank_streamed, les_of_cone,
@@ -30,8 +29,7 @@ from .chain_maps import (bar_iota, bar_pi, corner, cycle_slot_bridge,
                          proj_lie, theta, theta_nf, tr_phi_column_fn, trace)
 from .serialize import (FormatError, algebra_from_dict, algebra_to_dict,
                         load_algebra, load_morphism, save_algebra)
-from .suites import (SUITE_IDS, SuiteConfig, report_failed, run_all,
-                     run_suite)
+from .suites import SUITE_IDS, SuiteConfig, run_all, run_suite
 
 __version__ = "1.0.0"
 

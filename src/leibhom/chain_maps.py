@@ -16,15 +16,23 @@ projections are the subjects of the verified identities:
 
   epsilon o proj_adjoint = phi        proj_I o phi = theta o proj_lie
 
-phi, theta and epsilon sum sgn(sigma) over the orderings sigma of some
-slots. Each ordering's target index is arithmetic over one cached weight
-table (arrangement_weights), with no tuple built. When two slots that phi
+phi and epsilon sum sgn(sigma) over the orderings sigma of some slots.
+Each ordering's target index is arithmetic over one cached weight table
+(arrangement_weights), with no tuple built. When two slots that phi
 permutes hold the same basis element, swapping them gives the same tensor
 with the opposite sign, so the orderings cancel in pairs: phi returns such
-a column as zero at once, and so does the streamed trace o phi. Broken mode
-keeps the full loop, since its flipped sign makes such a column nonzero.
-The wedge slots of theta and epsilon are strictly increasing, never
-repeated.
+a column as zero at once. Broken mode flips the sign of one ordering, the
+transposition (1, 0, 2, ...) at lex position (m-2)! of the table, and sums
+the terms, which collide there and leave such a column nonzero. The wedge
+slots of epsilon are strictly increasing, never repeated.
+
+A map that passes through another is built from that map's column rule:
+theta is phi of each wedge's tensor sent through the CLAMBDA projection,
+the streamed trace o phi sends phi's column through the trace's per-degree
+projection (_trace_proj), and the morphism chains on CLAMBDA expand the
+source's section and project onto the target. A vector goes through a
+projection, derived or trace, by complexes._project, and a basis vector by
+_basis_image.
 
 The trace/corner pair, the bar section pi/iota, and the cyclic embedding
 into the permutation complex are split injections chainwise: tr o corner,
@@ -35,11 +43,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
+from math import factorial
 from operator import mul
 
 from .algebra import Algebra, AlgebraMorphism, multiply_coords
-from .complexes import (KahlerModule, _acc, _derived, cyclic_quotient,
-                        index_tuple, tuple_index, wedge_basis)
+from .complexes import (KahlerModule, _acc, _derived, _project, index_tuple,
+                        tuple_index, wedge_basis)
 from .homology import ChainComplex, ChainMapRep
 from .linalg import SparseMatrix
 from .perms import (cycle_order_rows, cycle_start_sign, cyclic_class,
@@ -48,34 +57,20 @@ from .perms import (cycle_order_rows, cycle_start_sign, cyclic_class,
 
 
 @lru_cache(maxsize=None)
-def signed_arrangements(k: int):
-    """(sign, ordering) for every ordering of range(k), in lex order."""
-    out = []
-    for p in itertools.permutations(range(k)):
-        out.append((perm_sign(tuple(x + 1 for x in p)), p))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def arrangement_weights(k: int, d: int):
-    """(sign, w) for each (sign, arr) of signed_arrangements(k), in its order,
-    with w[x] = d ** (k - 1 - position of x in arr).
+    """(sign, w) for each ordering arr of range(k), in lex order: sign is
+    sgn(arr), and w[x] = d ** (k - 1 - position of x in arr).
 
     The tuple index over range(d) of (t[x] for x in arr) is then
     sum(t[x] * w[x]), with no tuple built.
     """
     out = []
-    for s, arr in signed_arrangements(k):
+    for arr in itertools.permutations(range(k)):
         w = [0] * k
         for pos, x in enumerate(arr):
             w[x] = d ** (k - 1 - pos)
-        out.append((s, tuple(w)))
+        out.append((perm_sign(tuple(x + 1 for x in arr)), tuple(w)))
     return tuple(out)
-
-
-def _broken_arrangement(k: int):
-    # the adjacent transposition; flipping its sign spoils the chain map
-    return (1, 0) + tuple(range(2, k))
 
 
 def _chain_map(kind: str, src: ChainComplex, tgt: ChainComplex, shift: int,
@@ -94,23 +89,42 @@ def _chain_map(kind: str, src: ChainComplex, tgt: ChainComplex, shift: int,
     return ChainMapRep(kind, src, tgt, shift, maps)
 
 
+def _per_degree(column_fn):
+    """col(n, j) = column_fn(n)(j), with column_fn called once per degree."""
+    fns = {}
+
+    def col(n, j):
+        fn = fns.get(n)
+        if fn is None:
+            fn = fns[n] = column_fn(n)
+        return fn(j)
+
+    return col
+
+
+def _basis_image(proj, j: int) -> dict:
+    # column j of a projection (see complexes._project): one signed basis
+    # vector, or zero
+    image = proj(j)
+    return {} if image is None else {image[1]: image[0]}
+
+
 def _phi_column(d: int, broken: bool, m: int, j: int) -> dict:
     t = index_tuple(j, d, m)
     rest = t[1:]
+    base = t[0] * d ** (m - 1)
+    weights = arrangement_weights(m - 1, d)
     if broken and m >= 3:
-        # one ordering's sign flipped: a repeated slot no longer cancels
-        bad = _broken_arrangement(m - 1)
+        # the sign of the ordering (1, 0, 2, ...), at lex position (m-2)!,
+        # flipped: a repeated slot no longer cancels, and its terms collide
+        bad = factorial(m - 2)
         out = {}
-        for s, arr in signed_arrangements(m - 1):
-            if arr == bad:
-                s = -s
-            _acc(out, tuple_index((t[0],) + tuple(t[1 + x] for x in arr), d), s)
+        for pos, (s, w) in enumerate(weights):
+            _acc(out, base + sum(map(mul, rest, w)), -s if pos == bad else s)
         return out
     if len(set(rest)) < m - 1:
         return {}
-    base = t[0] * d ** (m - 1)
-    return {base + sum(map(mul, rest, w)): s
-            for s, w in arrangement_weights(m - 1, d)}
+    return {base + sum(map(mul, rest, w)): s for s, w in weights}
 
 
 def phi(A: Algebra, cl: ChainComplex, chh: ChainComplex, broken=False) -> ChainMapRep:
@@ -123,22 +137,18 @@ def phi(A: Algebra, cl: ChainComplex, chh: ChainComplex, broken=False) -> ChainM
     return _chain_map("PHI", cl, chh, 1, partial(_phi_column, A.dim, broken))
 
 
-def _theta_column(d: int, m: int, j: int) -> dict:
+def _theta_column(proj, d: int, m: int, j: int) -> dict:
+    # phi of the wedge's tensor through proj, the projection onto
+    # CLAMBDA_{m-1}: distinct tensors may still meet in one cyclic class
     c = wedge_basis(d, m)[0][j]
-    proj = cyclic_quotient(d, m)[2]
-    base, rest = c[0] * d ** (m - 1), c[1:]
-    out = {}
-    # distinct tensors may still meet in one cyclic class
-    for s, w in arrangement_weights(m - 1, d):
-        image = proj[base + sum(map(mul, rest, w))]
-        if image is not None:
-            _acc(out, image[1], s * image[0])
-    return out
+    return _project(proj, _phi_column(d, False, m, tuple_index(c, d)))
 
 
 def theta(A: Algebra, ce: ChainComplex, clam: ChainComplex) -> ChainMapRep:
-    """Antisymmetrization CE_m -> CLAMBDA_{m-1} through the cyclic quotient."""
-    return _chain_map("THETA", ce, clam, 1, partial(_theta_column, A.dim))
+    """Antisymmetrization CE_m -> CLAMBDA_{m-1}: proj_I o phi on each wedge."""
+    return _chain_map("THETA", ce, clam, 1, _per_degree(
+        lambda m: partial(_theta_column, _derived(A, "CLAMBDA", m - 1)[3],
+                          A.dim, m)))
 
 
 def _epsilon_column(d: int, n: int, j: int) -> dict:
@@ -158,17 +168,13 @@ def _derived_map(name: str, A: Algebra, kind: str, src: ChainComplex,
                  tgt: ChainComplex, shift: int, section=False) -> ChainMapRep:
     """The projection onto a derived kind, or with section=True its section,
     read from the derived table once per degree (complexes._derived)."""
-    table = {}
-
-    def col(n, j):
-        if n not in table:
-            table[n] = _derived(A, kind, n - shift)
+    def column_fn(n):
+        _, _, sec, proj = _derived(A, kind, n - shift)
         if section:
-            return {table[n][2](j): 1}
-        image = table[n][3](j)
-        return {} if image is None else {image[1]: image[0]}
+            return lambda j: {sec(j): 1}
+        return partial(_basis_image, proj)
 
-    return _chain_map(name, src, tgt, shift, col)
+    return _chain_map(name, src, tgt, shift, _per_degree(column_fn))
 
 
 def proj_lie(A: Algebra, cl: ChainComplex, ce: ChainComplex) -> ChainMapRep:
@@ -238,9 +244,9 @@ def _matrix_meta(MA: Algebra, what: str) -> dict:
     return MA.matrix_meta
 
 
-def trace(MA: Algebra, base: Algebra, chh_ma: ChainComplex,
-          chh_base: ChainComplex) -> ChainMapRep:
-    """Generalized trace CHH_n(M_N(A)) -> CHH_n(A).
+def _trace_proj(MA: Algebra, base: Algebra, n: int):
+    """The generalized trace on CHH_n(M_N(A)) as a projection in the form
+    of complexes._derived: tensor index x -> (1, index in CHH_n(A)) or None.
 
     A tensor of matrix units survives iff its column indices chain into the
     next row cyclically; the image is the tuple of coefficients.
@@ -248,14 +254,22 @@ def trace(MA: Algebra, base: Algebra, chh_ma: ChainComplex,
     positions = _matrix_meta(MA, "trace")["positions"]
     D = MA.dim
     d = base.dim
+    m = n + 1
 
-    def col(n, j):
-        pos = [positions[x] for x in index_tuple(j, D, n + 1)]
-        if all(pos[k][1] == pos[(k + 1) % (n + 1)][0] for k in range(n + 1)):
-            return {tuple_index(tuple(p[2] for p in pos), d): 1}
-        return {}
+    def proj(x):
+        pos = [positions[y] for y in index_tuple(x, D, m)]
+        if all(pos[k][1] == pos[(k + 1) % m][0] for k in range(m)):
+            return 1, tuple_index((p[2] for p in pos), d)
+        return None
 
-    return _chain_map("TRACE", chh_ma, chh_base, 0, col)
+    return proj
+
+
+def trace(MA: Algebra, base: Algebra, chh_ma: ChainComplex,
+          chh_base: ChainComplex) -> ChainMapRep:
+    """Generalized trace CHH_n(M_N(A)) -> CHH_n(A), column by column (_trace_proj)."""
+    return _chain_map("TRACE", chh_ma, chh_base, 0, _per_degree(
+        lambda n: partial(_basis_image, _trace_proj(MA, base, n))))
 
 
 def corner(base: Algebra, MA: Algebra, chh_base: ChainComplex,
@@ -378,44 +392,26 @@ def theta_nf(MA: Algebra, base: Algebra, cl_ma: ChainComplex,
 
 # -------------------------------------------------------- functorial chains
 
-def _tensor_expand(fm: SparseMatrix, t, D: int) -> dict:
-    acc = {0: 1}
-    for s in t:
-        nxt: dict = {}
-        fcol = fm.columns[s]
-        for pidx, pv in acc.items():
-            base = pidx * D
-            for r, rv in fcol.items():
-                _acc(nxt, base + r, pv * rv)
-        acc = nxt
-    return acc
-
-
 def morphism_complex_map(f: AlgebraMorphism, kind: str, src_cx: ChainComplex,
                          tgt_cx: ChainComplex) -> ChainMapRep:
-    """The chains map a unital algebra morphism induces on CL, CHH, or CLAMBDA."""
-    fm = f.matrix
-    D = f.target.dim
-    d = f.source.dim
-    if kind == "CL":
-        def col(n, j):
-            return _tensor_expand(fm, index_tuple(j, d, n), D)
-    elif kind == "CHH":
-        def col(n, j):
-            return _tensor_expand(fm, index_tuple(j, d, n + 1), D)
-    elif kind == "CLAMBDA":
-        def col(n, j):
-            proj_tgt = cyclic_quotient(D, n + 1)[2]
-            out: dict = {}
-            for aidx, v in _tensor_expand(fm, cyclic_quotient(d, n + 1)[0][j],
-                                          D).items():
-                image = proj_tgt[aidx]
-                if image is not None:
-                    _acc(out, image[1], v * image[0])
-            return out
-    else:
+    """The chains map a unital algebra morphism induces on CL, CHH, or CLAMBDA.
+
+    f acts on every tensor slot (morphism_tensor_column_fn); on CLAMBDA it
+    acts between the source's section and the target's projection.
+    """
+    if kind not in ("CL", "CHH", "CLAMBDA"):
         raise ValueError("functorial chains exist for CL, CHH, CLAMBDA; got %r" % kind)
-    return _chain_map("MORPHISM[%s:%s]" % (f.name, kind), src_cx, tgt_cx, 0, col)
+
+    def column_fn(n):
+        expand = morphism_tensor_column_fn(f, n if kind == "CL" else n + 1)
+        if kind != "CLAMBDA":
+            return expand
+        section = _derived(f.source, kind, n)[2]
+        proj = _derived(f.target, kind, n)[3]
+        return lambda j: _project(proj, expand(section(j)))
+
+    return _chain_map("MORPHISM[%s:%s]" % (f.name, kind), src_cx, tgt_cx, 0,
+                      _per_degree(column_fn))
 
 
 # ------------------------------------------------------------ stream columns
@@ -423,37 +419,34 @@ def morphism_complex_map(f: AlgebraMorphism, kind: str, src_cx: ChainComplex,
 def tr_phi_column_fn(MA: Algebra, base: Algebra, m: int):
     """Column function of (trace o phi) on CL_m(M_N(A)), target CHH_{m-1}(A).
 
-    Avoids materializing anything over the matrix algebra: each phi term is
-    a tuple of matrix-unit positions, and only trace paths contribute.
+    Each phi column goes through the trace's projection (_trace_proj), so
+    nothing over the matrix algebra is materialized.
     """
-    positions = _matrix_meta(MA, "trace stream")["positions"]
+    tr = _trace_proj(MA, base, m - 1)
     D = MA.dim
-    d = base.dim
-    arrs = signed_arrangements(m - 1)
 
     def col(jidx: int) -> dict:
-        t = index_tuple(jidx, D, m)
-        if len(set(t[1:])) < m - 1:
-            return {}  # the phi terms cancel in pairs before the trace
-        pos = [positions[x] for x in t]
-        head, rest = pos[0], pos[1:]
-        out: dict = {}
-        for s, arr in arrs:
-            seq = [head] + [rest[x] for x in arr]
-            if all(seq[k][1] == seq[(k + 1) % m][0] for k in range(m)):
-                _acc(out, tuple_index(tuple(p[2] for p in seq), d), s)
-        return out
+        return _project(tr, _phi_column(D, False, m, jidx))
 
     return col
 
 
 def morphism_tensor_column_fn(f: AlgebraMorphism, n: int):
-    """Column function of the degree-n CL chains map of a morphism."""
-    fm = f.matrix
+    """Column function of the degree-n CL chains map of a morphism: f on
+    each of the n tensor slots, expanded."""
+    fcols = f.matrix.columns
     D = f.target.dim
     d = f.source.dim
 
     def col(jidx: int) -> dict:
-        return _tensor_expand(fm, index_tuple(jidx, d, n), D)
+        acc = {0: 1}
+        for s in index_tuple(jidx, d, n):
+            nxt: dict = {}
+            for pidx, pv in acc.items():
+                base = pidx * D
+                for r, rv in fcols[s].items():
+                    _acc(nxt, base + r, pv * rv)
+            acc = nxt
+        return acc
 
     return col

@@ -232,18 +232,27 @@ def _induced_rows(F):
     return rows
 
 
-def _map_report(A, token, maxdeg, session, N):
-    needs_group = token in ("BAR_PI", "BAR_IOTA")
-    if needs_group and A.group_meta is None:
-        raise UsageError("%s needs a group algebra, %s is not one"
-                         % (token, A.name))
-    if token == "P_KAHLER" and not A.commutative:
-        raise UsageError("P_KAHLER needs a commutative algebra")
+def _check_prerequisites(A, kinds, tokens, N):
+    """Refuse a kind or map the algebra or --matrix-size cannot serve."""
+    if "BAR" in kinds and A.group_meta is None:
+        raise UsageError("BAR needs a group algebra")
+    for token in tokens:
+        if token in ("BAR_PI", "BAR_IOTA") and A.group_meta is None:
+            raise UsageError("%s needs a group algebra, %s is not one"
+                             % (token, A.name))
+        if token == "P_KAHLER" and not A.commutative:
+            raise UsageError("P_KAHLER needs a commutative algebra")
+        if token == "P_KAHLER" and A.presentation is None:
+            # an algebra file carries none: only the built-ins are presented
+            raise UsageError("P_KAHLER needs a presented algebra, %s has no "
+                             "presentation" % A.name)
+        if token in ("LIFT_P", "THETA_NF") and N < 3:
+            raise UsageError("%s needs --matrix-size at least 3" % token)
 
+
+def _map_report(A, token, maxdeg, session, N):
     rep = {"map": token}
     if token in ("LIFT_P", "THETA_NF"):
-        if N < 3:
-            raise UsageError("%s needs --matrix-size at least 3" % token)
         MA = matrix_algebra(A, N)
         pcx = build_complex(A, "P", 2, session)
         clma = build_complex(MA, "CL", 3, session)
@@ -295,21 +304,18 @@ def cmd_compute(args, argv):
                                ("map", tokens, MAP_TOKENS)):
         for name in names:
             if name not in known:
-                print("error: unknown %s kind %r (have %s)"
-                      % (what, name, ", ".join(known)), file=sys.stderr)
-                return 2
+                raise UsageError("unknown %s kind %r (have %s)"
+                                 % (what, name, ", ".join(known)))
     for flag, names in (("--complex", kinds), ("--maps", tokens)):
         repeated = sorted({t for t in names if names.count(t) > 1})
         if repeated:
             raise UsageError("%s names %s more than once"
                              % (flag, ", ".join(repeated)))
     if not kinds and not tokens:
-        print("error: nothing to compute; pass --complex and/or --maps",
-              file=sys.stderr)
-        return 2
+        raise UsageError("nothing to compute; pass --complex and/or --maps")
     if args.max_degree < 1:
-        print("error: --max-degree must be at least 1", file=sys.stderr)
-        return 2
+        raise UsageError("--max-degree must be at least 1")
+    _check_prerequisites(A, kinds, tokens, args.matrix_size)
     session = _session(args.max_dim, args.cache)
     # an algebra that fails the axioms (only a file can give one) has no
     # homology to report
@@ -335,9 +341,6 @@ def cmd_compute(args, argv):
         md += [header,
                "|" + "---|" * (args.max_degree + 2)]
     for kind in kinds:
-        if kind == "BAR" and A.group_meta is None:
-            print("error: BAR needs a group algebra", file=sys.stderr)
-            return 2
         C, table = _betti_table(A, kind, args.max_degree, session)
         if args.dump_labels:
             table["labels"] = {str(n): basis_labels(A, kind, n)

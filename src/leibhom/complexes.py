@@ -99,14 +99,13 @@ def cyclic_quotient(d: int, length: int):
     minimal period p survives iff (-1)^(n p) = 1; its representative is the
     first member met in lexicographic enumeration (the lex-least one).
 
-    Returns (reps, rep_index, proj) where proj[x] is (sign, rep position) for
-    the tuple of tensor index x, or None on a killed orbit.
+    Returns (reps, proj) where proj[x] is (sign, rep position) for the tuple
+    of tensor index x, or None on a killed orbit.
     """
     n = length - 1
     eps = -1 if n % 2 else 1
     top = d ** n
     reps = []
-    rep_index = {}
     proj = [False] * (d ** length)  # False: not met yet
     for x, t in enumerate(itertools.product(range(d), repeat=length)):
         if proj[x] is not False:
@@ -120,7 +119,6 @@ def cyclic_quotient(d: int, length: int):
         if eps == 1 or len(orbit) % 2 == 0:
             pos = len(reps)
             reps.append(t)
-            rep_index[t] = pos
             s = 1
             for member in orbit:
                 proj[member] = (s, pos)
@@ -128,7 +126,7 @@ def cyclic_quotient(d: int, length: int):
         else:
             for member in orbit:
                 proj[member] = None
-    return tuple(reps), rep_index, tuple(proj)
+    return tuple(reps), tuple(proj)
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +359,7 @@ def _derived(A: Algebra, kind: str, n: int):
     """
     d = A.dim
     if kind == "CLAMBDA":
-        reps, _, proj = cyclic_quotient(d, n + 1)
+        reps, proj = cyclic_quotient(d, n + 1)
         return "CHH", n, lambda j: tuple_index(reps[j], d), proj.__getitem__
     if kind == "CE":
         combos, cidx = wedge_basis(d, n)
@@ -400,14 +398,20 @@ def _derived_column_fn(kind: str, A: Algebra, n: int):
     up = _COLUMN_BUILDERS[parent](A, m)
 
     def col(jidx: int) -> dict:
-        out = {}
-        for x, v in up(section(jidx)).items():
-            image = proj(x)
-            if image is not None:
-                _acc(out, image[1], image[0] * v)
-        return out
+        return _project(proj, up(section(jidx)))
 
     return col
+
+
+def _project(proj, vec: dict) -> dict:
+    """vec sent through a projection proj in the form _derived gives: proj(x)
+    is (sign, index) or None, and images that meet are summed."""
+    out = {}
+    for x, v in vec.items():
+        image = proj(x)
+        if image is not None:
+            _acc(out, image[1], image[0] * v)
+    return out
 
 
 _COLUMN_BUILDERS = {

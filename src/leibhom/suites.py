@@ -842,7 +842,3 @@ def run_suite(suite_id: str, config: SuiteConfig):
 
 def run_all(config: SuiteConfig):
     return [run_suite(sid, config) for sid in SUITE_IDS]
-
-
-def report_failed(report) -> bool:
-    return report["counts"]["fail"] > 0

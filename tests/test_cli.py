@@ -197,11 +197,27 @@ def test_compute_refuses_an_unknown_map_before_any_table(tmp_path,
     ("verify", "--suite", "core", "--cutoff", "2", "--max-dim", "-5"),
     ("verify", "--suite", "core", "--cutoff", "1"),
     ("verify", "--suite", "nope"),
+    # a prerequisite of a kind or map is checked before any table
+    ("compute", "--algebra", "dual", "--complex", "CL,BAR", "--max-degree", "2"),
+    ("compute", "--algebra", "s3", "--complex", "CL", "--maps", "P_KAHLER"),
+    ("compute", "--algebra", "dual", "--maps", "LIFT_P", "--matrix-size", "2"),
 ])
 def test_a_refused_run_makes_no_cache_directory(tmp_path, args):
     cache = tmp_path / "cache"
     assert cli.main([*args, "--cache", str(cache),
                      "--out", str(tmp_path / "out")]) == 2
+    assert not cache.exists()
+
+
+def test_compute_refuses_p_kahler_on_an_algebra_file_before_any_table(
+        tmp_path, capsys):
+    path = tmp_path / "dual.json"
+    save_algebra(builtin_algebra("dual"), str(path))
+    cache = tmp_path / "cache"
+    assert cli.main(["compute", "--algebra", str(path), "--complex", "CL",
+                     "--maps", "P_KAHLER", "--cache", str(cache),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "P_KAHLER needs a presented algebra" in capsys.readouterr().err
     assert not cache.exists()
 
 

@@ -321,7 +321,9 @@ def test_connes_quotient_dims_frozen():
 
 def test_cyclic_quotient_projection_consistent():
     for d, length in ((2, 2), (2, 3), (3, 3), (2, 4)):
-        reps, rep_index, proj = cyclic_quotient(d, length)
+        reps, proj = cyclic_quotient(d, length)
+        rep_index = {r: pos for pos, r in enumerate(reps)}
+        assert len(rep_index) == len(reps)
         n = length - 1
         eps = -1 if n % 2 else 1
         for t in itertools.product(range(d), repeat=length):
