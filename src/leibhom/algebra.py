@@ -301,18 +301,23 @@ def builtin_algebra(name: str) -> Algebra:
     raise ValueError("unknown builtin algebra %r" % name)
 
 
+def check_matrix_size(A: Algebra, N: int) -> None:
+    """Refuse an N that matrix_algebra(A, N) cannot build."""
+    if N < 1:
+        raise ValueError("matrix size must be >= 1")
+    if N * N * A.dim > MATRIX_MAX_DIM:
+        raise ValueError("matrix algebra dimension %d exceeds bound %d"
+                         % (N * N * A.dim, MATRIX_MAX_DIM))
+
+
 def matrix_algebra(A: Algebra, N: int) -> Algebra:
     """N x N matrices over A; basis E^b_{ij} ordered lexicographically by (i, j, b).
 
     Multiplication is E^a_{ij} E^b_{kl} = delta_{jk} E^{ab}_{il}. Index
     metadata (i, j, algebra basis index) is kept for normal-form work.
     """
-    if N < 1:
-        raise ValueError("matrix size must be >= 1")
+    check_matrix_size(A, N)
     dim = N * N * A.dim
-    if dim > MATRIX_MAX_DIM:
-        raise ValueError("matrix algebra dimension %d exceeds bound %d"
-                         % (dim, MATRIX_MAX_DIM))
     positions = [(i, j, b) for i in range(1, N + 1)
                  for j in range(1, N + 1) for b in range(A.dim)]
     index = {p: t for t, p in enumerate(positions)}

@@ -16,11 +16,11 @@ import os
 import sys
 import time
 
-from .algebra import (BUILTIN_NAMES, builtin_algebra, matrix_algebra,
-                      validate_algebra)
+from .algebra import (BUILTIN_NAMES, builtin_algebra, check_matrix_size,
+                      matrix_algebra, validate_algebra)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         ResourceBoundExceeded, Session, basis_labels,
-                        build_complex)
+                        build_complex, check_bound)
 from .homology import induced_map, verify_chain_map
 from .linalg import rank_only
 from .serialize import FormatError, load_algebra
@@ -232,11 +232,14 @@ def _induced_rows(F):
     return rows
 
 
-def _check_prerequisites(A, kinds, tokens, N):
-    """Refuse a kind or map the algebra or --matrix-size cannot serve."""
+def _check_prerequisites(A, kinds, tokens, N, maxdeg, max_dim):
+    """Refuse a kind or map the algebra or --matrix-size cannot serve, and
+    a degree of a kind built over A that is over the bound."""
     if "BAR" in kinds and A.group_meta is None:
         raise UsageError("BAR needs a group algebra")
     for token in tokens:
+        if token in ("TRACE", "CORNER", "LIFT_P", "THETA_NF"):
+            check_matrix_size(A, N)
         if token in ("BAR_PI", "BAR_IOTA") and A.group_meta is None:
             raise UsageError("%s needs a group algebra, %s is not one"
                              % (token, A.name))
@@ -248,6 +251,13 @@ def _check_prerequisites(A, kinds, tokens, N):
                              "presentation" % A.name)
         if token in ("LIFT_P", "THETA_NF") and N < 3:
             raise UsageError("%s needs --matrix-size at least 3" % token)
+    # every degree: the CE and CE_ADJ dimensions are not monotone in n
+    sized = dict.fromkeys(kinds + [kind for token in tokens
+                                   if token in _PLAIN_MAPS
+                                   for kind in _PLAIN_MAPS[token][1:]])
+    for kind in sized:
+        for n in range(1, maxdeg + 1):
+            check_bound(A, kind, n, max_dim)
 
 
 def _map_report(A, token, maxdeg, session, N):
@@ -315,8 +325,9 @@ def cmd_compute(args, argv):
         raise UsageError("nothing to compute; pass --complex and/or --maps")
     if args.max_degree < 1:
         raise UsageError("--max-degree must be at least 1")
-    _check_prerequisites(A, kinds, tokens, args.matrix_size)
     session = _session(args.max_dim, args.cache)
+    _check_prerequisites(A, kinds, tokens, args.matrix_size, args.max_degree,
+                         session.max_dim)
     # an algebra that fails the axioms (only a file can give one) has no
     # homology to report
     validation = validate_algebra(A)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from . import cache
 from .algebra import Algebra
@@ -92,41 +92,45 @@ def _acc(out: dict, idx: int, val) -> None:
 
 @lru_cache(maxsize=None)
 def cyclic_quotient(d: int, length: int):
-    """Orbit data of the signed rotation on index tuples of a given length.
+    """Orbit data of the signed rotation on tensors of a given length.
 
     The rotation r sends (a_0, ..., a_n) to (a_n, a_0, ..., a_{n-1}) and the
-    class relation is [r(T)] = (-1)^n [T] with n = length - 1. An orbit with
-    minimal period p survives iff (-1)^(n p) = 1; its representative is the
-    first member met in lexicographic enumeration (the lex-least one).
+    class relation is [r(T)] = eps [T] with eps = (-1)^n, n = length - 1. An
+    orbit with minimal period p survives iff eps^p = 1; its representative
+    is its lex-least member, a necklace. The FKM algorithm (Fredricksen-
+    Kessler-Maiorana) lists the necklaces in lex order with their periods.
 
-    Returns (reps, proj) where proj[x] is (sign, rep position) for the tuple
-    of tensor index x, or None on a killed orbit.
+    Returns (reps, proj): reps are the tensor indices of the surviving
+    necklaces in lex order, and proj(x) is (sign, rep position) for tensor
+    index x, or None on a killed orbit. Nothing is held per tensor.
     """
-    n = length - 1
-    eps = -1 if n % 2 else 1
-    top = d ** n
+    eps = -1 if length % 2 == 0 else 1
+    top = d ** (length - 1)
     reps = []
-    proj = [False] * (d ** length)  # False: not met yet
-    for x, t in enumerate(itertools.product(range(d), repeat=length)):
-        if proj[x] is not False:
-            continue
-        # the rotation on tensor indices: the last digit becomes the first
-        orbit = [x]
-        cur = x // d + x % d * top
-        while cur != x:
-            orbit.append(cur)
+    t, p = [0] * length, 1  # the prenecklace t repeats its first p digits
+    while p:
+        if length % p == 0 and (eps == 1 or p % 2 == 0):
+            reps.append(tuple_index(t, d))
+        p = length
+        while p and t[p - 1] == d - 1:
+            p -= 1
+        if p:
+            t[p - 1] += 1
+            t = (t[:p] * length)[:length]
+    position = {x: pos for pos, x in enumerate(reps)}
+
+    def proj(x: int):
+        # the tensor order is the index order. A surviving orbit has
+        # eps^p = 1, so every least rotation k gives the one sign eps^k
+        least, k, cur = x, 0, x
+        for i in range(1, length):
             cur = cur // d + cur % d * top
-        if eps == 1 or len(orbit) % 2 == 0:
-            pos = len(reps)
-            reps.append(t)
-            s = 1
-            for member in orbit:
-                proj[member] = (s, pos)
-                s *= eps
-        else:
-            for member in orbit:
-                proj[member] = None
-    return tuple(reps), tuple(proj)
+            if cur < least:
+                least, k = cur, i
+        pos = position.get(least)
+        return None if pos is None else ((1, eps)[k & 1], pos)
+
+    return tuple(reps), proj
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +183,9 @@ def degree_dim(A: Algebra, kind: str, n: int) -> int:
     if kind == "CHH":
         return d ** (n + 1)
     if kind == "CLAMBDA":
-        return len(cyclic_quotient(d, n + 1)[0])
+        # signed Burnside count: r^k fixes d^gcd(k, L) tensors
+        L, eps = n + 1, -1 if n % 2 else 1
+        return sum(eps ** k * d ** gcd(k, L) for k in range(L)) // L
     if kind == "CE":
         return comb(d, n)
     if kind == "CE_ADJ":
@@ -195,16 +201,8 @@ def degree_dim(A: Algebra, kind: str, n: int) -> int:
     raise ValueError("unknown complex kind %r" % kind)
 
 
-def _work_estimate(A: Algebra, kind: str, n: int) -> int:
-    # CLAMBDA sizes are computed through a full ambient orbit sweep, so the
-    # bound must gate on the ambient count, not the quotient dimension.
-    if kind == "CLAMBDA":
-        return A.dim ** (n + 1)
-    return degree_dim(A, kind, n)
-
-
 def check_bound(A: Algebra, kind: str, n: int, max_dim: int) -> None:
-    size = _work_estimate(A, kind, n)
+    size = degree_dim(A, kind, n)
     if size > max_dim:
         raise ResourceBoundExceeded(kind, n, size, max_dim)
 
@@ -352,15 +350,15 @@ def _derived(A: Algebra, kind: str, n: int):
       BAR_n      CHH_n      prepend the inverse      tuples of product e,
                             of the product           slot 0 dropped
 
-    CLAMBDA's projection and BAR's products are tables within the bound
-    (over the d^(n+1) tensors and the g^n basis vectors). CE and CE_ADJ
-    project by digits: their bound gates comb(d, n), not the d^n tensors a
-    table would hold.
+    BAR's products are a table over the g^n basis vectors, within the
+    bound. CLAMBDA, CE and CE_ADJ project by digits, with no table over the
+    parent's tensors: their bound gates their own dimension, not d^(n+1) or
+    d^n. CLAMBDA's section reads the surviving necklaces (cyclic_quotient).
     """
     d = A.dim
     if kind == "CLAMBDA":
         reps, proj = cyclic_quotient(d, n + 1)
-        return "CHH", n, lambda j: tuple_index(reps[j], d), proj.__getitem__
+        return "CHH", n, reps.__getitem__, proj
     if kind == "CE":
         combos, cidx = wedge_basis(d, n)
         return ("CL", n, lambda j: tuple_index(combos[j], d),
@@ -529,7 +527,8 @@ def basis_labels(A: Algebra, kind: str, n: int):
     if kind == "CHH":
         return [_tensor_label(names, t) for t in itertools.product(range(d), repeat=n + 1)]
     if kind == "CLAMBDA":
-        return ["[%s]" % _tensor_label(names, t) for t in cyclic_quotient(d, n + 1)[0]]
+        return ["[%s]" % _tensor_label(names, index_tuple(x, d, n + 1))
+                for x in cyclic_quotient(d, n + 1)[0]]
     if kind == "CE":
         return ["^".join(names[i] for i in c) if c else "1"
                 for c in wedge_basis(d, n)[0]]

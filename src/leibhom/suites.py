@@ -142,13 +142,11 @@ def _d2_checks(checks, A, label, kinds, cutoff, session):
     for kind in kinds:
         cid = "boundary_squares_to_zero[%s:%s]" % (label, kind)
         try:
-            # degrees over the session's bound are streamed, not stored;
-            # CLAMBDA never is, as its columns read a table over all the
-            # d^(n+1) tensors that the bound gates
+            # degrees over the session's bound are streamed, not stored
             direct_cut = cutoff
             streamed = []
             for n in range(cutoff, 1, -1):
-                if kind != "CLAMBDA" and degree_dim(A, kind, n) > session.max_dim:
+                if degree_dim(A, kind, n) > session.max_dim:
                     streamed.append(n)
                     direct_cut = n - 1
                 else:

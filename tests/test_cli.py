@@ -201,11 +201,27 @@ def test_compute_refuses_an_unknown_map_before_any_table(tmp_path,
     ("compute", "--algebra", "dual", "--complex", "CL,BAR", "--max-degree", "2"),
     ("compute", "--algebra", "s3", "--complex", "CL", "--maps", "P_KAHLER"),
     ("compute", "--algebra", "dual", "--maps", "LIFT_P", "--matrix-size", "2"),
+    # a --matrix-size that M_N(A) refuses is refused before any table
+    ("compute", "--algebra", "dual", "--complex", "CL", "--maps", "TRACE",
+     "--matrix-size", "0"),
+    ("compute", "--algebra", "dual", "--complex", "CL", "--maps", "CORNER",
+     "--matrix-size", "46"),
 ])
 def test_a_refused_run_makes_no_cache_directory(tmp_path, args):
     cache = tmp_path / "cache"
     assert cli.main([*args, "--cache", str(cache),
                      "--out", str(tmp_path / "out")]) == 2
+    assert not cache.exists()
+
+
+def test_compute_checks_the_bound_of_every_degree_before_any_table(
+        tmp_path, capsys):
+    # CL_3 (216) is within the bound, but CHH_3 (1296) is not
+    cache = tmp_path / "cache"
+    assert cli.main(["compute", "--algebra", "s3", "--complex", "CL,CHH",
+                     "--max-degree", "3", "--max-dim", "300",
+                     "--cache", str(cache), "--out", str(tmp_path)]) == 3
+    assert "CHH degree 3 needs 1296" in capsys.readouterr().err
     assert not cache.exists()
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from leibhom import cache
-from leibhom.algebra import (builtin_algebra, matrix_algebra,
+from leibhom.algebra import (Algebra, builtin_algebra, matrix_algebra,
                              multiply_coords)
 from leibhom.complexes import (KINDS, KahlerModule, ResourceBoundExceeded,
                                Session, _derived, basis_labels,
@@ -319,17 +319,38 @@ def test_connes_quotient_dims_frozen():
     assert [degree_dim(T, "CLAMBDA", n) for n in range(5)] == [3, 3, 11, 21, 51]
 
 
+def test_clambda_is_gated_on_its_own_dimension():
+    # s3 CLAMBDA_4 has 1560 columns over 6^5 = 7776 tensors
+    C = build_complex(builtin_algebra("s3"), "CLAMBDA", 4,
+                      Session(max_dim=2000))
+    assert C.dims == [6, 15, 76, 330, 1560]
+    assert [C.betti(n) for n in range(4)] == [3, 0, 3, 0]
+    with pytest.raises(ResourceBoundExceeded) as exc:
+        check_bound(builtin_algebra("s3"), "CLAMBDA", 4, 1559)
+    assert exc.value.size == 1560
+
+
+def test_cyclic_homology_is_morita_invariant():
+    # HC_n(M_2(dual)) = HC_n(dual) (Loday, Cyclic Homology 2.2.9); M_2(dual)
+    # CLAMBDA_5 has 43624 columns over 8^6 = 262144 tensors
+    dual = builtin_algebra("dual")
+    for A in (dual, matrix_algebra(dual, 2)):
+        C = build_complex(A, "CLAMBDA", 5)
+        assert [C.betti(n) for n in range(5)] == [2, 0, 2, 0, 2], A.name
+
+
 def test_cyclic_quotient_projection_consistent():
     for d, length in ((2, 2), (2, 3), (3, 3), (2, 4)):
         reps, proj = cyclic_quotient(d, length)
+        reps = [index_tuple(x, d, length) for x in reps]
         rep_index = {r: pos for pos, r in enumerate(reps)}
         assert len(rep_index) == len(reps)
         n = length - 1
         eps = -1 if n % 2 else 1
         for t in itertools.product(range(d), repeat=length):
-            image = proj[tuple_index(t, d)]
+            image = proj(tuple_index(t, d))
             rot = (t[-1],) + t[:-1]
-            rimage = proj[tuple_index(rot, d)]
+            rimage = proj(tuple_index(rot, d))
             if image is None:
                 assert rimage is None
             else:
@@ -341,7 +362,56 @@ def test_cyclic_quotient_projection_consistent():
                 assert rimage[1] == pos
                 assert rimage[0] == eps * sign
         for r in reps:
-            assert proj[tuple_index(r, d)] == (1, rep_index[r])
+            assert proj(tuple_index(r, d)) == (1, rep_index[r])
+
+
+def swept_cyclic_quotient(d, length):
+    """Reference for cyclic_quotient: sweep every tensor in lex order, take
+    each new orbit's first member as its representative, and tabulate the
+    signed projection of every member. Returns (reps, proj table)."""
+    n = length - 1
+    eps = -1 if n % 2 else 1
+    top = d ** n
+    reps = []
+    proj = [False] * (d ** length)  # False: not met yet
+    for x in range(d ** length):
+        if proj[x] is not False:
+            continue
+        # the rotation on tensor indices: the last digit becomes the first
+        orbit = [x]
+        cur = x // d + x % d * top
+        while cur != x:
+            orbit.append(cur)
+            cur = cur // d + cur % d * top
+        if eps == 1 or len(orbit) % 2 == 0:
+            pos = len(reps)
+            reps.append(x)
+            s = 1
+            for member in orbit:
+                proj[member] = (s, pos)
+                s *= eps
+        else:
+            for member in orbit:
+                proj[member] = None
+    return reps, proj
+
+
+@pytest.mark.parametrize("d,length", [
+    (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+    (2, 8), (3, 3), (3, 4), (3, 6), (3, 7), (4, 7), (6, 5), (6, 6), (8, 4),
+    (9, 5)])
+def test_cyclic_quotient_matches_the_sweep(d, length):
+    reps, proj = cyclic_quotient(d, length)
+    want_reps, want_proj = swept_cyclic_quotient(d, length)
+    assert list(reps) == want_reps
+    assert [proj(x) for x in range(d ** length)] == want_proj
+    # degree_dim and basis_labels read only the dimension and basis names
+    A = Algebra("names:%d" % d, ["e%d" % i for i in range(d)],
+                [1] + [0] * (d - 1), [[()] * d for _ in range(d)])
+    assert degree_dim(A, "CLAMBDA", length - 1) == len(want_reps)
+    assert basis_labels(A, "CLAMBDA", length - 1) == [
+        "[%s]" % "|".join("e%d" % i for i in index_tuple(x, d, length))
+        for x in want_reps]
 
 
 def test_wedge_basis_is_increasing_tuples():

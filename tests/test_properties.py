@@ -127,10 +127,10 @@ def test_theta_column_is_the_signed_sum_over_cyclic_classes(case):
     d, m, j = case
     c = wedge_basis(d, m)[0][j]
     proj = cyclic_quotient(d, m)[1]
-    want = accumulated((proj[idx][1], s * proj[idx][0]) for s, idx
+    want = accumulated((proj(idx)[1], s * proj(idx)[0]) for s, idx
                        in signed_orderings(c[:1], c[1:], d)
-                       if proj[idx] is not None)
-    got = _theta_column(proj.__getitem__, d, m, j)
+                       if proj(idx) is not None)
+    got = _theta_column(proj, d, m, j)
     assert list(got.items()) == list(want.items())
 
 

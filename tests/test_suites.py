@@ -168,9 +168,11 @@ def test_d2_check_streams_the_degrees_over_the_session_bound():
         ("pass", "degrees <= 4, dims [1, 2, 8, 48], degrees [4] streamed"),
         ("pass", "degrees <= 4, dims [2, 4, 16, 96], degrees [4] streamed"),
     ]
-    # s3 CLAMBDA_4 has 1560 columns, but generating them reads a table over
-    # all 6^5 tensors, so it is skipped rather than streamed past the bound
+    # CLAMBDA streams like every kind: s3 CLAMBDA_4 (1560 columns) against
+    # the stored CLAMBDA_3 (330)
     checks = _Checks()
     _d2_checks(checks, builtin_algebra("s3"), "s3", ("CLAMBDA",), 4,
-               Session(max_dim=1300))
-    assert [row["status"] for row in checks.rows] == ["skipped"]
+               Session(max_dim=1000))
+    assert [(row["status"], row["detail"]) for row in checks.rows] == [
+        ("pass", "degrees <= 4, dims [6, 15, 76, 330], degrees [4] streamed"),
+    ]
