@@ -16,8 +16,8 @@ import os
 import sys
 import time
 
-from .algebra import (BUILTIN_NAMES, builtin_algebra, check_matrix_size,
-                      matrix_algebra, validate_algebra)
+from .algebra import (BUILTIN_NAMES, builtin_algebra, matrix_algebra,
+                      validate_algebra)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         ResourceBoundExceeded, Session, basis_labels,
                         build_complex, check_bound)
@@ -25,8 +25,8 @@ from .homology import induced_map, verify_chain_map
 from .linalg import rank_only
 from .serialize import FormatError, load_algebra
 from . import chain_maps as cmaps
-from .suites import (SUITE_IDS, SuiteConfig, lift_identities, run_all,
-                     run_suite)
+from .suites import (SUITE_IDS, SuiteConfig, check_matrix_size_for,
+                     lift_identities, run_suite)
 
 CACHE_ENV = "LEIBHOM_CACHE_DIR"
 
@@ -34,20 +34,36 @@ MAP_TOKENS = ("PHI", "THETA", "EPSILON", "PROJ_LIE", "PROJ_ADJ", "PROJ_I",
               "P_KAHLER", "TRACE", "CORNER", "LIFT_P", "THETA_NF", "BAR_PI",
               "BAR_IOTA", "EMBED_CY")
 
-# token -> (builder, source kind, target kind) for the maps built as
-# chain_maps.<builder>(A, source complex, target complex) over A itself; the
-# builder is looked up by name at call time, so a patched one is seen
-_PLAIN_MAPS = {
-    "PHI": ("phi", "CL", "CHH"),
-    "THETA": ("theta", "CE", "CLAMBDA"),
-    "EPSILON": ("epsilon", "CE_ADJ", "CHH"),
-    "PROJ_LIE": ("proj_lie", "CL", "CE"),
-    "PROJ_ADJ": ("proj_adjoint", "CL", "CE_ADJ"),
-    "PROJ_I": ("proj_I", "CHH", "CLAMBDA"),
-    "BAR_PI": ("bar_pi", "CHH", "BAR"),
-    "BAR_IOTA": ("bar_iota", "BAR", "CHH"),
-    "EMBED_CY": ("embed_cy", "CHH", "P"),
+# token -> (builder, source, target): chain_maps.<builder>(algebras, source
+# complex, target complex), looked up by name at call time so that a patched
+# one is seen. A side is (algebra, kind), "A" the input and "M" M_N(A); a map
+# between the two takes both algebras, source first. THETA_NF runs the lift.
+_MAPS = {
+    "PHI": ("phi", ("A", "CL"), ("A", "CHH")),
+    "THETA": ("theta", ("A", "CE"), ("A", "CLAMBDA")),
+    "EPSILON": ("epsilon", ("A", "CE_ADJ"), ("A", "CHH")),
+    "PROJ_LIE": ("proj_lie", ("A", "CL"), ("A", "CE")),
+    "PROJ_ADJ": ("proj_adjoint", ("A", "CL"), ("A", "CE_ADJ")),
+    "PROJ_I": ("proj_I", ("A", "CHH"), ("A", "CLAMBDA")),
+    "TRACE": ("trace", ("M", "CHH"), ("A", "CHH")),
+    "CORNER": ("corner", ("A", "CHH"), ("M", "CHH")),
+    "LIFT_P": ("lift_p", ("A", "P"), ("M", "CL")),
+    "THETA_NF": ("lift_p", ("A", "P"), ("M", "CL")),
+    "BAR_PI": ("bar_pi", ("A", "CHH"), ("A", "BAR")),
+    "BAR_IOTA": ("bar_iota", ("A", "BAR"), ("A", "CHH")),
+    "EMBED_CY": ("embed_cy", ("A", "CHH"), ("A", "P")),
 }
+
+
+def _map_complexes(token, maxdeg):
+    """(algebra, kind, cutoff) of each complex `token` builds, in order."""
+    if token == "P_KAHLER":
+        return [("A", "CL", maxdeg)]
+    src, tgt = _MAPS[token][1:]
+    if token in ("LIFT_P", "THETA_NF"):
+        # the lift of the 2-cycles lands in CL_3(M_N(A)); L(A) checks it
+        return [src + (2,), tgt + (3,), ("A", "L", 3)]
+    return [src + (maxdeg,), tgt + (maxdeg,)]
 
 
 class UsageError(Exception):
@@ -233,16 +249,10 @@ def _induced_rows(F):
 
 
 def _check_prerequisites(A, kinds, tokens, N, maxdeg, max_dim):
-    """Refuse a kind or map the algebra or --matrix-size cannot serve, and
-    a degree of a kind built over A that is over the bound."""
-    if "BAR" in kinds and A.group_meta is None:
-        raise UsageError("BAR needs a group algebra")
+    """Refuse a kind or map the algebra or --matrix-size cannot serve, and a
+    degree over the bound of any complex the run builds, over A or M_N(A).
+    Returns the algebras by name, M_N(A) built only if a map needs it."""
     for token in tokens:
-        if token in ("TRACE", "CORNER", "LIFT_P", "THETA_NF"):
-            check_matrix_size(A, N)
-        if token in ("BAR_PI", "BAR_IOTA") and A.group_meta is None:
-            raise UsageError("%s needs a group algebra, %s is not one"
-                             % (token, A.name))
         if token == "P_KAHLER" and not A.commutative:
             raise UsageError("P_KAHLER needs a commutative algebra")
         if token == "P_KAHLER" and A.presentation is None:
@@ -251,51 +261,41 @@ def _check_prerequisites(A, kinds, tokens, N, maxdeg, max_dim):
                              "presentation" % A.name)
         if token in ("LIFT_P", "THETA_NF") and N < 3:
             raise UsageError("%s needs --matrix-size at least 3" % token)
-    # every degree: the CE and CE_ADJ dimensions are not monotone in n
-    sized = dict.fromkeys(kinds + [kind for token in tokens
-                                   if token in _PLAIN_MAPS
-                                   for kind in _PLAIN_MAPS[token][1:]])
-    for kind in sized:
-        for n in range(1, maxdeg + 1):
-            check_bound(A, kind, n, max_dim)
+    sized = [("A", kind, maxdeg) for kind in kinds] + [
+        cx for token in tokens for cx in _map_complexes(token, maxdeg)]
+    algebras = {"A": A}
+    if any(alg == "M" for alg, _, _ in sized):
+        algebras["M"] = matrix_algebra(A, N)
+    # every degree: the CE and CE_ADJ dimensions are not monotone in n; BAR
+    # over an algebra that is no group is refused here too (degree_dim)
+    for alg, kind, cutoff in dict.fromkeys(sized):
+        for n in range(1, cutoff + 1):
+            check_bound(algebras[alg], kind, n, max_dim)
+    return algebras
 
 
-def _map_report(A, token, maxdeg, session, N):
+def _map_report(algebras, token, maxdeg, session):
     rep = {"map": token}
+    cxs = [build_complex(algebras[alg], kind, cutoff, session)
+           for alg, kind, cutoff in _map_complexes(token, maxdeg)]
+    A = algebras["A"]
+    if token == "P_KAHLER":
+        km = KahlerModule(A)
+        F = cmaps.p_kahler(A, km, cxs[0], cmaps.omega_complex(km, maxdeg))
+    else:
+        builder, (src, _), (tgt, _) = _MAPS[token]
+        sides = [algebras[alg] for alg in dict.fromkeys((src, tgt))]
+        F = getattr(cmaps, builder)(*sides, *cxs[:2])
     if token in ("LIFT_P", "THETA_NF"):
-        MA = matrix_algebra(A, N)
-        pcx = build_complex(A, "P", 2, session)
-        clma = build_complex(MA, "CL", 3, session)
-        lba = build_complex(A, "L", 3, session)
-        lift = cmaps.lift_p(A, MA, pcx, clma)
-        ok_round, ok_nf = lift_identities(A, MA, lift, lba)
+        ok_round, ok_nf = lift_identities(*sides, F, cxs[2])
         rep["evidence"] = "composite_identity"
         rep["identities"] = [
-            {"id": "trace_phi_lift_on_standard_cycles",
-             "status": "pass" if ok_round else "fail"},
-            {"id": "normal_form_inverts_lift",
-             "status": "pass" if ok_nf else "fail"},
-        ]
+            {"id": ident, "status": "pass" if ok else "fail"} for ident, ok in
+            (("trace_phi_lift_on_standard_cycles", ok_round),
+             ("normal_form_inverts_lift", ok_nf))]
         rep["note"] = ("not a chain map on its own; only the listed "
                        "composites are asserted")
         return rep, ok_round and ok_nf
-
-    if token in _PLAIN_MAPS:
-        builder, src, tgt = _PLAIN_MAPS[token]
-        F = getattr(cmaps, builder)(A, build_complex(A, src, maxdeg, session),
-                                    build_complex(A, tgt, maxdeg, session))
-    elif token == "P_KAHLER":
-        km = KahlerModule(A)
-        F = cmaps.p_kahler(A, km, build_complex(A, "CL", maxdeg, session),
-                           cmaps.omega_complex(km, maxdeg))
-    elif token == "TRACE":
-        MA = matrix_algebra(A, N)
-        F = cmaps.trace(MA, A, build_complex(MA, "CHH", maxdeg, session),
-                        build_complex(A, "CHH", maxdeg, session))
-    else:  # CORNER, the last token of MAP_TOKENS
-        MA = matrix_algebra(A, N)
-        F = cmaps.corner(A, MA, build_complex(A, "CHH", maxdeg, session),
-                         build_complex(MA, "CHH", maxdeg, session))
     ok, wit = verify_chain_map(F, maxdeg)
     rep["evidence"] = "chain_map"
     rep["chain_map_verified"] = ok
@@ -326,8 +326,8 @@ def cmd_compute(args, argv):
     if args.max_degree < 1:
         raise UsageError("--max-degree must be at least 1")
     session = _session(args.max_dim, args.cache)
-    _check_prerequisites(A, kinds, tokens, args.matrix_size, args.max_degree,
-                         session.max_dim)
+    algebras = _check_prerequisites(A, kinds, tokens, args.matrix_size,
+                                    args.max_degree, session.max_dim)
     # an algebra that fails the axioms (only a file can give one) has no
     # homology to report
     validation = validate_algebra(A)
@@ -364,8 +364,7 @@ def cmd_compute(args, argv):
         md += ["", "(*) top degree bounded only from above: its boundary "
                "out is not part of the table", ""]
     for token in tokens:
-        mrep, ok = _map_report(A, token, args.max_degree, session,
-                               args.matrix_size)
+        mrep, ok = _map_report(algebras, token, args.max_degree, session)
         report["maps"].append(mrep)
         failed = failed or not ok
         md += ["## Map %s" % token, ""]
@@ -416,11 +415,10 @@ def cmd_verify(args, argv):
                          seed=args.seed,
                          session=_session(args.max_dim, args.cache),
                          debug_break_phi=args.debug_break_phi)
+    suite_ids = SUITE_IDS if args.suite == "all" else (args.suite,)
+    check_matrix_size_for(suite_ids, args.matrix_size)
     _make_cache(config.session)
-    if args.suite == "all":
-        reports = run_all(config)
-    else:
-        reports = [run_suite(args.suite, config)]
+    reports = [run_suite(sid, config) for sid in suite_ids]
 
     total = {"pass": 0, "fail": 0, "skipped": 0}
     md = ["# verification report", ""]

@@ -2,9 +2,10 @@
 
 Algebra files: {"name", "dim", "basis": [names], "unit": ["p/q", ...],
 "table": [[i, j, [[k, "p/q"], ...]], ...]} where omitted (i, j) products are
-zero. Morphism files: {"source", "target", "matrix": [[...]]} with source and
-target either a builtin name or an inline algebra object. Rationals are
-always emitted reduced as "p/q"; bare integers are accepted on input.
+zero and none is named twice. Morphism files: {"source", "target",
+"matrix": [[...]]} with source and target either a builtin name or an inline
+algebra object. Rationals are always emitted reduced as "p/q"; bare integers
+are accepted on input.
 A value read back is an int whenever it is integral ("-1/1", "4/2", 3) and a
 Fraction otherwise, so a file algebra runs the same int arithmetic as the
 builtin it was saved from.
@@ -78,7 +79,7 @@ def algebra_from_dict(d) -> Algebra:
     if not isinstance(unit, list) or len(unit) != dim:
         raise FormatError("unit must be a length-dim vector")
     unit = [frac_from_json(u) for u in unit]
-    prods = [[{} for _ in range(dim)] for _ in range(dim)]
+    prods = {}
     if not isinstance(d["table"], list):
         raise FormatError("table must be a list of [i, j, terms] entries")
     for entry in d["table"]:
@@ -89,6 +90,9 @@ def algebra_from_dict(d) -> Algebra:
         if not (type(i) is int and type(j) is int
                 and 0 <= i < dim and 0 <= j < dim):
             raise FormatError("table indices (%r, %r) out of range" % (i, j))
+        if not isinstance(terms, list):
+            raise FormatError("product cell %r is not a list of [k, coeff] "
+                              "terms" % (terms,))
         cell = {}
         for term in terms:
             try:
@@ -100,8 +104,12 @@ def algebra_from_dict(d) -> Algebra:
             val = frac_from_json(c)
             if val:
                 cell[k] = cell.get(k, 0) + val
-        prods[i][j] = {k: _int_if_integral(v) for k, v in cell.items() if v}
-    table = tuple(tuple(tuple(sorted(prods[i][j].items())) for j in range(dim))
+        if (i, j) in prods:
+            raise FormatError("table names the product (%d, %d) twice"
+                              % (i, j))
+        prods[i, j] = tuple(sorted((k, _int_if_integral(v))
+                                   for k, v in cell.items() if v))
+    table = tuple(tuple(prods.get((i, j), ()) for j in range(dim))
                   for i in range(dim))
     return Algebra(str(d["name"]), [str(b) for b in basis], unit, table)
 

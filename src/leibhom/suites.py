@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import (BUILTIN_MORPHISMS, BUILTIN_NAMES, builtin_algebra,
-                      builtin_morphism, matrix_algebra, matrix_morphism,
-                      validate_morphism)
+                      builtin_morphism, check_matrix_size, matrix_algebra,
+                      matrix_morphism, validate_morphism)
 from .complexes import (KINDS, KahlerModule, ResourceBoundExceeded, Session,
                         boundary_column_fn, build_complex, degree_dim,
                         index_tuple, tuple_index, verify_d2_streamed)
@@ -33,6 +33,8 @@ SUITE_IDS = ("core", "degree0", "commutative", "matrices", "groupring",
              "relative", "appendix")
 
 GROUP_NAMES = ("cyclic:1", "cyclic:2", "cyclic:3", "s3")
+# the algebras over whose M_N the matrices suite streams tr o phi
+TRACE_PHI_NAMES = ("dual", "split:2", "cyclic:2")
 
 
 @dataclass
@@ -447,7 +449,7 @@ def suite_matrices(config: SuiteConfig):
                       "induced trace o corner = id on HH_n, n <= %d"
                       % min(2, cut - 1))
     # streamed surjectivity of (tr o phi)_* onto HH_n(A)
-    for aname in ("dual", "split:2", "cyclic:2"):
+    for aname in TRACE_PHI_NAMES:
         _tr_phi_surjectivity(checks, config, aname)
     # the lift of standard cycles composes back to the identity tensor
     _lift_checks(checks, config)
@@ -836,6 +838,28 @@ def run_suite(suite_id: str, config: SuiteConfig):
         raise KeyError("unknown suite %r (have %s)" % (suite_id,
                                                        ", ".join(SUITE_IDS)))
     return _SUITES[suite_id](config)
+
+
+def check_matrix_size_for(suite_ids, N):
+    """Refuse, before any of suite_ids runs, an N at which one of them could
+    not build M_N of an algebra it extends: gl_N(Q), the tr o phi streams and
+    the lift on the dual numbers (matrices), every group (groupring), and
+    the source and target of the built-in morphisms (relative; it extends
+    those that meet the hypotheses, and the control is no larger)."""
+    morphisms = [builtin_morphism(m) for m in BUILTIN_MORPHISMS]
+    extended = {
+        "matrices": [builtin_algebra(a)
+                     for a in ("rationals",) + TRACE_PHI_NAMES],
+        "groupring": [builtin_algebra(g) for g in GROUP_NAMES],
+        "relative": [A for f in morphisms for A in (f.source, f.target)],
+    }
+    for sid in suite_ids:
+        for A in extended.get(sid, ()):
+            try:
+                check_matrix_size(A, N)
+            except ValueError as exc:
+                raise ValueError("suite %s cannot build M_%d(%s): %s"
+                                 % (sid, N, A.name, exc))
 
 
 def run_all(config: SuiteConfig):

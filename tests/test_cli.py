@@ -206,6 +206,11 @@ def test_compute_refuses_an_unknown_map_before_any_table(tmp_path,
      "--matrix-size", "0"),
     ("compute", "--algebra", "dual", "--complex", "CL", "--maps", "CORNER",
      "--matrix-size", "46"),
+    # an N at which a requested suite cannot build M_N is refused before any
+    # suite runs: dual at 46 (matrices), s3 at 27, truncated_poly:3 at 37
+    ("verify", "--suite", "all", "--cutoff", "2", "--matrix-size", "46"),
+    ("verify", "--suite", "groupring", "--cutoff", "2", "--matrix-size", "27"),
+    ("verify", "--suite", "relative", "--cutoff", "2", "--matrix-size", "37"),
 ])
 def test_a_refused_run_makes_no_cache_directory(tmp_path, args):
     cache = tmp_path / "cache"
@@ -214,14 +219,28 @@ def test_a_refused_run_makes_no_cache_directory(tmp_path, args):
     assert not cache.exists()
 
 
-def test_compute_checks_the_bound_of_every_degree_before_any_table(
-        tmp_path, capsys):
+@pytest.mark.parametrize("args,over", [
     # CL_3 (216) is within the bound, but CHH_3 (1296) is not
+    (("--algebra", "s3", "--complex", "CL,CHH", "--max-degree", "3",
+      "--max-dim", "300"), "CHH degree 3 needs 1296"),
+    # the maps through M_2(dual) (dim 8): CL and CHH over dual are within
+    # the bound, but CHH_2 over M_2(dual) (512) is not
+    (("--algebra", "dual", "--complex", "CL", "--maps", "TRACE",
+      "--max-degree", "4", "--max-dim", "300"), "CHH degree 2 needs 512"),
+    (("--algebra", "dual", "--complex", "CL", "--maps", "CORNER",
+      "--max-degree", "4", "--max-dim", "300"), "CHH degree 2 needs 512"),
+    # the lift: P_2(dual) is within the bound, CL_3(M_3(dual)) (5832) is not
+    (("--algebra", "dual", "--maps", "LIFT_P", "--matrix-size", "3",
+      "--max-degree", "2", "--max-dim", "1000"), "CL degree 3 needs 5832"),
+    (("--algebra", "dual", "--maps", "THETA_NF", "--matrix-size", "3",
+      "--max-degree", "2", "--max-dim", "1000"), "CL degree 3 needs 5832"),
+], ids=["s3", "TRACE", "CORNER", "LIFT_P", "THETA_NF"])
+def test_compute_checks_the_bound_of_every_degree_before_any_table(
+        tmp_path, capsys, args, over):
     cache = tmp_path / "cache"
-    assert cli.main(["compute", "--algebra", "s3", "--complex", "CL,CHH",
-                     "--max-degree", "3", "--max-dim", "300",
-                     "--cache", str(cache), "--out", str(tmp_path)]) == 3
-    assert "CHH degree 3 needs 1296" in capsys.readouterr().err
+    assert cli.main(["compute", *args, "--cache", str(cache),
+                     "--out", str(tmp_path)]) == 3
+    assert over in capsys.readouterr().err
     assert not cache.exists()
 
 
@@ -284,6 +303,22 @@ def test_compute_algebra_from_file_hashes_input(tmp_path):
     r = run_cli("compute", "--algebra", str(src), "--complex", "BAR",
                 "--out", str(out))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 0, 5]],
+    [[0, 0, [[0, "1"]]], [0, 0, []]],
+])
+def test_a_malformed_algebra_file_is_an_input_error(tmp_path, capsys, table):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "x", "dim": 1, "basis": ["1"],
+                                "unit": ["1"], "table": table}))
+    out = tmp_path / "out"
+    assert cli.main(["algebra", "validate", str(path)]) == 2
+    assert cli.main(["compute", "--algebra", str(path), "--complex", "CL",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_compute_refuses_an_algebra_that_fails_validation(tmp_path):

@@ -102,6 +102,13 @@ def test_serialized_dict_is_json_clean():
     (lambda d: d.update(dim=True, basis=["a"], unit=["1"], table=[]), "dim"),
     (lambda d: d["table"].append([True, False, []]), "table indices"),
     (lambda d: d["table"].append([1, 1, [[False, "1"]]]), "product index"),
+    # a product cell that is no list of terms
+    (lambda d: d.update(name="x", dim=1, basis=["1"], unit=["1"],
+                        table=[[0, 0, 5]]), "product cell 5"),
+    # a cell named twice: the second one must not win silently
+    (lambda d: d["table"].extend([[1, 1, [[1, "1"]]], [1, 1, []]]),
+     "(1, 1) twice"),
+    (lambda d: d["table"].append([0, 1, [[1, "1"]]]), "(0, 1) twice"),
 ])
 def test_malformed_algebra_dict_raises(mutate, fragment):
     d = algebra_to_dict(builtin_algebra("dual"))
