@@ -12,14 +12,16 @@ from leibhom import cache
 from leibhom.algebra import (Algebra, builtin_algebra, matrix_algebra,
                              multiply_coords)
 from leibhom.complexes import (KINDS, KahlerModule, ResourceBoundExceeded,
-                               Session, _derived, basis_labels,
+                               Session, _derived, _l_transport_terms,
+                               basis_labels,
                                boundary_column_fn, boundary_matrix,
                                build_complex, check_bound, cyclic_quotient,
                                degree_dim, index_tuple, tuple_index,
                                verify_d2_streamed, wedge_basis)
 from leibhom.homology import ChainComplex, verify_boundary_squares
 from leibhom.linalg import SparseMatrix
-from leibhom.perms import cyclic_class, cyclic_index, face_cyclic
+from leibhom.perms import (cyclic_class, cyclic_index, face_cyclic,
+                           symmetric_group)
 from leibhom.serialize import load_algebra, save_algebra
 
 
@@ -268,6 +270,15 @@ def test_generated_columns_are_pinned(pinned_algebras, name, maxn, kind):
     A = pinned_algebras[name]
     got = tuple(columns_digest(A, kind, n) for n in range(1, maxn + 1))
     assert got == PINNED_COLUMNS[name, kind]
+
+
+def test_l_transport_terms_are_pinned():
+    # every term of the L boundary's permutation part on S_1..S_6, term
+    # order included: the generated L columns follow it, dict order too
+    got = repr([(s, _l_transport_terms(s))
+                for n in range(1, 7) for s in symmetric_group(n)])
+    assert hashlib.sha256(got.encode()).hexdigest() == \
+        "fe5a40f7be90c49fb3af81f5b6f7501442fe9838cd711adc8829cf3728ee4e23"
 
 
 @pytest.mark.parametrize("name,kind", [
