@@ -29,7 +29,10 @@ j is deleted. The lower index is
   (x // d^(m-j)) * d^(m-1-j) + x % d^(m-1-j) + (k - t_i) * d^(m-2-i)
 
 with the digits read off as t_i = x // d^(m-1-i) % d, so no tuple is built
-per column or term. The CLAMBDA, CE, CE_ADJ and BAR boundaries are derived:
+per column or term. The permutation parts of L and P are one edge
+contraction, perms.contract_edge, and the appendix row
+diagonal_faces_match_transported_boundary checks their slot orders and
+signs. The CLAMBDA, CE, CE_ADJ and BAR boundaries are derived:
 d_n = proj_{n-1} o d^parent o section_n, the CHH (CLAMBDA, BAR) or CL (CE,
 CE_ADJ) boundary between a section and a projection that is a chain map
 with proj o section = id. _derived states the sections and projections,
@@ -47,7 +50,8 @@ from . import cache
 from .algebra import Algebra
 from .homology import ChainComplex
 from .linalg import SparseMatrix, ZeroTest
-from .perms import cyclic_class, cyclic_index, face_cyclic, symmetric_group, symmetric_index
+from .perms import (contract_edge, cyclic_class, cyclic_index, face_cyclic,
+                    symmetric_group, symmetric_index)
 
 KINDS = ("CL", "CHH", "CLAMBDA", "CE", "CE_ADJ", "BAR", "L", "P")
 
@@ -275,44 +279,15 @@ def _chh_column_fn(A: Algebra, n: int):
 def _l_transport_terms(sigma):
     """Permutation bookkeeping of the L boundary, independent of the tensor part.
 
-    Each term is (i, j, swapped, sign, new_perm) with i < j: the tensor gets
-    the product of slots i and j (in that order, or reversed when swapped) at
-    slot i, slot j is deleted, and the contracted permutation comes from
-    relabeling rows by the slot they now occupy.
+    One term (i, j, swapped, sign, new_perm) per edge r -> g = sigma(r) with
+    g != r, the edges g > r first: slots i = min(r, g) < j = max(r, g) are
+    multiplied at slot i in the order of the edge (swapped when g < r), slot j
+    is deleted, and new_perm = contract_edge(sigma, r).
     """
-    n = len(sigma)
-    terms = []
-    for i1 in range(1, n + 1):
-        j1 = sigma[i1 - 1]
-        if j1 > i1:
-            # sigma(i) = j: row i absorbs the product and keeps slot i
-            rho = {p: (p if p < j1 else p - 1) for p in range(1, n + 1) if p != j1}
-            sp = {p: sigma[p - 1] for p in rho if p != i1}
-            sp[i1] = sigma[j1 - 1]
-            inv = [s if s < j1 else s + 1 for s in range(1, n)]
-            new_perm = tuple(rho[sp[r]] for r in inv)
-            terms.append((i1, j1, False, 1 if j1 % 2 == 0 else -1, new_perm))
-    for j1 in range(1, n + 1):
-        i1 = sigma[j1 - 1]
-        if i1 < j1:
-            # sigma(j) = i: row j takes over slot i with the reversed product,
-            # so the row-to-slot relabeling is not order-preserving
-            rho = {}
-            for p in range(1, n + 1):
-                if p == i1:
-                    continue
-                rho[p] = i1 if p == j1 else (p if p < j1 else p - 1)
-            sp = {p: sigma[p - 1] for p in rho if p != j1}
-            sp[j1] = sigma[i1 - 1]
-            inv = []
-            for s in range(1, n):
-                if s == i1:
-                    inv.append(j1)
-                else:
-                    inv.append(s if s < j1 else s + 1)
-            new_perm = tuple(rho[sp[r]] for r in inv)
-            terms.append((i1, j1, True, -1 if j1 % 2 == 0 else 1, new_perm))
-    return tuple(terms)
+    return tuple((min(r, g), max(r, g), g < r,
+                  (-1) ** max(r, g) * (-1 if g < r else 1), contract_edge(sigma, r))
+                 for swapped in (False, True)
+                 for r, g in enumerate(sigma, 1) if g != r and (g < r) == swapped)
 
 
 def _l_column_fn(A: Algebra, n: int):

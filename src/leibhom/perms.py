@@ -102,16 +102,41 @@ def cycle_start_sign(p: Perm) -> int:
     return sign(cycle_order_rows(p))
 
 
+def contract_edge(p: Perm, src: int) -> Perm:
+    """Contract the edge src -> p(src) of p to a permutation of one point less.
+
+    The target vertex is deleted, src inherits its outgoing edge and takes
+    the SMALLER of the two labels, and the remaining labels close up
+    order-preservingly. It is both P's faces (the edges of an n-cycle,
+    face_cyclic) and the L boundary (every edge, complexes._l_transport_terms);
+    the diagonal_faces_match_transported_boundary row checks their slot
+    orders and signs.
+    """
+    n = len(p)
+    if not 1 <= src <= n or p[src - 1] == src:
+        raise ValueError("no edge leaves %r in %r" % (src, p))
+    gone = p[src - 1]
+    lo, hi = min(src, gone), max(src, gone)
+
+    def relab(v: int) -> int:
+        return lo if v == src else v - (v > hi)
+
+    out = [0] * (n - 1)
+    for v in range(1, n + 1):
+        if v != gone:
+            out[relab(v) - 1] = relab(p[gone - 1] if v == src else p[v - 1])
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def face_cyclic(p: Perm, i: int) -> Perm:
     """i-th face U_{n+1} -> U_n: contract the edge r_i -> r_{i+1} of the cycle.
 
     Indices follow the cycle order from row 1 (i = n contracts the closing
-    edge r_n -> r_0). The target vertex is deleted, r_i inherits its outgoing
-    edge and takes the SMALLER of the two labels, and the remaining labels
-    close up order-preservingly. This labeling makes the faces presimplicial
-    (d_i d_j = d_{j-1} d_i for i < j), fixes the standard cycles, and matches
-    the matrix-transport boundary under the cycle-order bridge.
+    edge r_n -> r_0). The labeling of contract_edge makes the faces
+    presimplicial (d_i d_j = d_{j-1} d_i for i < j), fixes the standard
+    cycles, and matches the L boundary's contraction of the same edge under
+    the cycle-order bridge.
     """
     n = len(p)
     if n == 1:
@@ -119,20 +144,4 @@ def face_cyclic(p: Perm, i: int) -> Perm:
     rows = cycle_order_rows(p)
     if not 0 <= i < n:
         raise ValueError("face index out of range")
-    src = rows[i]
-    gone = rows[(i + 1) % n]
-    lo = src if src < gone else gone
-    hi = src if src > gone else gone
-
-    def relab(v: int) -> int:
-        if v == src:
-            return lo
-        return v if v < hi else v - 1
-
-    out = [0] * (n - 1)
-    for v in range(1, n + 1):
-        if v == gone:
-            continue
-        tgt = p[gone - 1] if v == src else p[v - 1]
-        out[relab(v) - 1] = relab(tgt)
-    return tuple(out)
+    return contract_edge(p, rows[i])

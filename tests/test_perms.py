@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from leibhom.perms import (compose, cycle_order_rows, cycle_start_sign,
-                           cyclic_class, cyclic_index, cyclic_shift,
+from leibhom.perms import (compose, contract_edge, cycle_order_rows,
+                           cycle_start_sign, cyclic_class, cyclic_index, cyclic_shift,
                            face_cyclic, identity_perm, invert, is_cyclic,
                            sign, symmetric_group, symmetric_index)
 
@@ -132,6 +132,53 @@ def test_face_matches_oracle(n):
             assert got == face_oracle(p, i)
             if n > 2:
                 assert is_cyclic(got)
+
+
+def contract_edge_oracle(p, src):
+    """Independent edge contraction, matrix-unit style.
+
+    Hold p as the matrix units (v, p(v)), replace the units of src and
+    g = p(src) by their product (src, p(g)), rename src to min(src, g) so
+    the other label drops out, close the labels up in order, and read the
+    permutation back off the units.
+    """
+    g = p[src - 1]
+    units = [(v, p[v - 1]) for v in range(1, len(p) + 1) if v not in (src, g)]
+    units.append((src, p[g - 1]))
+    merged = min(src, g)
+    units = [tuple(merged if v == src else v for v in u) for u in units]
+    relab = {v: k + 1 for k, v in enumerate(sorted(a for a, _ in units))}
+    out = [0] * (len(p) - 1)
+    for a, b in units:
+        out[relab[a] - 1] = relab[b]
+    return tuple(out)
+
+
+def cycle_count(p):
+    seen, count = set(), 0
+    for v in range(1, len(p) + 1):
+        if v not in seen:
+            count += 1
+            while v not in seen:
+                seen.add(v)
+                v = p[v - 1]
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_contract_edge_matches_oracle(n):
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError):
+            contract_edge(symmetric_group(n)[-1], bad)
+    for p in symmetric_group(n):
+        for src in range(1, n + 1):
+            if p[src - 1] == src:
+                with pytest.raises(ValueError):
+                    contract_edge(p, src)
+                continue
+            got = contract_edge(p, src)
+            assert got == contract_edge_oracle(p, src), (p, src)
+            assert cycle_count(got) == cycle_count(p), (p, src)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
