@@ -1,11 +1,9 @@
-"""Algebra and morphism file formats (UTF-8 JSON).
+"""Algebra file format (UTF-8 JSON).
 
 Algebra files: {"name", "dim", "basis": [names], "unit": ["p/q", ...],
 "table": [[i, j, [[k, "p/q"], ...]], ...]} where omitted (i, j) products are
-zero and none is named twice. Morphism files: {"source", "target",
-"matrix": [[...]]} with source and target either a builtin name or an inline
-algebra object. Rationals are always emitted reduced as "p/q"; bare integers
-are accepted on input.
+zero and none is named twice. Rationals are always emitted reduced as "p/q";
+bare integers are accepted on input.
 A value read back is an int whenever it is integral ("-1/1", "4/2", 3) and a
 Fraction otherwise, so a file algebra runs the same int arithmetic as the
 builtin it was saved from.
@@ -16,8 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import Algebra, AlgebraMorphism, builtin_algebra
-from .linalg import SparseMatrix
+from .algebra import Algebra
 
 
 class FormatError(ValueError):
@@ -128,43 +125,3 @@ def save_algebra(A: Algebra, path: str) -> None:
         json.dump(algebra_to_dict(A), fh, indent=2)
         fh.write("\n")
 
-
-def _resolve_algebra(spec):
-    if isinstance(spec, str):
-        try:
-            return builtin_algebra(spec)
-        except ValueError as exc:
-            raise FormatError(str(exc))
-    return algebra_from_dict(spec)
-
-
-def morphism_from_dict(d) -> AlgebraMorphism:
-    if not isinstance(d, dict):
-        raise FormatError("morphism object must be a JSON object")
-    for key in ("source", "target", "matrix"):
-        if key not in d:
-            raise FormatError("morphism object missing key %r" % key)
-    src = _resolve_algebra(d["source"])
-    tgt = _resolve_algebra(d["target"])
-    rows = d["matrix"]
-    if not isinstance(rows, list) or len(rows) != tgt.dim:
-        raise FormatError("matrix must have target-dim rows")
-    entries = []
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != src.dim:
-            raise FormatError("matrix row %d must have source-dim entries" % r)
-        for c, v in enumerate(row):
-            val = frac_from_json(v)
-            if val:
-                entries.append((r, c, val))
-    mat = SparseMatrix.from_entries(tgt.dim, src.dim, entries)
-    return AlgebraMorphism(src, tgt, mat, name=str(d.get("name", "")))
-
-
-def load_morphism(path: str) -> AlgebraMorphism:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError("not valid JSON: %s" % exc)
-    return morphism_from_dict(data)

@@ -290,22 +290,23 @@ def _phi_slot_antisymmetry(A, cl, ph, cutoff):
 
 
 def _phi_inverse_indexing_invariance(A, cl, chh, ph, cutoff):
+    # sigma -> sigma^-1 is a sign-preserving bijection of S_{m-1}, so the sum
+    # over sigma^-1, built here, is phi's own sum over sigma
     d = A.dim
     for m in range(2, cutoff + 1):
         if m not in ph.maps:
             continue
-        for use_inverse in (False, True):
-            alt = SparseMatrix(chh.dims[m - 1], cl.dims[m])
-            for j in range(cl.dims[m]):
-                t = index_tuple(j, d, m)
-                for sg in symmetric_group(m - 1):
-                    rho = invert(sg) if use_inverse else sg
-                    arranged = (t[0],) + tuple(t[rho[k]] for k in range(m - 1))
-                    idx = tuple_index(arranged, d)
-                    alt.columns[j][idx] = alt.columns[j].get(idx, 0) + sign(sg)
-                alt.columns[j] = {k: v for k, v in alt.columns[j].items() if v}
-            if alt != ph.maps[m]:
-                return False
+        alt = SparseMatrix(chh.dims[m - 1], cl.dims[m])
+        for j in range(cl.dims[m]):
+            t = index_tuple(j, d, m)
+            for sg in symmetric_group(m - 1):
+                rho = invert(sg)
+                arranged = (t[0],) + tuple(t[rho[k]] for k in range(m - 1))
+                idx = tuple_index(arranged, d)
+                alt.columns[j][idx] = alt.columns[j].get(idx, 0) + sign(sg)
+            alt.columns[j] = {k: v for k, v in alt.columns[j].items() if v}
+        if alt != ph.maps[m]:
+            return False
     return True
 
 

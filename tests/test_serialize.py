@@ -1,4 +1,4 @@
-"""JSON round trips and the error paths of the file formats."""
+"""JSON round trips and the error paths of the algebra file format."""
 
 import json
 from fractions import Fraction
@@ -9,7 +9,7 @@ from leibhom.algebra import BUILTIN_NAMES, builtin_algebra
 from leibhom.complexes import build_complex
 from leibhom.serialize import (FormatError, algebra_from_dict,
                                algebra_to_dict, frac_from_json, load_algebra,
-                               load_morphism, save_algebra)
+                               save_algebra)
 
 
 def constants(A):
@@ -139,36 +139,3 @@ def test_load_algebra_non_object(tmp_path):
     with pytest.raises(FormatError):
         load_algebra(str(p))
 
-
-def test_load_morphism_builtin_endpoints(tmp_path):
-    p = tmp_path / "aug.json"
-    p.write_text(json.dumps({
-        "source": "dual",
-        "target": "rationals",
-        "matrix": [["1", "0"]],
-    }))
-    f = load_morphism(str(p))
-    assert f.source.name == "dual"
-    assert f.target.name == "rationals"
-    assert f.matrix.entry(0, 0) == 1
-    assert f.matrix.entry(0, 1) == 0
-
-
-def test_load_morphism_inline_algebra(tmp_path):
-    p = tmp_path / "m.json"
-    p.write_text(json.dumps({
-        "source": algebra_to_dict(builtin_algebra("dual")),
-        "target": "dual",
-        "matrix": [["1", "0"], ["0", "1"]],
-    }))
-    f = load_morphism(str(p))
-    assert f.source.dim == 2 and f.target.dim == 2
-
-
-def test_load_morphism_shape_mismatch(tmp_path):
-    p = tmp_path / "m.json"
-    p.write_text(json.dumps({
-        "source": "dual", "target": "rationals", "matrix": [["1"]],
-    }))
-    with pytest.raises(FormatError):
-        load_morphism(str(p))
