@@ -15,9 +15,10 @@ import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
-from .algebra import (BUILTIN_NAMES, builtin_algebra, matrix_algebra,
-                      validate_algebra)
+from .algebra import (BUILTIN_NAMES, builtin_algebra, check_matrix_size,
+                      matrix_algebra, validate_algebra)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         ResourceBoundExceeded, Session, basis_labels,
                         build_complex, check_bound)
@@ -263,14 +264,20 @@ def _check_prerequisites(A, kinds, tokens, N, maxdeg, max_dim):
             raise UsageError("%s needs --matrix-size at least 3" % token)
     sized = [("A", kind, maxdeg) for kind in kinds] + [
         cx for token in tokens for cx in _map_complexes(token, maxdeg)]
-    algebras = {"A": A}
-    if any(alg == "M" for alg, _, _ in sized):
-        algebras["M"] = matrix_algebra(A, N)
+    needs_m = any(alg == "M" for alg, _, _ in sized)
+    if needs_m:
+        check_matrix_size(A, N)
+    # M_N(A) is sized before its product table is built: the kinds built
+    # over it (CL, CHH) have dimensions that read only its dimension
+    sizes = {"A": A, "M": SimpleNamespace(dim=N * N * A.dim)}
     # every degree: the CE and CE_ADJ dimensions are not monotone in n; BAR
     # over an algebra that is no group is refused here too (degree_dim)
     for alg, kind, cutoff in dict.fromkeys(sized):
         for n in range(1, cutoff + 1):
-            check_bound(algebras[alg], kind, n, max_dim)
+            check_bound(sizes[alg], kind, n, max_dim)
+    algebras = {"A": A}
+    if needs_m:
+        algebras["M"] = matrix_algebra(A, N)
     return algebras
 
 

@@ -38,6 +38,13 @@ CE_ADJ) boundary between a section and a projection that is a chain map
 with proj o section = id. _derived states the sections and projections,
 which are also the comparison maps proj_I, proj_lie, proj_adjoint, bar_pi
 and bar_iota.
+
+A streamed degree's d.d = 0 (verify_d2_streamed) is checked against the
+stored degree below it. For the contraction kinds the check needs no column
+of the streamed degree: every composite of two contractions multiplies at
+most four input slots, so _d2_certified groups the composites by the slots
+they merge and checks each group over the digits of those slots alone. A
+degree it cannot prove this way is checked column by column.
 """
 
 from __future__ import annotations
@@ -253,6 +260,8 @@ def _contraction_column_fn(d: int, table, m: int, parts):
                     out.pop(idx, None)
         return out
 
+    # the terms themselves, for the d.d certificate (_d2_certified)
+    col.terms = (table, m, tuple(tuple(terms) for terms in parts))
     return col
 
 
@@ -472,18 +481,124 @@ def build_complex(A: Algebra, kind: str, cutoff: int, session=None,
 def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     """Check d_{n-1} o d_n = 0 without storing d_n; None or (degree, column).
 
-    Only d_{n-1} is materialized (it is subject to the session's max_dim);
-    the columns of d_n are generated, checked, and dropped.
+    Only d_{n-1} is materialized (it is subject to the session's max_dim).
+    For CL, CHH, L and P, _d2_certified proves d.d = 0 from the terms of d_n
+    and d_{n-1}, without generating a column of d_n, when the stored d_{n-1}
+    is the generated one. Otherwise, or when the proof does not go through,
+    the columns of d_n are generated, checked and dropped, and the first
+    column with d_{n-1}(column) != 0 is the witness.
     """
     if n < 2:
         return None
     lower = boundary_matrix(A, kind, n - 1, session)
-    vanishes = ZeroTest((lower, 1))
     fn = boundary_column_fn(A, kind, n)
+    if hasattr(fn, "terms") and _d2_certified(
+            lower, fn, boundary_column_fn(A, kind, n - 1)):
+        return None
+    vanishes = ZeroTest((lower, 1))
     for j in range(degree_dim(A, kind, n)):
         if not vanishes(fn(j)):
             return (n, j)
     return None
+
+
+def _d2_certified(lower: SparseMatrix, up, down) -> bool:
+    """True if lower o up = 0 follows from the terms of up and down.
+
+    up and down are contraction column functions of d_n and d_{n-1} over one
+    table, and lower must hold exactly down's columns. Each term of a part
+    of up is composed with the terms of the part of down it lands in: a
+    composite is its output part and a product tree over the input slots
+    in each merged output slot (two trees of two slots, or one of three).
+    The composites are grouped by output part and the input slots merged
+    into each output slot. A column's d.d is the sum of its group sums, and
+    a group's sum is its untouched digits tensor a sum of trees that reads
+    only its (at most four) merged digits: identical trees cancel, and what
+    is left is checked once over every assignment of those digits.
+    False proves nothing; the caller then checks column by column.
+    """
+    if not hasattr(down, "terms"):
+        return False
+    table, m, parts = up.terms
+    table_lo, m_lo, parts_lo = down.terms
+    dlo = len(table) ** (m - 1)
+    if (m_lo != m - 1 or table_lo != table
+            or lower.cols != len(parts_lo) * dlo
+            or any(lower.columns[y] != down(y) for y in range(lower.cols))):
+        return False
+    composites = {}  # the two contractions -> (trees, merged input slots)
+    vanishes = {}  # group -> whether its sum is zero on every assignment
+    for part in parts:
+        groups = {}
+        for i, j, swapped, sign, base in part:
+            for i2, j2, swapped2, sign2, base2 in parts_lo[base // dlo]:
+                pair = (i, j, swapped, i2, j2, swapped2)
+                if pair not in composites:
+                    composites[pair] = _composite(m, *pair)
+                trees, blocks = composites[pair]
+                group = groups.setdefault((base2, blocks), {})
+                group[trees] = group.get(trees, 0) + sign * sign2
+        for (_, blocks), group in groups.items():
+            group = frozenset(item for item in group.items() if item[1])
+            if group and group not in vanishes:
+                slots = sorted(s for block in blocks for s in block)
+                vanishes[group] = _group_vanishes(table, slots, group)
+            if group and not vanishes[group]:
+                return False
+    return True
+
+
+def _composite(m: int, i, j, swapped, i2, j2, swapped2):
+    """The product trees of two contractions of m slots, in output order,
+    with the input slots of each tree."""
+    slots = _contract(_contract(range(m), i, j, swapped), i2, j2, swapped2)
+    trees = tuple(t for t in slots if type(t) is tuple)
+    return trees, tuple(tuple(sorted(_leaves(t))) for t in trees)
+
+
+def _contract(slots, i: int, j: int, swapped: bool) -> list:
+    """Slots i < j contracted into the tree (i, j) at i, or (j, i) when
+    swapped, and slot j deleted; a slot is an input slot or a tree."""
+    out = list(slots)
+    out[i] = (out[j], out[i]) if swapped else (out[i], out[j])
+    del out[j]
+    return out
+
+
+def _leaves(tree) -> tuple:
+    return (tree,) if type(tree) is int else _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _group_vanishes(table, slots, group) -> bool:
+    """Whether sum c * (tensor of the trees' products) over the group is zero
+    for every assignment of basis elements to the merged input slots."""
+    for assignment in itertools.product(range(len(table)), repeat=len(slots)):
+        digits = dict(zip(slots, assignment))
+        total = {}
+        for trees, c in group:
+            terms = {(): c}
+            for tree in trees:
+                value = _tree_value(table, tree, digits)
+                terms = {key + (b,): u * v for key, u in terms.items()
+                         for b, v in value.items()}
+            for key, u in terms.items():
+                _acc(total, key, u)
+        if total:
+            return False
+    return True
+
+
+def _tree_value(table, tree, digits) -> dict:
+    """The product a tree names, its input slots read as the basis elements
+    digits[slot]."""
+    if type(tree) is int:
+        return {digits[tree]: 1}
+    out = {}
+    for a, u in _tree_value(table, tree[0], digits).items():
+        for b, v in _tree_value(table, tree[1], digits).items():
+            for k, c in table[a][b]:
+                _acc(out, k, u * v * c)
+    return out
 
 
 # -------------------------------------------------------------------- labels

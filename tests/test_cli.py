@@ -244,6 +244,22 @@ def test_compute_checks_the_bound_of_every_degree_before_any_table(
     assert not cache.exists()
 
 
+def test_compute_refuses_an_over_bound_matrix_algebra_before_building_it(
+        tmp_path, capsys, monkeypatch):
+    """M_30(dual) has dimension 1800: CHH_1 over it needs 1800^2 columns,
+    refused on that dimension before its product table is built."""
+    built = []
+    monkeypatch.setattr(cli, "matrix_algebra",
+                        lambda *args: built.append(args))
+    cache = tmp_path / "cache"
+    assert cli.main(["compute", "--algebra", "dual", "--maps", "TRACE",
+                     "--matrix-size", "30", "--max-degree", "2",
+                     "--cache", str(cache), "--out", str(tmp_path)]) == 3
+    assert "CHH degree 1 needs 3240000 basis columns" in capsys.readouterr().err
+    assert not cache.exists()
+    assert built == []
+
+
 def test_compute_refuses_p_kahler_on_an_algebra_file_before_any_table(
         tmp_path, capsys):
     path = tmp_path / "dual.json"
