@@ -15,8 +15,9 @@ from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
                      rank_only)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         ResourceBoundExceeded, Session, basis_labels,
-                        boundary_column_fn, boundary_matrix, build_complex,
-                        degree_dim, verify_d2_streamed, wedge_basis)
+                        boundary_column_fn, boundary_matrix, boundary_rank,
+                        build_complex, degree_dim, verify_d2_streamed,
+                        wedge_basis)
 from .homology import (ChainComplex, ChainMapRep, HomologyData, MappingCone,
                        compose_maps, cone_pair_map, exactness_check,
                        induced_map, induced_rank_streamed, les_of_cone,

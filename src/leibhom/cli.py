@@ -21,8 +21,8 @@ from .algebra import (BUILTIN_NAMES, builtin_algebra, check_matrix_size,
                       matrix_algebra, validate_algebra)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         ResourceBoundExceeded, Session, basis_labels,
-                        build_complex, check_bound)
-from .homology import induced_map, verify_chain_map
+                        boundary_rank, build_complex, check_bound, degree_dim)
+from .homology import betti_number, induced_map, verify_chain_map
 from .linalg import rank_only
 from .serialize import FormatError, load_algebra
 from . import chain_maps as cmaps
@@ -214,21 +214,27 @@ def _load_compute_algebra(spec):
     return builtin_algebra(spec), []
 
 
-def _betti_table(A, kind, maxdeg, session):
-    C = build_complex(A, kind, maxdeg, session)
-    betti = [C.betti(n) for n in range(maxdeg)]
-    top_rank = C.rank_boundary(maxdeg)
-    table = {
+def _betti_table(A, kind, maxdeg, session, keep=False):
+    """The betti table of one kind. Its boundaries are ranked by
+    boundary_rank, which stores none of them unless keep builds the complex
+    first: a run keeps a kind its maps build, or every kind when it has a
+    disk cache."""
+    if keep:
+        build_complex(A, kind, maxdeg, session)
+    dims = [degree_dim(A, kind, n) for n in range(maxdeg + 1)]
+    ranks = [0] + [boundary_rank(A, kind, n, session)
+                   for n in range(1, maxdeg + 1)]
+    return {
         "kind": kind,
-        "dims": list(C.dims),
-        "betti": betti,
+        "dims": dims,
+        "betti": [betti_number(kind, n, dims[n], ranks[n], ranks[n + 1])
+                  for n in range(maxdeg)],
         "top_degree": {
             "degree": maxdeg,
-            "betti_upper_bound": C.dims[maxdeg] - top_rank,
+            "betti_upper_bound": dims[maxdeg] - ranks[maxdeg],
             "boundary_incomplete": True,
         },
     }
-    return C, table
 
 
 def _induced_rows(F):
@@ -358,8 +364,12 @@ def cmd_compute(args, argv):
             "n=%d" % n for n in range(args.max_degree + 1)) + " |"
         md += [header,
                "|" + "---|" * (args.max_degree + 2)]
+    kept = {kind for token in tokens
+            for alg, kind, _ in _map_complexes(token, args.max_degree)
+            if alg == "A"}
     for kind in kinds:
-        C, table = _betti_table(A, kind, args.max_degree, session)
+        table = _betti_table(A, kind, args.max_degree, session,
+                             session.cache_dir is not None or kind in kept)
         if args.dump_labels:
             table["labels"] = {str(n): basis_labels(A, kind, n)
                                for n in range(args.max_degree + 1)}

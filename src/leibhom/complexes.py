@@ -15,7 +15,9 @@ All boundaries are generated one column at a time so huge degrees can be
 streamed (for d.d = 0 checks or rank streams) without materializing the
 matrix. Fully built matrices, and the ranks of their boundaries, live in the
 registry of a Session, keyed by algebra fingerprint: one session per run,
-so nothing built in one run is seen by another.
+so nothing built in one run is seen by another. boundary_rank ranks a
+boundary the session does not hold by its rows, straight from the column
+generator, and stores no matrix.
 
 Tensor basis order is lexicographic with the first factor most significant,
 matching itertools.product. Wedge bases are increasing index tuples in
@@ -56,7 +58,7 @@ from math import comb, factorial, gcd
 from . import cache
 from .algebra import Algebra
 from .homology import ChainComplex
-from .linalg import SparseMatrix, ZeroTest
+from .linalg import SparseMatrix, ZeroTest, rank_by_rows, rank_only
 from .perms import (contract_edge, cyclic_class, cyclic_index, face_cyclic,
                     symmetric_group, symmetric_index)
 
@@ -476,6 +478,34 @@ def build_complex(A: Algebra, kind: str, cutoff: int, session=None,
     dims = [degree_dim(A, kind, 0)] + [d.cols for d in boundaries[1:]]
     return ChainComplex(kind, dims, boundaries,
                         session.ranks.setdefault((A.fingerprint(), kind), {}))
+
+
+def boundary_rank(A: Algebra, kind: str, n: int, session=None) -> int:
+    """rank d_n, memoized in the session's ranks.
+
+    A stored d_n is ranked by rank_only. Any other is ranked by rows from its
+    column generator (rank_by_rows) and not stored, except P: by rows its
+    degrees run slower than stored, so P's d_n is built and stored first.
+    """
+    if session is None:
+        session = Session()
+    fingerprint = A.fingerprint()
+    memo = session.ranks.setdefault((fingerprint, kind), {})
+    if n not in memo:
+        mat = session.boundaries.get((fingerprint, kind, n))
+        if mat is None and kind == "P":
+            mat = boundary_matrix(A, kind, n, session)
+        if mat is not None:
+            rows, cols, rank = mat.rows, mat.cols, rank_only(mat)
+        else:
+            check_bound(A, kind, n, session.max_dim)
+            rows = degree_dim(A, kind, n - 1)
+            cols = degree_dim(A, kind, n)
+            rank = rank_by_rows(rows, cols, map(
+                boundary_column_fn(A, kind, n), range(cols)))
+        assert 0 <= rank <= min(rows, cols), (kind, n, rank)
+        memo[n] = rank
+    return memo[n]
 
 
 def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):

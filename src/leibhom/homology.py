@@ -59,10 +59,9 @@ class ChainComplex:
             raise ValueError("homology degree %d outside 0..%d (cutoff %d)"
                              % (n, self.cutoff - 1, self.cutoff))
         if n not in self._homology:
-            betti = self.dims[n] - self.rank_boundary(n) - self.rank_boundary(n + 1)
-            if betti < 0:
-                raise ValueError("%s betti %d in degree %d: the boundaries do "
-                                 "not compose to zero" % (self.kind, betti, n))
+            betti = betti_number(self.kind, n, self.dims[n],
+                                 self.rank_boundary(n),
+                                 self.rank_boundary(n + 1))
             self._homology[n] = HomologyData(self, n, betti)
         return self._homology[n]
 
@@ -71,6 +70,16 @@ class ChainComplex:
 
     def __repr__(self):
         return "ChainComplex(%s, dims=%s)" % (self.kind, self.dims)
+
+
+def betti_number(kind, n: int, dim: int, rank_n: int, rank_next: int) -> int:
+    """dim C_n - rank d_n - rank d_{n+1}; a negative count raises ValueError,
+    since then the boundaries do not compose to zero."""
+    betti = dim - rank_n - rank_next
+    if betti < 0:
+        raise ValueError("%s betti %d in degree %d: the boundaries do "
+                         "not compose to zero" % (kind, betti, n))
+    return betti
 
 
 def verify_boundary_squares(C: ChainComplex):

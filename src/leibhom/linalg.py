@@ -36,11 +36,18 @@ Echelon always leads with the smallest index. rank_only, which only needs a
 count, feeds it columns shortest first and rows in reverse, so that each
 pivot leads with its largest original row; fill, not coefficient size,
 decides the cost of sparse exact elimination, and this order keeps the
-pivots of boundary matrices much sparser. Every other path keeps the natural
-order, which its results depend on: kernel_basis relations (and the
-representatives and report signs built from them) follow the pivot order,
-and blocked_rank needs the leading block eliminated ahead of the trailing
-one.
+pivots of boundary matrices much sparser. rank_by_rows ranks a matrix that
+nothing keeps, handed over column by column, by its rows instead: it
+scatters the columns into row dicts, labels the columns by fewest nonzeros
+first (ties by highest index first), so that each pivot leads with its
+sparsest column, and feeds the rows in shortest first. A boundary d_n has
+far fewer rows than columns (d_5 of CL over gl_2 of the dual numbers is
+4096 x 32768), so this takes fewer, shorter reduction steps, and row dicts
+hold the entries more compactly than column dicts. Every other path keeps
+the natural order, which its results depend on: kernel_basis relations
+(and the representatives and report signs built from them) follow the
+pivot order, and blocked_rank needs the leading block eliminated ahead of
+the trailing one.
 """
 
 from __future__ import annotations
@@ -476,6 +483,29 @@ def rank_only(M: SparseMatrix) -> int:
     ech = Echelon()
     for col in sorted((c for c in M.columns if c), key=len):
         ech.insert({last - i: v for i, v in col.items()})
+    return ech.rank
+
+
+def rank_by_rows(rows: int, cols: int, columns) -> int:
+    """Rank of the rows x cols matrix whose columns `columns` yields in order,
+    eliminated by rows (see the module docstring); nothing is kept of a
+    column once it is scattered into the rows."""
+    by_row = [{} for _ in range(rows)]
+    counts = [0] * cols
+    for j, col in enumerate(columns):
+        counts[j] = len(col)
+        for i, v in col.items():
+            by_row[i][j] = v
+    label = [0] * cols
+    # a stable sort of the indices from the highest down: ties keep that order
+    for pos, j in enumerate(sorted(range(cols - 1, -1, -1),
+                                   key=counts.__getitem__)):
+        label[j] = pos
+    ech = Echelon()
+    for i in sorted(range(rows), key=lambda i: len(by_row[i])):
+        row, by_row[i] = by_row[i], None
+        if row:
+            ech.insert({label[j]: v for j, v in row.items()})
     return ech.rank
 
 

@@ -11,7 +11,6 @@ matrices, so every suite finishes quickly at the default config.
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
 
 from .algebra import (BUILTIN_MORPHISMS, BUILTIN_NAMES, builtin_algebra,
                       builtin_morphism, check_matrix_size, matrix_algebra,
@@ -37,22 +36,23 @@ GROUP_NAMES = ("cyclic:1", "cyclic:2", "cyclic:3", "s3")
 TRACE_PHI_NAMES = ("dual", "split:2", "cyclic:2")
 
 
-@dataclass
 class SuiteConfig:
-    algebras: tuple = BUILTIN_NAMES
-    cutoff: int = 4
-    matrix_size: int = 3
-    seed: int = 0
-    # the run's boundaries, ranks, dimension bound and disk cache
-    session: Session = field(default_factory=Session)
-    debug_break_phi: bool = False
+    """What a suite runs on: the algebras, the cutoff, the matrix size N, the
+    seed, and session, the run's boundaries, ranks, dimension bound and disk
+    cache (a fresh Session by default)."""
 
-    def __post_init__(self):
-        if self.cutoff < 2:
+    def __init__(self, algebras=BUILTIN_NAMES, cutoff=4, matrix_size=3,
+                 seed=0, session=None, debug_break_phi=False):
+        if cutoff < 2:
             raise ValueError("cutoff must be at least 2")
-        if self.matrix_size < 2:
+        if matrix_size < 2:
             raise ValueError("matrix size must be at least 2")
-        self.algebras = tuple(self.algebras)
+        self.algebras = tuple(algebras)
+        self.cutoff = cutoff
+        self.matrix_size = matrix_size
+        self.seed = seed
+        self.session = Session() if session is None else session
+        self.debug_break_phi = debug_break_phi
 
     def as_dict(self):
         return {

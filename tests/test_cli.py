@@ -122,6 +122,66 @@ def test_compute_writes_reports(tmp_path):
     assert "| CHH |" in md
 
 
+def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
+    """Each of them pulls in a dozen stdlib modules (ast, dis, tokenize, ...)
+    that every leibhom process would import and, without bytecode, compile."""
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, leibhom.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_compute_report_is_the_same_with_and_without_a_cache(tmp_path):
+    """Without a cache the tables are ranked by rows and nothing is stored;
+    with one every boundary is built, written, and ranked by rank_only."""
+    args = ("compute", "--algebra", "dual", "--complex", "CL,CHH,CLAMBDA",
+            "--max-degree", "4")
+    reports = []
+    for out, extra in (("plain", ()), ("cold", ("--cache", "c")),
+                       ("warm", ("--cache", "c"))):
+        extra = tuple(str(tmp_path / e) if e == "c" else e for e in extra)
+        r = run_cli(*args, *extra, "--out", str(tmp_path / out))
+        assert r.returncode == 0, r.stderr
+        reports.append((tmp_path / out / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert len(list((tmp_path / "c").glob("*.bnd"))) == 12
+
+
+def test_a_table_the_run_does_not_keep_stores_no_boundary():
+    from leibhom.complexes import Session, build_complex
+    A = builtin_algebra("dual")
+    session = Session()
+    table = cli._betti_table(A, "CHH", 3, session)
+    assert session.boundaries == {}
+    assert session.ranks == {(A.fingerprint(), "CHH"): {1: 0, 2: 3, 3: 4}}
+    assert table["betti"] == [2, 1, 1] and table["dims"] == [2, 4, 8, 16]
+    C = build_complex(A, "CHH", 3, Session())
+    assert [C.betti(n) for n in range(3)] == table["betti"]
+    assert C.dims == table["dims"]
+    assert table == cli._betti_table(A, "CHH", 3, Session(), keep=True)
+
+
+def test_the_kinds_a_map_builds_keep_their_boundaries(tmp_path, monkeypatch):
+    """PHI builds CL and CHH, so their tables store d_1..d_3 as the map will
+    read them; CLAMBDA, which no map builds, is ranked by rows."""
+    sessions = []
+    real = cli._session
+    monkeypatch.setattr(cli, "_session",
+                        lambda *args: sessions.append(real(*args))
+                        or sessions[-1])
+    assert cli.main(["compute", "--algebra", "dual", "--complex",
+                     "CL,CHH,CLAMBDA", "--maps", "PHI", "--max-degree", "3",
+                     "--out", str(tmp_path)]) == 0
+    [session] = sessions
+    fingerprint = builtin_algebra("dual").fingerprint()
+    assert set(session.boundaries) == {
+        (fingerprint, kind, n) for kind in ("CL", "CHH") for n in (1, 2, 3)}
+    assert set(session.ranks[(fingerprint, "CLAMBDA")]) == {1, 2, 3}
+
+
 def test_compute_exit_codes(tmp_path):
     out = str(tmp_path / "x")
     assert run_cli("compute", "--algebra", "dual", "--complex", "NOPE",

@@ -10,17 +10,18 @@ from fractions import Fraction
 import pytest
 
 from leibhom import cache, complexes
-from leibhom.algebra import (Algebra, builtin_algebra, matrix_algebra,
-                             multiply_coords)
+from leibhom.algebra import (BUILTIN_NAMES, Algebra, builtin_algebra,
+                             matrix_algebra, multiply_coords)
 from leibhom.complexes import (KINDS, KahlerModule, ResourceBoundExceeded,
                                Session, _derived, _l_transport_terms,
                                basis_labels,
                                boundary_column_fn, boundary_matrix,
+                               boundary_rank,
                                build_complex, check_bound, cyclic_quotient,
                                degree_dim, index_tuple, tuple_index,
                                verify_d2_streamed, wedge_basis)
 from leibhom.homology import ChainComplex, verify_boundary_squares
-from leibhom.linalg import SparseMatrix
+from leibhom.linalg import SparseMatrix, rank_only
 from leibhom.perms import (cyclic_class, cyclic_index, face_cyclic,
                            symmetric_group)
 from leibhom.serialize import load_algebra, save_algebra
@@ -746,6 +747,37 @@ def test_a_session_refuses_a_bound_below_one():
         with pytest.raises(ValueError, match="max_dim"):
             Session(max_dim=bad)
     assert Session(max_dim=1).max_dim == 1
+
+
+@pytest.mark.parametrize("name,kind", [
+    (name, kind) for name in BUILTIN_NAMES for kind in KINDS
+    if kind != "BAR" or builtin_algebra(name).group_meta is not None])
+def test_boundary_rank_by_rows_is_rank_only(name, kind):
+    """Ranked by rows from the generator, d_n has the rank rank_only gives
+    the stored d_n, in every degree of at most 1500 columns (CE reaches the
+    0 x 0 and 1 x 0 shapes past the dimension), and nothing is stored but
+    P's boundaries, which are ranked stored."""
+    A = builtin_algebra(name)
+    session = Session()
+    for n in range(1, 6):
+        if degree_dim(A, kind, n) > 1500:
+            break
+        assert boundary_rank(A, kind, n, session) == rank_only(
+            boundary_matrix(A, kind, n))
+    assert bool(session.boundaries) == (kind == "P")
+
+
+def test_boundary_rank_reads_the_memo_then_the_stored_matrix():
+    A = builtin_algebra("dual")
+    session = Session()
+    key = (A.fingerprint(), "CHH")
+    session.boundaries[key + (2,)] = SparseMatrix.identity(4)
+    session.ranks[key] = {1: 7}
+    assert boundary_rank(A, "CHH", 1, session) == 7
+    assert boundary_rank(A, "CHH", 2, session) == 4
+    assert boundary_rank(A, "CHH", 3, session) == 4
+    assert session.ranks[key] == {1: 7, 2: 4, 3: 4}
+    assert set(session.boundaries) == {key + (2,)}
 
 
 def test_boundary_matrix_consistent_with_build_complex():

@@ -9,7 +9,7 @@ import pytest
 from leibhom.algebra import builtin_algebra, matrix_algebra
 from leibhom.complexes import boundary_matrix
 from leibhom.linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
-                            rank_only)
+                            rank_by_rows, rank_only)
 from leibhom.serialize import load_algebra, save_algebra
 
 
@@ -103,6 +103,33 @@ def test_rank_only_edge_cases_match_dense_oracle():
             extra.append({r: scale * v for r, v in col.items()})
         W = SparseMatrix(M.rows, M.cols + 3, M.columns + extra)
         assert rank_only(W) == rank_only(M) == dense_rank(to_dense(W))
+
+
+def by_rows(M):
+    return rank_by_rows(M.rows, M.cols, iter(M.columns))
+
+
+def test_rank_by_rows_matches_rank_only_and_the_dense_oracle():
+    half = Fraction(1, 2)
+    cases = [
+        SparseMatrix(0, 0),                      # CE_n past the dimension
+        SparseMatrix(1, 0),                      # CE_{dim+1}
+        SparseMatrix(0, 3),
+        # row 1 and column 2 empty
+        SparseMatrix(3, 4, [{0: 1, 2: -1}, {0: 2, 2: -2}, {}, {2: 5}]),
+        # Fraction entries, rows that are Fraction multiples of each other
+        SparseMatrix(3, 3, [{0: half, 1: 1, 2: Fraction(-3, 4)},
+                            {0: Fraction(1, 3), 1: Fraction(2, 3),
+                             2: -half},
+                            {1: Fraction(7, 5)}]),
+    ]
+    assert [by_rows(M) for M in cases] == [0, 0, 0, 2, 2]
+    rng = random.Random(17)
+    for _ in range(40):
+        cases.append(random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8),
+                                   fractions=rng.random() < 0.5))
+    for M in cases:
+        assert by_rows(M) == rank_only(M) == dense_rank(to_dense(M))
 
 
 @pytest.mark.parametrize("name,kind,n", [("cyclic:3", "P", 3),
