@@ -480,15 +480,13 @@ def build_complex(A: Algebra, kind: str, cutoff: int, session=None,
                         session.ranks.setdefault((A.fingerprint(), kind), {}))
 
 
-def boundary_rank(A: Algebra, kind: str, n: int, session=None) -> int:
+def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
     """rank d_n, memoized in the session's ranks.
 
     A stored d_n is ranked by rank_only. Any other is ranked by rows from its
-    column generator (rank_by_rows) and not stored, except P: by rows its
-    degrees run slower than stored, so P's d_n is built and stored first.
+    column generator (rank_by_rows) and not stored, except P's: by rows, a
+    large P degree can rank much slower, so P's d_n is built and stored.
     """
-    if session is None:
-        session = Session()
     fingerprint = A.fingerprint()
     memo = session.ranks.setdefault((fingerprint, kind), {})
     if n not in memo:

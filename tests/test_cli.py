@@ -139,10 +139,9 @@ def test_compute_report_is_the_same_with_and_without_a_cache(tmp_path):
     with one every boundary is built, written, and ranked by rank_only."""
     args = ("compute", "--algebra", "dual", "--complex", "CL,CHH,CLAMBDA",
             "--max-degree", "4")
+    cache = ("--cache", str(tmp_path / "c"))
     reports = []
-    for out, extra in (("plain", ()), ("cold", ("--cache", "c")),
-                       ("warm", ("--cache", "c"))):
-        extra = tuple(str(tmp_path / e) if e == "c" else e for e in extra)
+    for out, extra in (("plain", ()), ("cold", cache), ("warm", cache)):
         r = run_cli(*args, *extra, "--out", str(tmp_path / out))
         assert r.returncode == 0, r.stderr
         reports.append((tmp_path / out / "report.json").read_bytes())
@@ -167,11 +166,17 @@ def test_a_table_the_run_does_not_keep_stores_no_boundary():
 def test_the_kinds_a_map_builds_keep_their_boundaries(tmp_path, monkeypatch):
     """PHI builds CL and CHH, so their tables store d_1..d_3 as the map will
     read them; CLAMBDA, which no map builds, is ranked by rows."""
+    from leibhom import complexes
     sessions = []
     real = cli._session
     monkeypatch.setattr(cli, "_session",
                         lambda *args: sessions.append(real(*args))
                         or sessions[-1])
+    by_rows = []
+    real_rows = complexes.rank_by_rows
+    monkeypatch.setattr(complexes, "rank_by_rows",
+                        lambda *args: by_rows.append(args[:2])
+                        or real_rows(*args))
     assert cli.main(["compute", "--algebra", "dual", "--complex",
                      "CL,CHH,CLAMBDA", "--maps", "PHI", "--max-degree", "3",
                      "--out", str(tmp_path)]) == 0
@@ -180,6 +185,8 @@ def test_the_kinds_a_map_builds_keep_their_boundaries(tmp_path, monkeypatch):
     assert set(session.boundaries) == {
         (fingerprint, kind, n) for kind in ("CL", "CHH") for n in (1, 2, 3)}
     assert set(session.ranks[(fingerprint, "CLAMBDA")]) == {1, 2, 3}
+    # the shapes of CLAMBDA's d_1, d_2, d_3 over dual
+    assert by_rows == [(2, 1), (1, 4), (4, 4)]
 
 
 def test_compute_exit_codes(tmp_path):
