@@ -1,29 +1,49 @@
-"""Disk cache for boundary matrices.
+"""Disk cache for boundary matrices and their ranks.
 
 One file per (algebra fingerprint, complex kind, degree). The first line is
 a header naming the format version, the full fingerprint, the kind, the
 degree, the shape, the number of entries and the sha256 of the body; the
 body holds the sorted nonzero entries as "row col value" lines with exact
 rationals. A file whose header does not name the boundary asked for, or
-whose body fails its line count, digest or parse, is rejected: the loader
-returns None and the caller recomputes and overwrites it. Both functions
-count their hits, misses, writes and rejects in the counts dict passed last
-(a Session's cache_counts), so determinism checks can compare cold and warm
-runs.
+whose body fails its line count, digest or parse, holds a line of other
+than three fields, an entry out of range or a stored zero, is rejected: the
+loader returns None and the caller recomputes and overwrites it.
+
+Next to a boundary file, a one-line rank record stores the rank of that
+boundary. It binds the rank to the full fingerprint, kind, degree and shape
+and to the sha256 of the boundary file's body it was computed from, and
+ends with the sha256 of the record itself. A record is trusted only when
+all of these match the boundary just loaded and 0 <= rank <= min(rows,
+cols); any other record is refused, which costs no more than ranking the
+boundary again and rewriting the record.
+
+The functions count their hits, misses, writes and rejects in the counts
+dict passed last (a Session's cache_counts for boundaries, its rank_counts
+for rank records), so determinism checks can compare cold and warm runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 from fractions import Fraction
 
 from .linalg import SparseMatrix
 
 FORMAT = "leibhom-boundary 1"
+RANK_FORMAT = "leibhom-rank 1"
+
+# a batch of body lines, each exactly three fields separated by one space
+_BODY_LINES = re.compile(r"(?:\S++ \S++ \S++\n)*+")
+
 
 def boundary_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> str:
     return os.path.join(cache_dir, "%s.%s.%d.bnd" % (fingerprint[:16], kind, degree))
+
+
+def rank_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> str:
+    return os.path.join(cache_dir, "%s.%s.%d.rank" % (fingerprint[:16], kind, degree))
 
 
 def _format_value(v) -> str:
@@ -47,29 +67,36 @@ def _header_prefix(fingerprint: str, kind: str, degree: int, rows: int,
     return "%s %s %s %d %d %d " % (FORMAT, fingerprint, kind, degree, rows, cols)
 
 
+def _write(path: str, *parts: str) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
+        fh.writelines(parts)
+    os.replace(tmp, path)
+
+
 def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
-                  mat: SparseMatrix, counts: dict) -> None:
+                  mat: SparseMatrix, counts: dict) -> str:
+    """Write d_n; returns the sha256 of the body written."""
     os.makedirs(cache_dir, exist_ok=True)
-    path = boundary_path(cache_dir, fingerprint, kind, degree)
     entries = mat.entries_sorted()
     body = "".join("%d %d %s\n" % (r, c, _format_value(v))
                    for r, c, v in entries)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("%s%d %s\n" % (
-            _header_prefix(fingerprint, kind, degree, mat.rows, mat.cols),
-            len(entries), hashlib.sha256(body.encode("ascii")).hexdigest()))
-        fh.write(body)
-    os.replace(tmp, path)
+    body_digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    _write(boundary_path(cache_dir, fingerprint, kind, degree), "%s%d %s\n" % (
+        _header_prefix(fingerprint, kind, degree, mat.rows, mat.cols),
+        len(entries), body_digest), body)
     counts["writes"] += 1
+    return body_digest
 
 
 def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
                   rows: int, cols: int, counts: dict):
-    """The cached matrix, or None on a miss or a rejected file.
+    """(the cached matrix, the sha256 of its body), or None on a miss or a
+    rejected file.
 
     The body is read, hashed and parsed in batches of lines, so no file is
-    held in memory whole.
+    held in memory whole; each batch is split once and its rows, columns
+    and values are parsed and range-checked as three lists.
     """
     path = boundary_path(cache_dir, fingerprint, kind, degree)
     if not os.path.exists(path):
@@ -77,6 +104,7 @@ def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
         return None
     prefix = _header_prefix(fingerprint, kind, degree, rows, cols)
     mat = SparseMatrix(rows, cols)
+    columns = mat.columns
     digest = hashlib.sha256()
     count = 0
     try:
@@ -85,14 +113,25 @@ def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
             if not head.startswith(prefix):
                 raise ValueError("header does not match")
             nnz, want = head[len(prefix):].split()
-            for batch in iter(lambda: fh.readlines(1 << 16), []):
-                digest.update("".join(batch).encode("ascii"))
-                for line in batch:
-                    r, c, v = line.split()
-                    r, c = int(r), int(c)
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise ValueError("entry out of range")
-                    mat.columns[c][r] = _parse_value(v)
+            # 16 KiB batches: a batch's tokens and parsed lists are live at
+            # once, and 64 KiB raised a warm battery's peak RSS by 1 MB
+            for batch in iter(lambda: fh.readlines(1 << 14), []):
+                text = "".join(batch)
+                digest.update(text.encode("ascii"))
+                if not _BODY_LINES.fullmatch(text):
+                    raise ValueError("a line without three fields")
+                fields = text.split()
+                rs = list(map(int, fields[0::3]))
+                cs = list(map(int, fields[1::3]))
+                vs = list(map(_parse_value if "/" in text else int,
+                              fields[2::3]))
+                if (min(rs) < 0 or max(rs) >= rows or min(cs) < 0
+                        or max(cs) >= cols):
+                    raise ValueError("entry out of range")
+                if 0 in vs:
+                    raise ValueError("stored zero")
+                for r, c, v in zip(rs, cs, vs):
+                    columns[c][r] = v
                 count += len(batch)
         if count != int(nnz) or digest.hexdigest() != want:
             raise ValueError("body does not match its header")
@@ -100,4 +139,50 @@ def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
         counts["rejects"] += 1
         return None
     counts["hits"] += 1
-    return mat
+    return mat, digest.hexdigest()
+
+
+def _rank_prefix(fingerprint: str, kind: str, degree: int, rows: int,
+                 cols: int, body_digest: str) -> str:
+    return "%s %s %s %d %d %d %s " % (RANK_FORMAT, fingerprint, kind, degree,
+                                      rows, cols, body_digest)
+
+
+def save_rank(cache_dir: str, fingerprint: str, kind: str, degree: int,
+              rows: int, cols: int, body_digest: str, rank: int,
+              counts: dict) -> None:
+    """Write the rank record of d_n, whose boundary file body has sha256
+    body_digest."""
+    record = "%s%d" % (_rank_prefix(fingerprint, kind, degree, rows, cols,
+                                    body_digest), rank)
+    _write(rank_path(cache_dir, fingerprint, kind, degree), "%s %s\n" % (
+        record, hashlib.sha256(record.encode("ascii")).hexdigest()))
+    counts["writes"] += 1
+
+
+def load_rank(cache_dir: str, fingerprint: str, kind: str, degree: int,
+              rows: int, cols: int, body_digest: str, counts: dict):
+    """The rank the record of d_n stores, or None.
+
+    A missing record is not counted. A record that does not name this
+    boundary and body digest, fails its own digest or holds a rank outside
+    [0, min(rows, cols)] is counted as a reject.
+    """
+    try:
+        with open(rank_path(cache_dir, fingerprint, kind, degree),
+                  encoding="ascii") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return None
+    except ValueError:  # not ASCII
+        text = ""
+    record, _, own = text.rpartition(" ")
+    prefix = _rank_prefix(fingerprint, kind, degree, rows, cols, body_digest)
+    value = record[len(prefix):]
+    if (record.startswith(prefix) and value.isdigit()
+            and own == hashlib.sha256(record.encode("ascii")).hexdigest() + "\n"
+            and int(value) <= min(rows, cols)):
+        counts["hits"] += 1
+        return int(value)
+    counts["rejects"] += 1
+    return None

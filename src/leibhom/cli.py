@@ -141,8 +141,11 @@ def _make_cache(session):
 
 
 def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
-                   counts):
-    """Write report.json, report.md and manifest.json once each."""
+                   session):
+    """Write the session's rank records, then report.json, report.md and
+    manifest.json once each."""
+    session.record_ranks()
+    counts = session.cache_counts
     os.makedirs(outdir, exist_ok=True)
     paths = {name: os.path.join(outdir, name)
              for name in ("report.json", "report.md", "manifest.json")}
@@ -154,6 +157,7 @@ def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
         # "cache" keeps its three keys: perfbench/run.py compares it whole
         "cache": {k: counts[k] for k in ("hits", "misses", "writes")},
         "cache_rejects": counts["rejects"],
+        "rank_cache": dict(session.rank_counts),
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
     }
@@ -402,8 +406,7 @@ def cmd_compute(args, argv):
     config = {"algebra": args.algebra, "complex": kinds, "maps": tokens,
               "max_degree": args.max_degree, "matrix_size": args.matrix_size,
               "max_dim": args.max_dim, "dump_labels": args.dump_labels}
-    _write_outputs(args.out, report, md, argv, config, inputs, t0,
-                   session.cache_counts)
+    _write_outputs(args.out, report, md, argv, config, inputs, t0, session)
     return 1 if failed else 0
 
 
@@ -455,7 +458,7 @@ def cmd_verify(args, argv):
             if c["status"] == "fail":
                 print("  FAIL %s  witness=%s" % (c["id"], c.get("witness")))
     _write_outputs(args.out, report, md, argv, cfg_echo, [], t0,
-                   config.session.cache_counts)
+                   config.session)
     return 1 if total["fail"] else 0
 
 

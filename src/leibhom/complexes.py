@@ -427,6 +427,18 @@ class Session:
     those boundaries shares, so each is ranked once. max_dim bounds every
     degree the session builds; cache_dir, if set, is the boundary disk cache,
     and cache_counts counts its hits, misses, writes and rejects.
+
+    The session also records where each boundary came from. generated maps
+    the key of each boundary assembled here from its column generator to
+    that matrix, so the d.d certificate need not compare it with the
+    generator again. A boundary loaded from the cache takes its rank from
+    the rank record next to its file, which binds the rank to the file's
+    body digest and shape and is trusted only when both match
+    (cache.load_rank). unrecorded maps each cache-backed boundary, loaded or
+    saved, that has no valid record to its body digest; record_ranks, called
+    once at the end of a run, writes the records of those it has ranked. A
+    refused record costs only a re-rank. rank_counts counts the records'
+    hits, writes and rejects.
     """
 
     def __init__(self, max_dim=DEFAULT_MAX_DIM, cache_dir=None):
@@ -436,12 +448,32 @@ class Session:
         self.cache_dir = cache_dir
         self.boundaries = {}
         self.ranks = {}
+        self.generated = {}
+        self.unrecorded = {}
         self.cache_counts = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
+        self.rank_counts = {"hits": 0, "writes": 0, "rejects": 0}
+
+    def record_ranks(self) -> None:
+        """Write the rank record of every cache-backed boundary ranked in
+        this session that has no valid record yet."""
+        for key in sorted(self.unrecorded):
+            fingerprint, kind, n = key
+            rank = self.ranks.get((fingerprint, kind), {}).get(n)
+            if rank is not None:
+                mat = self.boundaries[key]
+                cache.save_rank(self.cache_dir, fingerprint, kind, n, mat.rows,
+                                mat.cols, self.unrecorded.pop(key), rank,
+                                self.rank_counts)
 
 
 def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
                     cached=True) -> SparseMatrix:
-    """d_n from the session, else from its disk cache if cached, else built."""
+    """d_n from the session, else from its disk cache if cached, else built.
+
+    A boundary loaded from the cache takes its rank from its rank record
+    when the record is valid; one the session has ranked already keeps its
+    rank and gets its record rewritten.
+    """
     if session is None:
         session = Session()
     key = (A.fingerprint(), kind, n)
@@ -452,16 +484,27 @@ def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
     rows = degree_dim(A, kind, n - 1)
     cols = degree_dim(A, kind, n)
     cache_dir = session.cache_dir if cached else None
-    mat = None
+    loaded = None
     if cache_dir is not None:
-        mat = cache.load_boundary(cache_dir, key[0], kind, n, rows, cols,
-                                  session.cache_counts)
-    if mat is None:
+        loaded = cache.load_boundary(cache_dir, key[0], kind, n, rows, cols,
+                                     session.cache_counts)
+    if loaded is not None:
+        mat, digest = loaded
+        memo = session.ranks.setdefault((key[0], kind), {})
+        rank = None if n in memo else cache.load_rank(
+            cache_dir, key[0], kind, n, rows, cols, digest,
+            session.rank_counts)
+        if rank is None:
+            session.unrecorded[key] = digest
+        else:
+            memo[n] = rank
+    else:
         mat = SparseMatrix.from_columns(rows, cols,
                                         boundary_column_fn(A, kind, n))
+        session.generated[key] = mat
         if cache_dir is not None:
-            cache.save_boundary(cache_dir, key[0], kind, n, mat,
-                                session.cache_counts)
+            session.unrecorded[key] = cache.save_boundary(
+                cache_dir, key[0], kind, n, mat, session.cache_counts)
     session.boundaries[key] = mat
     return mat
 
@@ -512,16 +555,20 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     Only d_{n-1} is materialized (it is subject to the session's max_dim).
     For CL, CHH, L and P, _d2_certified proves d.d = 0 from the terms of d_n
     and d_{n-1}, without generating a column of d_n, when the stored d_{n-1}
-    is the generated one. Otherwise, or when the proof does not go through,
-    the columns of d_n are generated, checked and dropped, and the first
-    column with d_{n-1}(column) != 0 is the witness.
+    is the generated one: the session generated it, or each of its columns
+    equals the generated column. Otherwise, or when the proof does not go
+    through, the columns of d_n are generated, checked and dropped, and the
+    first column with d_{n-1}(column) != 0 is the witness.
     """
     if n < 2:
         return None
+    if session is None:
+        session = Session()
     lower = boundary_matrix(A, kind, n - 1, session)
     fn = boundary_column_fn(A, kind, n)
     if hasattr(fn, "terms") and _d2_certified(
-            lower, fn, boundary_column_fn(A, kind, n - 1)):
+            lower, fn, boundary_column_fn(A, kind, n - 1),
+            session.generated.get((A.fingerprint(), kind, n - 1)) is lower):
         return None
     vanishes = ZeroTest((lower, 1))
     for j in range(degree_dim(A, kind, n)):
@@ -530,11 +577,12 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     return None
 
 
-def _d2_certified(lower: SparseMatrix, up, down) -> bool:
+def _d2_certified(lower: SparseMatrix, up, down, generated=False) -> bool:
     """True if lower o up = 0 follows from the terms of up and down.
 
     up and down are contraction column functions of d_n and d_{n-1} over one
-    table, and lower must hold exactly down's columns. Each term of a part
+    table, and lower must hold exactly down's columns: they are compared
+    unless generated says lower was assembled from down. Each term of a part
     of up is composed with the terms of the part of down it lands in: a
     composite is its output part and a product tree over the input slots
     in each merged output slot (two trees of two slots, or one of three).
@@ -552,7 +600,8 @@ def _d2_certified(lower: SparseMatrix, up, down) -> bool:
     dlo = len(table) ** (m - 1)
     if (m_lo != m - 1 or table_lo != table
             or lower.cols != len(parts_lo) * dlo
-            or any(lower.columns[y] != down(y) for y in range(lower.cols))):
+            or not generated and any(lower.columns[y] != down(y)
+                                     for y in range(lower.cols))):
         return False
     composites = {}  # the two contractions -> (trees, merged input slots)
     vanishes = {}  # group -> whether its sum is zero on every assignment

@@ -490,6 +490,31 @@ def test_truncated_cache_file_is_rejected_and_rewritten(tmp_path):
     assert path.read_bytes() == good
 
 
+def test_compute_reports_are_the_same_plain_cold_and_warm(tmp_path):
+    """A cold cache run records the rank of each table boundary it writes;
+    the warm run reads all of them back, and all three reports agree."""
+    cdir = tmp_path / "cache"
+    reports, counts = [], []
+    for out, cache in (("plain", []), ("cold", ["--cache", str(cdir)]),
+                       ("warm", ["--cache", str(cdir)])):
+        r = run_cli("compute", "--algebra", "dual", "--complex",
+                    "CL,CHH,CLAMBDA", "--max-degree", "4", *cache,
+                    "--out", str(tmp_path / out))
+        assert r.returncode == 0, r.stderr
+        reports.append((tmp_path / out / "report.json").read_bytes())
+        man = json.loads((tmp_path / out / "manifest.json").read_text())
+        counts.append((man["cache"], man["rank_cache"]))
+    assert reports[0] == reports[1] == reports[2]
+    assert len(list(cdir.glob("*.bnd"))) == 12
+    assert len(list(cdir.glob("*.rank"))) == 12
+    none = {"hits": 0, "writes": 0, "rejects": 0}
+    assert counts == [
+        ({"hits": 0, "misses": 0, "writes": 0}, none),
+        ({"hits": 0, "misses": 12, "writes": 12}, dict(none, writes=12)),
+        ({"hits": 12, "misses": 0, "writes": 0}, dict(none, hits=12))]
+    assert b"rank_cache" not in reports[0]
+
+
 def test_cache_env_var_used(tmp_path):
     cdir = tmp_path / "envcache"
     out = tmp_path / "out"

@@ -511,9 +511,10 @@ def test_d2_certificate_agrees_with_the_stream_on_mutated_terms(name, kind, n):
     assert verdicts[-1] and (name != "s3" or not all(verdicts))
 
 
-def test_d2_certified_degree_generates_no_column(monkeypatch):
-    """s3 P_4 is proved from the terms: only columns of d_3 are generated
-    (to build it, then to compare it), none of d_4."""
+def test_d2_certified_degree_generates_no_column(monkeypatch, tmp_path):
+    """s3 P_4 is proved from the terms: only columns of d_3 are generated,
+    none of d_4, and each once: to build d_3, which is then not compared
+    with itself, or to compare a d_3 loaded from the cache."""
     A = builtin_algebra("s3")
     calls = []
 
@@ -526,8 +527,32 @@ def test_d2_certified_degree_generates_no_column(monkeypatch):
         return functools.update_wrapper(col, fn)
 
     monkeypatch.setattr(complexes, "boundary_column_fn", counting)
-    assert verify_d2_streamed(A, "P", 4) is None
-    assert set(calls) == {3}
+    cdir = str(tmp_path)
+    for session in (None, Session(cache_dir=cdir), Session(cache_dir=cdir)):
+        del calls[:]
+        assert verify_d2_streamed(A, "P", 4, session) is None
+        assert calls == [3] * degree_dim(A, "P", 3)
+    assert session.cache_counts["hits"] == 1 and not session.generated
+
+
+def test_streamed_d2_over_a_wrong_cached_lower_is_the_column_witness(tmp_path):
+    """A d_{n-1} loaded from the cache is compared with the generated one,
+    so a wrong matrix in a sound file gets the column loop and its witness."""
+    A = builtin_algebra("dual")
+    lower = boundary_matrix(A, "P", 3)
+    columns = [dict(col) for col in lower.columns]
+    r = next(iter(columns[5]))
+    columns[5][r] += 1
+    wrong = SparseMatrix(lower.rows, lower.cols,
+                         [{k: v for k, v in col.items() if v} for col in columns])
+    cdir = str(tmp_path)
+    cache.save_boundary(cdir, A.fingerprint(), "P", 3, wrong,
+                        Session().cache_counts)
+    j = _stream_d2(wrong, boundary_column_fn(A, "P", 4), degree_dim(A, "P", 4))
+    assert j is not None
+    session = Session(cache_dir=cdir)
+    assert verify_d2_streamed(A, "P", 4, session) == (4, j)
+    assert session.cache_counts["hits"] == 1
 
 
 @pytest.mark.parametrize("bump", [1, -1, 2])
@@ -637,9 +662,10 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
     mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5),
                                               2: Fraction(1, 2)}])
     counts = Session().cache_counts
-    cache.save_boundary(cdir, "f" * 16, "CHH", 1, mat, counts)
-    back = cache.load_boundary(cdir, "f" * 16, "CHH", 1, 3, 2, counts)
-    assert back == mat
+    digest = cache.save_boundary(cdir, "f" * 16, "CHH", 1, mat, counts)
+    back, body_digest = cache.load_boundary(cdir, "f" * 16, "CHH", 1, 3, 2,
+                                            counts)
+    assert back == mat and body_digest == digest
     assert type(back.entry(0, 0)) is int and back.entry(2, 0) == -7
     assert back.entry(1, 1) == Fraction(-3, 5)
     assert type(back.entry(2, 1)) is Fraction
@@ -660,9 +686,17 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
                             .hexdigest()]
     session = Session(cache_dir=cdir)
     counts = session.cache_counts
-    assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2, counts) == mat
+    assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2, counts)[0] == mat
+
+    def resealed(lines):
+        text = "".join(lines)
+        return ("leibhom-boundary 1 %s CHH 1 3 2 %d %s\n" % (
+            fp, len(lines), hashlib.sha256(text.encode()).hexdigest()), lines)
+
     # another shape, another full fingerprint behind the same file name,
-    # a headerless body, a dropped line, a changed value, a bad value
+    # a headerless body, a dropped line, a changed value, a bad value; then
+    # bodies whose header is resealed to match: a stored zero, a line of
+    # four fields, one of two, a row out of range, a bad value
     tampered = [
         (head, body, (3, 3), fp),
         (head, body, (3, 2), fp[:16] + "e" * 48),
@@ -670,6 +704,11 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
         (head, body[1:], (3, 2), fp),
         (head, body[:2] + ["1 1 -3/4\n"], (3, 2), fp),
         (head, body[:2] + ["1 1 x\n"], (3, 2), fp),
+        resealed(body[:2] + ["1 1 0\n"]) + ((3, 2), fp),
+        resealed(body[:2] + ["1 1 -3 5\n"]) + ((3, 2), fp),
+        resealed(body[:2] + ["1 1\n", "-3/5\n"]) + ((3, 2), fp),
+        resealed(body[:2] + ["3 1 -3/5\n"]) + ((3, 2), fp),
+        resealed(body[:2] + ["1 1 x\n"]) + ((3, 2), fp),
     ]
     for k, (h, b, (rows, cols), want_fp) in enumerate(tampered):
         with open(path, "w") as fh:
@@ -678,6 +717,8 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
                                    counts) is None
         assert counts["rejects"] == k + 1
     assert counts["hits"] == 1 and counts["misses"] == 0
+    # resealing the untouched body gives back the written header
+    assert resealed(body) == (head, body)
 
 
 def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):
@@ -740,6 +781,102 @@ def test_sessions_share_no_boundaries_ranks_or_counts(tmp_path, monkeypatch):
         C = build_complex(A, "CHH", 3)
         assert [C.betti(n) for n in range(3)] == [2, 1, 1]
     assert len(ranked) == 12
+
+
+def _counting_rank_only(monkeypatch):
+    import leibhom.homology as homology
+    ranked = []
+    real = homology.rank_only
+    monkeypatch.setattr(homology, "rank_only",
+                        lambda M: ranked.append(M) or real(M))
+    return ranked
+
+
+def test_a_warm_session_ranks_no_boundary_it_loaded(tmp_path, monkeypatch):
+    """A cold session records the ranks of its cache-backed boundaries; a
+    warm one reads them with the boundaries and ranks none of them, also
+    through the solver, which cross-checks the stored ranks."""
+    ranked = _counting_rank_only(monkeypatch)
+    cdir = str(tmp_path)
+    cold = Session(cache_dir=cdir)
+    algebras = [builtin_algebra("dual"), builtin_algebra("cyclic:3")]
+    want = [[build_complex(A, kind, 4, cold).betti(n) for n in range(4)]
+            for A in algebras for kind in ("CL", "CHH")]
+    assert len(ranked) == 16
+    cold.record_ranks()
+    assert cold.rank_counts == {"hits": 0, "writes": 16, "rejects": 0}
+    assert len(os.listdir(cdir)) == 32
+    cold.record_ranks()
+    assert cold.rank_counts["writes"] == 16
+    del ranked[:]
+    warm = Session(cache_dir=cdir)
+    got = []
+    for A in algebras:
+        for kind in ("CL", "CHH"):
+            C = build_complex(A, kind, 4, warm)
+            got.append([C.betti(n) for n in range(4)])
+            assert C.homology(2).representatives is not None
+    assert got == want and ranked == []
+    assert warm.cache_counts == {"hits": 16, "misses": 0, "writes": 0,
+                                 "rejects": 0}
+    assert warm.rank_counts == {"hits": 16, "writes": 0, "rejects": 0}
+    warm.record_ranks()
+    assert warm.rank_counts["writes"] == 0
+
+
+@pytest.mark.parametrize("tamper", ["body digest", "rank", "fingerprint",
+                                    "kind", "degree", "truncated",
+                                    "own digest"])
+def test_a_refused_rank_record_is_ranked_afresh_and_rewritten(
+        tmp_path, monkeypatch, tamper):
+    ranked = _counting_rank_only(monkeypatch)
+    A = builtin_algebra("dual")
+    fp = A.fingerprint()
+    cdir = str(tmp_path / "cache")
+    cold = Session(cache_dir=cdir)
+    bettis = [build_complex(A, "CHH", 3, cold).betti(n) for n in range(3)]
+    cold.record_ranks()
+    path = cache.rank_path(cdir, fp, "CHH", 2)
+    with open(path) as fh:
+        good = fh.read()
+    mat = cold.boundaries[(fp, "CHH", 2)]
+    rank = cold.ranks[(fp, "CHH")][2]
+    _, body_digest = cache.load_boundary(cdir, fp, "CHH", 2, mat.rows,
+                                         mat.cols, Session().cache_counts)
+    assert 1 <= rank < min(mat.rows, mat.cols)
+
+    def forged(fingerprint=fp, kind="CHH", n=2, body=body_digest, r=rank):
+        fdir = str(tmp_path / "forged")
+        os.makedirs(fdir, exist_ok=True)
+        cache.save_rank(fdir, fingerprint, kind, n, mat.rows, mat.cols, body,
+                        r, Session().rank_counts)
+        with open(cache.rank_path(fdir, fingerprint, kind, n)) as fh:
+            return fh.read()
+
+    fields = good.split(" ")
+    bad = {
+        "body digest": lambda: forged(body="0" * 64),
+        "rank": lambda: forged(r=min(mat.rows, mat.cols) + 1),
+        "fingerprint": lambda: forged(fingerprint=fp[:16] + "0" * 48),
+        "kind": lambda: forged(kind="CL"),
+        "degree": lambda: forged(n=3),
+        "truncated": lambda: good[:-9],
+        "own digest": lambda: " ".join(fields[:-2] + [str(rank - 1),
+                                                      fields[-1]]),
+    }[tamper]()
+    assert forged() == good and bad != good
+    with open(path, "w") as fh:
+        fh.write(bad)
+    del ranked[:]
+    warm = Session(cache_dir=cdir)
+    C = build_complex(A, "CHH", 3, warm)
+    assert [C.betti(n) for n in range(3)] == bettis
+    assert ranked == [C.boundary(2)]
+    assert warm.rank_counts == {"hits": 2, "writes": 0, "rejects": 1}
+    warm.record_ranks()
+    assert warm.rank_counts["writes"] == 1
+    with open(path) as fh:
+        assert fh.read() == good
 
 
 def test_a_session_refuses_a_bound_below_one():
