@@ -35,7 +35,7 @@ FORMAT = "leibhom-boundary 1"
 RANK_FORMAT = "leibhom-rank 1"
 
 # a batch of body lines, each exactly three fields separated by one space
-_BODY_LINES = re.compile(r"(?:\S++ \S++ \S++\n)*+")
+_BODY_LINES = re.compile(r"(?:\S+ \S+ \S+\n)*")
 
 
 def boundary_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> str:

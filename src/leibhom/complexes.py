@@ -471,8 +471,7 @@ def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
     """d_n from the session, else from its disk cache if cached, else built.
 
     A boundary loaded from the cache takes its rank from its rank record
-    when the record is valid; one the session has ranked already keeps its
-    rank and gets its record rewritten.
+    when the record is valid.
     """
     if session is None:
         session = Session()
@@ -490,14 +489,12 @@ def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
                                      session.cache_counts)
     if loaded is not None:
         mat, digest = loaded
-        memo = session.ranks.setdefault((key[0], kind), {})
-        rank = None if n in memo else cache.load_rank(
-            cache_dir, key[0], kind, n, rows, cols, digest,
-            session.rank_counts)
+        rank = cache.load_rank(cache_dir, key[0], kind, n, rows, cols, digest,
+                               session.rank_counts)
         if rank is None:
             session.unrecorded[key] = digest
         else:
-            memo[n] = rank
+            session.ranks.setdefault((key[0], kind), {}).setdefault(n, rank)
     else:
         mat = SparseMatrix.from_columns(rows, cols,
                                         boundary_column_fn(A, kind, n))
