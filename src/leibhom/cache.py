@@ -1,13 +1,18 @@
 """Disk cache for boundary matrices and their ranks.
 
-One file per (algebra fingerprint, complex kind, degree). The first line is
-a header naming the format version, the full fingerprint, the kind, the
-degree, the shape, the number of entries and the sha256 of the body; the
-body holds the sorted nonzero entries as "row col value" lines with exact
-rationals. A file whose header does not name the boundary asked for, or
-whose body fails its line count, digest or parse, holds a line of other
-than three fields, an entry out of range or a stored zero, is rejected: the
-loader returns None and the caller recomputes and overwrites it.
+One file per (algebra fingerprint, complex kind, degree), format
+"leibhom-boundary 2". Its first line is an ASCII header naming the format,
+the full fingerprint, the kind, the degree, the shape, the number of
+entries and the sha256 of the body. The body is binary: one ASCII palette
+line holding the distinct values as reduced rationals, in order of first
+appearance, then three little-endian uint32 arrays, the entry count of each
+column, the row of each entry and each entry's palette index, with the
+entries column by column and rows ascending. The loader reads a file whole
+and rejects it (returns None; the caller recomputes and overwrites it) if
+its header does not name the boundary asked for, or its body fails its
+digest or its exact length, holds a bad palette token, a zero in the
+palette, a row or palette index out of range, or column sizes that do not
+sum to the entry count or repeat a row within a column.
 
 Next to a boundary file, a one-line rank record stores the rank of that
 boundary. It binds the rank to the full fingerprint, kind, degree and shape
@@ -26,16 +31,19 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
+import sys
+from array import array
 from fractions import Fraction
+from itertools import chain, islice
+from operator import itemgetter
 
 from .linalg import SparseMatrix
 
-FORMAT = "leibhom-boundary 1"
+FORMAT = "leibhom-boundary 2"
 RANK_FORMAT = "leibhom-rank 1"
 
-# a batch of body lines, each exactly three fields separated by one space
-_BODY_LINES = re.compile(r"(?:\S+ \S+ \S+\n)*")
+_U32 = "I"
+assert array(_U32).itemsize == 4
 
 
 def boundary_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> str:
@@ -67,10 +75,18 @@ def _header_prefix(fingerprint: str, kind: str, degree: int, rows: int,
     return "%s %s %s %d %d %d " % (FORMAT, fingerprint, kind, degree, rows, cols)
 
 
-def _write(path: str, *parts: str) -> None:
+def _little_endian(words: array) -> array:
+    """words byteswapped in place on a big-endian host: file order to native
+    order and back."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _write(path: str, data: bytes) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.writelines(parts)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
@@ -78,13 +94,19 @@ def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
                   mat: SparseMatrix, counts: dict) -> str:
     """Write d_n; returns the sha256 of the body written."""
     os.makedirs(cache_dir, exist_ok=True)
-    entries = mat.entries_sorted()
-    body = "".join("%d %d %s\n" % (r, c, _format_value(v))
-                   for r, c, v in entries)
-    body_digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-    _write(boundary_path(cache_dir, fingerprint, kind, degree), "%s%d %s\n" % (
+    entries = list(chain.from_iterable(sorted(col.items())
+                                       for col in mat.columns))
+    values = list(map(itemgetter(1), entries))
+    palette = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    words = array(_U32, map(len, mat.columns))
+    words.extend(map(itemgetter(0), entries))
+    words.extend(map(palette.__getitem__, values))
+    palette_line = "%s\n" % " ".join(map(_format_value, palette))
+    body = palette_line.encode("ascii") + _little_endian(words).tobytes()
+    body_digest = hashlib.sha256(body).hexdigest()
+    _write(boundary_path(cache_dir, fingerprint, kind, degree), ("%s%d %s\n" % (
         _header_prefix(fingerprint, kind, degree, mat.rows, mat.cols),
-        len(entries), body_digest), body)
+        len(entries), body_digest)).encode("ascii") + body)
     counts["writes"] += 1
     return body_digest
 
@@ -94,52 +116,48 @@ def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
     """(the cached matrix, the sha256 of its body), or None on a miss or a
     rejected file.
 
-    The body is read, hashed and parsed in batches of lines, so no file is
-    held in memory whole; each batch is split once and its rows, columns
-    and values are parsed and range-checked as three lists.
+    The file is read whole, and each check runs once over a whole array:
+    the palette is parsed once per distinct value, and each column is one
+    slice of the (row, value) pairs.
     """
-    path = boundary_path(cache_dir, fingerprint, kind, degree)
-    if not os.path.exists(path):
+    try:
+        with open(boundary_path(cache_dir, fingerprint, kind, degree),
+                  "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         counts["misses"] += 1
         return None
     prefix = _header_prefix(fingerprint, kind, degree, rows, cols)
-    mat = SparseMatrix(rows, cols)
-    columns = mat.columns
-    digest = hashlib.sha256()
-    count = 0
     try:
-        with open(path, encoding="ascii") as fh:
-            head = fh.readline()
-            if not head.startswith(prefix):
-                raise ValueError("header does not match")
-            nnz, want = head[len(prefix):].split()
-            # 16 KiB batches: a batch's tokens and parsed lists are live at
-            # once, and 64 KiB raised a warm battery's peak RSS by 1 MB
-            for batch in iter(lambda: fh.readlines(1 << 14), []):
-                text = "".join(batch)
-                digest.update(text.encode("ascii"))
-                if not _BODY_LINES.fullmatch(text):
-                    raise ValueError("a line without three fields")
-                fields = text.split()
-                rs = list(map(int, fields[0::3]))
-                cs = list(map(int, fields[1::3]))
-                vs = list(map(_parse_value if "/" in text else int,
-                              fields[2::3]))
-                if (min(rs) < 0 or max(rs) >= rows or min(cs) < 0
-                        or max(cs) >= cols):
-                    raise ValueError("entry out of range")
-                if 0 in vs:
-                    raise ValueError("stored zero")
-                for r, c, v in zip(rs, cs, vs):
-                    columns[c][r] = v
-                count += len(batch)
-        if count != int(nnz) or digest.hexdigest() != want:
+        start = data.index(b"\n") + 1
+        head = data[:start].decode("ascii")
+        if not head.startswith(prefix):
+            raise ValueError("header does not match")
+        nnz, want = head[len(prefix):].split()
+        nnz = int(nnz)
+        digest = hashlib.sha256(memoryview(data)[start:]).hexdigest()
+        split = data.index(b"\n", start) + 1
+        if digest != want or len(data) - split != 4 * (cols + 2 * nnz):
             raise ValueError("body does not match its header")
+        palette = list(map(_parse_value,
+                           data[start:split].decode("ascii").split()))
+        words = array(_U32)
+        words.frombytes(data[split:])
+        _little_endian(words)
+        sizes, rs, picks = (words[:cols], words[cols:cols + nnz],
+                             words[cols + nnz:])
+        if (0 in palette or sum(sizes) != nnz
+                or nnz and (max(rs) >= rows or max(picks) >= len(palette))):
+            raise ValueError("entry out of range or a stored zero")
+        pairs = zip(rs.tolist(), map(palette.__getitem__, picks))
+        mat = SparseMatrix(rows, cols, [dict(islice(pairs, k)) for k in sizes])
+        if sum(map(len, mat.columns)) != nnz:
+            raise ValueError("a row repeated within a column")
     except ValueError:
         counts["rejects"] += 1
         return None
     counts["hits"] += 1
-    return mat, digest.hexdigest()
+    return mat, digest
 
 
 def _rank_prefix(fingerprint: str, kind: str, degree: int, rows: int,
@@ -155,8 +173,9 @@ def save_rank(cache_dir: str, fingerprint: str, kind: str, degree: int,
     body_digest."""
     record = "%s%d" % (_rank_prefix(fingerprint, kind, degree, rows, cols,
                                     body_digest), rank)
-    _write(rank_path(cache_dir, fingerprint, kind, degree), "%s %s\n" % (
+    _write(rank_path(cache_dir, fingerprint, kind, degree), ("%s %s\n" % (
         record, hashlib.sha256(record.encode("ascii")).hexdigest()))
+        .encode("ascii"))
     counts["writes"] += 1
 
 

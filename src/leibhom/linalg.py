@@ -177,15 +177,6 @@ class SparseMatrix:
     def __hash__(self):
         raise TypeError("SparseMatrix is not hashable")
 
-    def entries_sorted(self):
-        """All nonzero entries as (row, col, value), sorted by (row, col)."""
-        out = []
-        for c, col in enumerate(self.columns):
-            for r, v in col.items():
-                out.append((r, c, v))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
-
     def __repr__(self):
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz())
 

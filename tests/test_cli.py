@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from leibhom import cache
 from leibhom import chain_maps as cmaps
 from leibhom import cli
 from leibhom.algebra import builtin_algebra
@@ -482,12 +484,70 @@ def test_truncated_cache_file_is_rejected_and_rewritten(tmp_path):
     assert compute("cold")[0] == [2, 1, 1]
     [path] = cdir.glob("*.CHH.3.bnd")
     good = path.read_bytes()
-    lines = good.splitlines(keepends=True)
-    path.write_bytes(lines[0] + b"".join(lines[5:]))  # 4 entries dropped
+    path.write_bytes(good[:-8])  # the last two palette indices cut
     betti, man = compute("warm")
     assert betti == [2, 1, 1]
     assert man["cache_rejects"] == 1 and man["cache"]["writes"] == 1
     assert path.read_bytes() == good
+
+
+def _format_1(fingerprint, kind, n, mat):
+    """The bytes a format-1 cache wrote for d_n, and the sha256 of its body:
+    sorted "row col value" lines under an ASCII header."""
+    entries = sorted((r, c, v) for c, col in enumerate(mat.columns)
+                     for r, v in col.items())
+    body = "".join("%d %d %s\n" % (r, c, Fraction(v)) for r, c, v in entries)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return ("leibhom-boundary 1 %s %s %d %d %d %d %s\n%s" % (
+        fingerprint, kind, n, mat.rows, mat.cols, len(entries), digest,
+        body)).encode(), digest
+
+
+def test_a_format_1_cache_file_and_its_rank_record_are_rewritten(tmp_path):
+    """A boundary file of the text format 1 is rejected and rewritten as
+    format 2. Its rank record names the old body's digest, so it holds for
+    no format-2 body, and the run rewrites it for the new body. The report
+    is the one a run without a cache gives."""
+    A = builtin_algebra("dual")
+    fp = A.fingerprint()
+    cdir = tmp_path / "cache"
+
+    def compute(out, *cache):
+        r = run_cli("compute", "--algebra", "dual", "--complex", "CHH",
+                    "--max-degree", "3", *cache, "--out", str(tmp_path / out))
+        assert r.returncode == 0, r.stderr
+        man = json.loads((tmp_path / out / "manifest.json").read_text())
+        return ((tmp_path / out / "report.json").read_bytes(),
+                man["cache"], man["cache_rejects"], man["rank_cache"])
+
+    plain = compute("plain")[0]
+    assert compute("cold", "--cache", str(cdir))[0] == plain
+    bnd = cache.boundary_path(str(cdir), fp, "CHH", 3)
+    record = cache.rank_path(str(cdir), fp, "CHH", 3)
+    good_bnd, good_record = open(bnd, "rb").read(), open(record, "rb").read()
+    counts = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
+    mat, digest = cache.load_boundary(str(cdir), fp, "CHH", 3, 8, 16, counts)
+    old, old_digest = _format_1(fp, "CHH", 3, mat)
+    with open(bnd, "wb") as fh:
+        fh.write(old)
+    rank = cache.load_rank(str(cdir), fp, "CHH", 3, 8, 16, digest, counts)
+    cache.save_rank(str(cdir), fp, "CHH", 3, 8, 16, old_digest, rank, counts)
+    # the old record holds for the old body only
+    assert cache.load_rank(str(cdir), fp, "CHH", 3, 8, 16, digest,
+                           counts) is None
+    assert cache.load_rank(str(cdir), fp, "CHH", 3, 8, 16, old_digest,
+                           counts) == rank
+    assert counts["rejects"] == 1
+    report, boundaries, rejects, ranks = compute("migrate", "--cache",
+                                                 str(cdir))
+    assert report == plain
+    assert (boundaries, rejects) == ({"hits": 2, "misses": 0, "writes": 1}, 1)
+    assert ranks == {"hits": 2, "writes": 1, "rejects": 0}
+    assert open(bnd, "rb").read() == good_bnd
+    assert open(record, "rb").read() == good_record
+    assert compute("warm", "--cache", str(cdir))[1:] == (
+        {"hits": 3, "misses": 0, "writes": 0}, 0,
+        {"hits": 3, "writes": 0, "rejects": 0})
 
 
 def test_compute_reports_are_the_same_plain_cold_and_warm(tmp_path):

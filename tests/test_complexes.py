@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import math
 import os
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -658,20 +660,39 @@ def test_registry_and_file_cache(tmp_path):
 
 
 def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
+    """Ints of either sign and any size, Fractions, empty columns and empty
+    shapes load back equal and of the same types, each column in ascending
+    row order, with the body digest the writer returned."""
     cdir = str(tmp_path)
     mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5),
                                               2: Fraction(1, 2)}])
     counts = Session().cache_counts
-    digest = cache.save_boundary(cdir, "f" * 16, "CHH", 1, mat, counts)
-    back, body_digest = cache.load_boundary(cdir, "f" * 16, "CHH", 1, 3, 2,
-                                            counts)
-    assert back == mat and body_digest == digest
-    assert type(back.entry(0, 0)) is int and back.entry(2, 0) == -7
-    assert back.entry(1, 1) == Fraction(-3, 5)
-    assert type(back.entry(2, 1)) is Fraction
+    for k, m in enumerate([mat, SparseMatrix(4, 3, [
+            {3: 5, 0: -2}, {}, {2: Fraction(7, 3), 1: 2 ** 70, 0: 5}]),
+            SparseMatrix(3, 2, [{1: Fraction(-1, 2 ** 66), 0: -(2 ** 64) - 1},
+                                {2: 1, 0: -1}]),
+            SparseMatrix(5, 0, []), SparseMatrix(0, 0, []),
+            SparseMatrix(0, 2, [{}, {}])]):
+        digest = cache.save_boundary(cdir, "f" * 16, "CHH", k, m, counts)
+        back, body_digest = cache.load_boundary(cdir, "f" * 16, "CHH", k,
+                                                m.rows, m.cols, counts)
+        assert back == m and body_digest == digest
+        assert [list(col) for col in back.columns] == [sorted(col)
+                                                       for col in m.columns]
+        assert [list(map(type, col.values())) for col in back.columns] == [
+            [type(col[r]) for r in sorted(col)] for col in m.columns]
+    assert counts == {"hits": 6, "misses": 0, "writes": 6, "rejects": 0}
     for bad in ("1.5", "1/0", "x"):
         with pytest.raises(ValueError):
             cache._parse_value(bad)
+
+
+def _format_2_body(palette, sizes, rows, picks):
+    """A format-2 body: the palette line, then the three uint32 arrays."""
+    words = array("I", [*sizes, *rows, *picks])
+    if sys.byteorder == "big":
+        words.byteswap()
+    return ("%s\n" % " ".join(palette)).encode() + words.tobytes()
 
 
 def test_cache_rejects_files_that_fail_their_header(tmp_path):
@@ -680,45 +701,58 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
     mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5)}])
     path = cache.boundary_path(cdir, fp, "CHH", 1)
     cache.save_boundary(cdir, fp, "CHH", 1, mat, Session().cache_counts)
-    head, *body = open(path).read().splitlines(keepends=True)
-    assert head.split() == ["leibhom-boundary", "1", fp, "CHH", "1", "3", "2",
-                            "3", hashlib.sha256("".join(body).encode())
-                            .hexdigest()]
+    good = open(path, "rb").read()
+    head, body = good[:good.index(b"\n") + 1], good[good.index(b"\n") + 1:]
+    assert head.split() == [b"leibhom-boundary", b"2", fp.encode(), b"CHH",
+                            b"1", b"3", b"2", b"3",
+                            hashlib.sha256(body).hexdigest().encode()]
+    palette, sizes, rows, picks = ["4", "-7", "-3/5"], [2, 1], [0, 2, 1], [
+        0, 1, 2]
+    assert body == _format_2_body(palette, sizes, rows, picks)
     session = Session(cache_dir=cdir)
     counts = session.cache_counts
     assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2, counts)[0] == mat
 
-    def resealed(lines):
-        text = "".join(lines)
-        return ("leibhom-boundary 1 %s CHH 1 3 2 %d %s\n" % (
-            fp, len(lines), hashlib.sha256(text.encode()).hexdigest()), lines)
+    def resealed(body, nnz=3):
+        return (b"leibhom-boundary 2 %s CHH 1 3 2 %d %s\n" % (
+            fp.encode(), nnz, hashlib.sha256(body).hexdigest().encode()), body)
 
-    # another shape, another full fingerprint behind the same file name,
-    # a headerless body, a dropped line, a changed value, a bad value; then
-    # bodies whose header is resealed to match: a stored zero, a line of
-    # four fields, one of two, a row out of range, a bad value
+    def forged(palette=palette, sizes=sizes, rows=rows, picks=picks):
+        return resealed(_format_2_body(palette, sizes, rows, picks))
+
+    # another shape, another full fingerprint behind the same file name, a
+    # headerless body, a truncated body, a changed value, a bad palette
+    # token; then bodies whose header is resealed to match: a stored zero, a
+    # row out of range, a bad value, a word too many and a word too few,
+    # column sizes that do not sum to the entry count, a row repeated within
+    # a column, a palette index past the palette, a non-ASCII palette (the
+    # Arabic-Indic digit four, which int() would read as 4)
     tampered = [
         (head, body, (3, 3), fp),
         (head, body, (3, 2), fp[:16] + "e" * 48),
-        ("", body, (3, 2), fp),
-        (head, body[1:], (3, 2), fp),
-        (head, body[:2] + ["1 1 -3/4\n"], (3, 2), fp),
-        (head, body[:2] + ["1 1 x\n"], (3, 2), fp),
-        resealed(body[:2] + ["1 1 0\n"]) + ((3, 2), fp),
-        resealed(body[:2] + ["1 1 -3 5\n"]) + ((3, 2), fp),
-        resealed(body[:2] + ["1 1\n", "-3/5\n"]) + ((3, 2), fp),
-        resealed(body[:2] + ["3 1 -3/5\n"]) + ((3, 2), fp),
-        resealed(body[:2] + ["1 1 x\n"]) + ((3, 2), fp),
+        (b"", body, (3, 2), fp),
+        (head, body[:-4], (3, 2), fp),
+        (head, body.replace(b"-3/5", b"-3/4"), (3, 2), fp),
+        (head, body.replace(b"-3/5", b"-3/x"), (3, 2), fp),
+        forged(palette=["4", "0", "-3/5"]) + ((3, 2), fp),
+        forged(rows=[0, 3, 1]) + ((3, 2), fp),
+        forged(palette=["4", "-7", "x"]) + ((3, 2), fp),
+        resealed(body + bytes(4)) + ((3, 2), fp),
+        resealed(body[:-4]) + ((3, 2), fp),
+        forged(sizes=[2, 2]) + ((3, 2), fp),
+        forged(rows=[0, 0, 1]) + ((3, 2), fp),
+        forged(picks=[0, 1, 3]) + ((3, 2), fp),
+        forged(palette=["\u0664", "-7", "-3/5"]) + ((3, 2), fp),
     ]
     for k, (h, b, (rows, cols), want_fp) in enumerate(tampered):
-        with open(path, "w") as fh:
-            fh.write(h + "".join(b))
+        with open(path, "wb") as fh:
+            fh.write(h + b)
         assert cache.load_boundary(cdir, want_fp, "CHH", 1, rows, cols,
-                                   counts) is None
+                                   counts) is None, k
         assert counts["rejects"] == k + 1
     assert counts["hits"] == 1 and counts["misses"] == 0
     # resealing the untouched body gives back the written header
-    assert resealed(body) == (head, body)
+    assert resealed(body) == (head, body) == forged()
 
 
 def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):
