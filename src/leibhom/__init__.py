@@ -19,9 +19,9 @@ from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         build_complex, degree_dim, verify_d2_streamed,
                         wedge_basis)
 from .homology import (ChainComplex, ChainMapRep, HomologyData, MappingCone,
-                       compose_maps, cone_pair_map, exactness_check,
-                       induced_map, induced_rank_streamed, les_of_cone,
-                       mapping_cone, verify_boundary_squares,
+                       NegativeBetti, compose_maps, cone_pair_map,
+                       exactness_check, induced_map, induced_rank_streamed,
+                       les_of_cone, mapping_cone, verify_boundary_squares,
                        verify_chain_map)
 from .chain_maps import (bar_iota, bar_pi, corner, cycle_slot_bridge,
                          embed_cy, eps_omega, epsilon, lift_p,

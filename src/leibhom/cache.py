@@ -1,12 +1,15 @@
 """Disk cache for boundary matrices and their ranks.
 
 One file per (algebra fingerprint, complex kind, degree), format
-"leibhom-boundary 2". Its first line is an ASCII header naming the format,
-the full fingerprint, the kind, the degree, the shape, the number of
-entries and the sha256 of the body. The body is binary: one ASCII palette
-line holding the distinct values as reduced rationals, in order of first
-appearance, then three little-endian uint32 arrays, the entry count of each
-column, the row of each entry and each entry's palette index, with the
+"leibhom-boundary 3". Its first line is an ASCII header naming the format,
+the generator digest, the full fingerprint, the kind, the degree, the shape,
+the number of entries and the sha256 of the body. The generator digest
+hashes the sources that decide a boundary's entries, complexes.py, perms.py
+and this module, comments included, once per process, so a file that loads
+is the boundary this process generates. The body is binary: one ASCII
+palette line holding the distinct values as reduced rationals, in order of
+first appearance, then three little-endian uint32 arrays, the entry count of
+each column, the row of each entry and each entry's palette index, with the
 entries column by column and rows ascending. The loader reads a file whole
 and rejects it (returns None; the caller recomputes and overwrites it) if
 its header does not name the boundary asked for, or its body fails its
@@ -34,13 +37,28 @@ import os
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
 from operator import itemgetter
 
 from .linalg import SparseMatrix
 
-FORMAT = "leibhom-boundary 2"
+FORMAT = "leibhom-boundary 3"
 RANK_FORMAT = "leibhom-rank 1"
+
+
+@lru_cache(maxsize=None)
+def _generator_digest() -> str:
+    """The sha256 over the sha256 of each source named above."""
+    here, h = os.path.dirname(__file__), hashlib.sha256()
+    try:
+        for name in ("complexes.py", "perms.py", "cache.py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(hashlib.sha256(fh.read()).digest())
+    except OSError:  # a token no file holds: no file is trusted
+        return os.urandom(32).hex()
+    return h.hexdigest()
+
 
 _U32 = "I"
 assert array(_U32).itemsize == 4
@@ -52,11 +70,6 @@ def boundary_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> s
 
 def rank_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> str:
     return os.path.join(cache_dir, "%s.%s.%d.rank" % (fingerprint[:16], kind, degree))
-
-
-def _format_value(v) -> str:
-    f = Fraction(v)
-    return str(f)  # "p" or "p/q", always reduced
 
 
 def _parse_value(s: str):
@@ -72,7 +85,8 @@ def _parse_value(s: str):
 
 def _header_prefix(fingerprint: str, kind: str, degree: int, rows: int,
                    cols: int) -> str:
-    return "%s %s %s %d %d %d " % (FORMAT, fingerprint, kind, degree, rows, cols)
+    return "%s %s %s %s %d %d %d " % (FORMAT, _generator_digest(), fingerprint,
+                                      kind, degree, rows, cols)
 
 
 def _little_endian(words: array) -> array:
@@ -101,7 +115,7 @@ def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
     words = array(_U32, map(len, mat.columns))
     words.extend(map(itemgetter(0), entries))
     words.extend(map(palette.__getitem__, values))
-    palette_line = "%s\n" % " ".join(map(_format_value, palette))
+    palette_line = "%s\n" % " ".join(map(str, map(Fraction, palette)))
     body = palette_line.encode("ascii") + _little_endian(words).tobytes()
     body_digest = hashlib.sha256(body).hexdigest()
     _write(boundary_path(cache_dir, fingerprint, kind, degree), ("%s%d %s\n" % (

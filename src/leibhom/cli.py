@@ -22,7 +22,7 @@ from .algebra import (BUILTIN_NAMES, builtin_algebra, check_matrix_size,
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         ResourceBoundExceeded, Session, basis_labels,
                         boundary_rank, build_complex, check_bound, degree_dim)
-from .homology import betti_number, induced_map, verify_chain_map
+from .homology import NegativeBetti, betti_number, induced_map, verify_chain_map
 from .linalg import rank_only
 from .serialize import FormatError, load_algebra
 from . import chain_maps as cmaps
@@ -479,6 +479,9 @@ def main(argv=None):
     except ResourceBoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except NegativeBetti as exc:  # a failed d.d = 0
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     parser.error("unknown command")
 
 

@@ -15,8 +15,9 @@ All boundaries are generated one column at a time so huge degrees can be
 streamed (for d.d = 0 checks or rank streams) without materializing the
 matrix. Fully built matrices, and the ranks of their boundaries, live in the
 registry of a Session, keyed by algebra fingerprint: one session per run,
-so nothing built in one run is seen by another. boundary_rank ranks a
-boundary the session does not hold by its rows, straight from the column
+so nothing built in one run is seen by another, and a matrix loaded from
+the disk cache is the generated one (see cache). boundary_rank ranks
+a boundary the session does not hold by its rows, straight from the column
 generator, and stores no matrix.
 
 Tensor basis order is lexicographic with the first factor most significant,
@@ -43,10 +44,10 @@ and bar_iota.
 
 A streamed degree's d.d = 0 (verify_d2_streamed) is checked against the
 stored degree below it. For the contraction kinds the check needs no column
-of the streamed degree: every composite of two contractions multiplies at
-most four input slots, so _d2_certified groups the composites by the slots
-they merge and checks each group over the digits of those slots alone. A
-degree it cannot prove this way is checked column by column.
+of either degree: every composite of two contractions multiplies at most
+four input slots, so _d2_certified groups the composites by the slots they
+merge and checks each group over the digits of those slots alone. A degree
+it cannot prove this way is checked column by column.
 """
 
 from __future__ import annotations
@@ -428,17 +429,14 @@ class Session:
     degree the session builds; cache_dir, if set, is the boundary disk cache,
     and cache_counts counts its hits, misses, writes and rejects.
 
-    The session also records where each boundary came from. generated maps
-    the key of each boundary assembled here from its column generator to
-    that matrix, so the d.d certificate need not compare it with the
-    generator again. A boundary loaded from the cache takes its rank from
-    the rank record next to its file, which binds the rank to the file's
-    body digest and shape and is trusted only when both match
+    A boundary is assembled from its column generator or loaded from a cache
+    file bound to the generator's source (see cache). A loaded one takes
+    its rank from the rank record next to its file, which binds the rank to
+    the file's body digest and shape and is trusted only when both match
     (cache.load_rank). unrecorded maps each cache-backed boundary, loaded or
     saved, that has no valid record to its body digest; record_ranks, called
-    once at the end of a run, writes the records of those it has ranked. A
-    refused record costs only a re-rank. rank_counts counts the records'
-    hits, writes and rejects.
+    once at the end of a run, writes the records of those it has ranked.
+    rank_counts counts the records' hits, writes and rejects.
     """
 
     def __init__(self, max_dim=DEFAULT_MAX_DIM, cache_dir=None):
@@ -448,7 +446,6 @@ class Session:
         self.cache_dir = cache_dir
         self.boundaries = {}
         self.ranks = {}
-        self.generated = {}
         self.unrecorded = {}
         self.cache_counts = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
         self.rank_counts = {"hits": 0, "writes": 0, "rejects": 0}
@@ -498,7 +495,6 @@ def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
     else:
         mat = SparseMatrix.from_columns(rows, cols,
                                         boundary_column_fn(A, kind, n))
-        session.generated[key] = mat
         if cache_dir is not None:
             session.unrecorded[key] = cache.save_boundary(
                 cache_dir, key[0], kind, n, mat, session.cache_counts)
@@ -551,11 +547,9 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
 
     Only d_{n-1} is materialized (it is subject to the session's max_dim).
     For CL, CHH, L and P, _d2_certified proves d.d = 0 from the terms of d_n
-    and d_{n-1}, without generating a column of d_n, when the stored d_{n-1}
-    is the generated one: the session generated it, or each of its columns
-    equals the generated column. Otherwise, or when the proof does not go
-    through, the columns of d_n are generated, checked and dropped, and the
-    first column with d_{n-1}(column) != 0 is the witness.
+    and d_{n-1}, without generating a column. Otherwise, or when the proof
+    does not go through, the columns of d_n are generated, checked and
+    dropped, and the first column with d_{n-1}(column) != 0 is the witness.
     """
     if n < 2:
         return None
@@ -563,9 +557,7 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
         session = Session()
     lower = boundary_matrix(A, kind, n - 1, session)
     fn = boundary_column_fn(A, kind, n)
-    if hasattr(fn, "terms") and _d2_certified(
-            lower, fn, boundary_column_fn(A, kind, n - 1),
-            session.generated.get((A.fingerprint(), kind, n - 1)) is lower):
+    if hasattr(fn, "terms") and _d2_certified(fn, boundary_column_fn(A, kind, n - 1)):
         return None
     vanishes = ZeroTest((lower, 1))
     for j in range(degree_dim(A, kind, n)):
@@ -574,32 +566,24 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     return None
 
 
-def _d2_certified(lower: SparseMatrix, up, down, generated=False) -> bool:
-    """True if lower o up = 0 follows from the terms of up and down.
+def _d2_certified(up, down) -> bool:
+    """True if down o up = 0 follows from the terms of up and down.
 
     up and down are contraction column functions of d_n and d_{n-1} over one
-    table, and lower must hold exactly down's columns: they are compared
-    unless generated says lower was assembled from down. Each term of a part
-    of up is composed with the terms of the part of down it lands in: a
-    composite is its output part and a product tree over the input slots
-    in each merged output slot (two trees of two slots, or one of three).
-    The composites are grouped by output part and the input slots merged
-    into each output slot. A column's d.d is the sum of its group sums, and
-    a group's sum is its untouched digits tensor a sum of trees that reads
-    only its (at most four) merged digits: identical trees cancel, and what
-    is left is checked once over every assignment of those digits.
-    False proves nothing; the caller then checks column by column.
+    table. Each term of a part of up is composed with the terms of the part
+    of down it lands in: a composite is its output part and a product tree
+    over the input slots in each merged output slot (two trees of two slots,
+    or one of three). The composites are grouped by output part and the input
+    slots merged into each output slot. A column's d.d is the sum of its
+    group sums, and a group's sum is its untouched digits tensor a sum of
+    trees that reads only its (at most four) merged digits: identical trees
+    cancel, and what is left is checked once over every assignment of those
+    digits. False proves nothing; the caller then checks column by column.
     """
-    if not hasattr(down, "terms"):
-        return False
     table, m, parts = up.terms
-    table_lo, m_lo, parts_lo = down.terms
-    dlo = len(table) ** (m - 1)
-    if (m_lo != m - 1 or table_lo != table
-            or lower.cols != len(parts_lo) * dlo
-            or not generated and any(lower.columns[y] != down(y)
-                                     for y in range(lower.cols))):
-        return False
+    if getattr(down, "terms", ())[:2] != (table, m - 1):
+        return False  # CL's d_1 has no terms
+    parts_lo, dlo = down.terms[2], len(table) ** (m - 1)
     composites = {}  # the two contractions -> (trees, merged input slots)
     vanishes = {}  # group -> whether its sum is zero on every assignment
     for part in parts:

@@ -72,13 +72,16 @@ class ChainComplex:
         return "ChainComplex(%s, dims=%s)" % (self.kind, self.dims)
 
 
+class NegativeBetti(Exception):
+    """A negative betti number: the boundaries do not compose to zero."""
+
+
 def betti_number(kind, n: int, dim: int, rank_n: int, rank_next: int) -> int:
-    """dim C_n - rank d_n - rank d_{n+1}; a negative count raises ValueError,
-    since then the boundaries do not compose to zero."""
+    """dim C_n - rank d_n - rank d_{n+1}; NegativeBetti if that is < 0."""
     betti = dim - rank_n - rank_next
     if betti < 0:
-        raise ValueError("%s betti %d in degree %d: the boundaries do "
-                         "not compose to zero" % (kind, betti, n))
+        raise NegativeBetti("%s betti %d in degree %d: the boundaries do "
+                            "not compose to zero" % (kind, betti, n))
     return betti
 
 

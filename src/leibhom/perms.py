@@ -13,10 +13,6 @@ from functools import lru_cache
 Perm = tuple  # image tuple, 1-based points
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(i) = p(q(i))."""
     return tuple(p[q[i] - 1] for i in range(len(p)))

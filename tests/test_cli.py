@@ -216,6 +216,62 @@ def test_compute_exit_codes(tmp_path):
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+def test_a_negative_betti_is_a_failed_check_not_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    """With the sign of the wrap face of b flipped, the CHH boundaries do
+    not compose to zero and a betti number comes out negative: exit 1, the
+    code of a failed verification, with the reason on stderr."""
+    from leibhom import complexes
+    real = complexes._hochschild_faces
+
+    def flipped(n):
+        *faces, (i, j, swapped, sign) = real(n)
+        return faces + [(i, j, swapped, -sign)]
+
+    monkeypatch.setattr(complexes, "_hochschild_faces", flipped)
+    assert cli.main(["compute", "--algebra", "dual", "--complex", "CHH",
+                     "--max-degree", "3", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: CHH betti -2 in degree 1: the boundaries do not compose to "
+        "zero\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_cache_written_by_other_code_is_rejected_not_read(tmp_path,
+                                                            monkeypatch):
+    """A cache filled by a CHH generator whose d_4 is zero, under that
+    code's generator digest: read under the same digest, it gives wrong
+    bettis; read by this code, every file is rejected and rewritten, and
+    the bettis are right."""
+    from leibhom import complexes
+    cdir = str(tmp_path / "cache")
+
+    def compute(out):
+        assert cli.main(["compute", "--algebra", "dual", "--complex", "CHH",
+                         "--max-degree", "5", "--cache", cdir,
+                         "--out", str(tmp_path / out)]) == 0
+        rep = json.loads((tmp_path / out / "report.json").read_text())
+        man = json.loads((tmp_path / out / "manifest.json").read_text())
+        return rep["tables"][0]["betti"], man["cache"], man["cache_rejects"]
+
+    real = complexes._COLUMN_BUILDERS["CHH"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "_generator_digest", lambda: "0" * 64)
+        patch.setitem(complexes._COLUMN_BUILDERS, "CHH", lambda A, n: (
+            complexes._zero_column if n == 4 else real(A, n)))
+        assert compute("stale")[1:] == (
+            {"hits": 0, "misses": 5, "writes": 5}, 0)
+    # the binding is all that keeps the stale files out
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "_generator_digest", lambda: "0" * 64)
+        assert compute("misread") == (
+            [2, 1, 1, 12, 12], {"hits": 5, "misses": 0, "writes": 0}, 0)
+    assert compute("fresh") == (
+        [2, 1, 1, 1, 1], {"hits": 0, "misses": 0, "writes": 5}, 5)
+    assert compute("warm") == (
+        [2, 1, 1, 1, 1], {"hits": 5, "misses": 0, "writes": 0}, 0)
+
+
 @pytest.mark.parametrize("args", [
     ("compute", "--algebra", "dual", "--complex", "CL", "--max-degree", "3",
      "--max-dim", "-5"),
@@ -505,8 +561,8 @@ def _format_1(fingerprint, kind, n, mat):
 
 def test_a_format_1_cache_file_and_its_rank_record_are_rewritten(tmp_path):
     """A boundary file of the text format 1 is rejected and rewritten as
-    format 2. Its rank record names the old body's digest, so it holds for
-    no format-2 body, and the run rewrites it for the new body. The report
+    format 3. Its rank record names the old body's digest, so it holds for
+    no format-3 body, and the run rewrites it for the new body. The report
     is the one a run without a cache gives."""
     A = builtin_algebra("dual")
     fp = A.fingerprint()

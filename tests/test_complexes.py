@@ -474,8 +474,7 @@ def _stream_d2(lower, fn, cols):
                                     ("P", 2), ("P", 3)])
 def test_d2_certificate_proves_the_contraction_kinds(name, kind, n):
     A = builtin_algebra(name)
-    lower = boundary_matrix(A, kind, n - 1)
-    assert complexes._d2_certified(lower, boundary_column_fn(A, kind, n),
+    assert complexes._d2_certified(boundary_column_fn(A, kind, n),
                                    boundary_column_fn(A, kind, n - 1))
 
 
@@ -505,7 +504,7 @@ def test_d2_certificate_agrees_with_the_stream_on_mutated_terms(name, kind, n):
     verdicts = []
     for mutated in _mutations(parts):
         up = complexes._contraction_column_fn(A.dim, table, m, mutated)
-        certified = complexes._d2_certified(lower, up, down)
+        certified = complexes._d2_certified(up, down)
         streamed = _stream_d2(lower, up, degree_dim(A, kind, n))
         assert certified == (streamed is None)
         verdicts.append(certified)
@@ -514,9 +513,9 @@ def test_d2_certificate_agrees_with_the_stream_on_mutated_terms(name, kind, n):
 
 
 def test_d2_certified_degree_generates_no_column(monkeypatch, tmp_path):
-    """s3 P_4 is proved from the terms: only columns of d_3 are generated,
-    none of d_4, and each once: to build d_3, which is then not compared
-    with itself, or to compare a d_3 loaded from the cache."""
+    """s3 P_4 is proved from the terms: no column of d_4 is generated, and
+    each column of d_3 once, to build d_3, or none when d_3 is loaded from
+    the cache."""
     A = builtin_algebra("s3")
     calls = []
 
@@ -529,17 +528,21 @@ def test_d2_certified_degree_generates_no_column(monkeypatch, tmp_path):
         return functools.update_wrapper(col, fn)
 
     monkeypatch.setattr(complexes, "boundary_column_fn", counting)
-    cdir = str(tmp_path)
-    for session in (None, Session(cache_dir=cdir), Session(cache_dir=cdir)):
+    cdir, d3 = str(tmp_path), degree_dim(A, "P", 3)
+    for session, built in ((None, d3), (Session(cache_dir=cdir), d3),
+                           (Session(cache_dir=cdir), 0)):
         del calls[:]
         assert verify_d2_streamed(A, "P", 4, session) is None
-        assert calls == [3] * degree_dim(A, "P", 3)
-    assert session.cache_counts["hits"] == 1 and not session.generated
+        assert calls == [3] * built
+    assert session.cache_counts == {"hits": 1, "misses": 0, "writes": 0,
+                                    "rejects": 0}
 
 
-def test_streamed_d2_over_a_wrong_cached_lower_is_the_column_witness(tmp_path):
-    """A d_{n-1} loaded from the cache is compared with the generated one,
-    so a wrong matrix in a sound file gets the column loop and its witness."""
+def test_a_cache_file_of_another_generator_is_rewritten_and_passes_d2(
+        tmp_path, monkeypatch):
+    """A file written under another generator digest is rejected, even when
+    its body is sound, so a wrong d_{n-1} from other code is never read: the
+    run rewrites the file with the generated d_{n-1} and d.d = 0 holds."""
     A = builtin_algebra("dual")
     lower = boundary_matrix(A, "P", 3)
     columns = [dict(col) for col in lower.columns]
@@ -547,33 +550,36 @@ def test_streamed_d2_over_a_wrong_cached_lower_is_the_column_witness(tmp_path):
     columns[5][r] += 1
     wrong = SparseMatrix(lower.rows, lower.cols,
                          [{k: v for k, v in col.items() if v} for col in columns])
+    assert _stream_d2(wrong, boundary_column_fn(A, "P", 4),
+                      degree_dim(A, "P", 4)) is not None
     cdir = str(tmp_path)
-    cache.save_boundary(cdir, A.fingerprint(), "P", 3, wrong,
-                        Session().cache_counts)
-    j = _stream_d2(wrong, boundary_column_fn(A, "P", 4), degree_dim(A, "P", 4))
-    assert j is not None
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "_generator_digest", lambda: "0" * 64)
+        cache.save_boundary(cdir, A.fingerprint(), "P", 3, wrong,
+                            Session().cache_counts)
+    path = cache.boundary_path(cdir, A.fingerprint(), "P", 3)
+    assert open(path, "rb").read().split()[2] == b"0" * 64
+    generator = cache._generator_digest().encode()
+    assert generator != b"0" * 64
     session = Session(cache_dir=cdir)
-    assert verify_d2_streamed(A, "P", 4, session) == (4, j)
-    assert session.cache_counts["hits"] == 1
+    assert verify_d2_streamed(A, "P", 4, session) is None
+    assert session.boundaries[(A.fingerprint(), "P", 3)] == lower
+    assert session.cache_counts == {"hits": 0, "misses": 0, "writes": 1,
+                                    "rejects": 1}
+    warm = Session(cache_dir=cdir)
+    assert verify_d2_streamed(A, "P", 4, warm) is None
+    assert warm.cache_counts["hits"] == 1 and warm.cache_counts["rejects"] == 0
+    assert open(path, "rb").read().split()[2] == generator
 
 
-@pytest.mark.parametrize("bump", [1, -1, 2])
-def test_streamed_d2_over_a_wrong_stored_lower_is_the_column_witness(bump):
-    """A stored d_{n-1} that is not the generated one gets the column loop
-    and its witness, the first column j with d_{n-1}(d_n(j)) != 0."""
-    A = builtin_algebra("dual")
-    session = Session()
-    lower = boundary_matrix(A, "P", 3, session)
-    columns = [dict(col) for col in lower.columns]
-    r = next(r for col in columns for r in col)
-    columns[5][r] = columns[5].get(r, 0) + bump
-    wrong = SparseMatrix(lower.rows, lower.cols,
-                         [{k: v for k, v in col.items() if v} for col in columns])
-    session.boundaries[(A.fingerprint(), "P", 3)] = wrong
-    fn = boundary_column_fn(A, "P", 4)
-    j = _stream_d2(wrong, fn, degree_dim(A, "P", 4))
-    assert j is not None
-    assert verify_d2_streamed(A, "P", 4, session) == (4, j)
+def test_unreadable_generator_sources_trust_no_cache_file(tmp_path,
+                                                         monkeypatch):
+    """If a source cannot be read, the generator digest is a fresh random
+    token, which no file written before holds."""
+    monkeypatch.setattr(cache, "__file__", str(tmp_path / "cache.py"))
+    tokens = {cache._generator_digest.__wrapped__() for _ in range(3)}
+    assert len(tokens) == 3 and all(len(t) == 64 for t in tokens)
+    assert cache._generator_digest() not in tokens
 
 
 def test_resource_bound_raises_with_details():
@@ -687,8 +693,9 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
             cache._parse_value(bad)
 
 
-def _format_2_body(palette, sizes, rows, picks):
-    """A format-2 body: the palette line, then the three uint32 arrays."""
+def _binary_body(palette, sizes, rows, picks):
+    """The body of formats 2 and 3: the palette line, then the three uint32
+    arrays."""
     words = array("I", [*sizes, *rows, *picks])
     if sys.byteorder == "big":
         words.byteswap()
@@ -703,24 +710,27 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
     cache.save_boundary(cdir, fp, "CHH", 1, mat, Session().cache_counts)
     good = open(path, "rb").read()
     head, body = good[:good.index(b"\n") + 1], good[good.index(b"\n") + 1:]
-    assert head.split() == [b"leibhom-boundary", b"2", fp.encode(), b"CHH",
-                            b"1", b"3", b"2", b"3",
+    generator = cache._generator_digest().encode()
+    assert head.split() == [b"leibhom-boundary", b"3", generator, fp.encode(),
+                            b"CHH", b"1", b"3", b"2", b"3",
                             hashlib.sha256(body).hexdigest().encode()]
     palette, sizes, rows, picks = ["4", "-7", "-3/5"], [2, 1], [0, 2, 1], [
         0, 1, 2]
-    assert body == _format_2_body(palette, sizes, rows, picks)
+    assert body == _binary_body(palette, sizes, rows, picks)
     session = Session(cache_dir=cdir)
     counts = session.cache_counts
     assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2, counts)[0] == mat
 
-    def resealed(body, nnz=3):
-        return (b"leibhom-boundary 2 %s CHH 1 3 2 %d %s\n" % (
-            fp.encode(), nnz, hashlib.sha256(body).hexdigest().encode()), body)
+    def resealed(body, nnz=3, generator=generator):
+        return (b"leibhom-boundary 3 %s %s CHH 1 3 2 %d %s\n" % (
+            generator, fp.encode(), nnz,
+            hashlib.sha256(body).hexdigest().encode()), body)
 
     def forged(palette=palette, sizes=sizes, rows=rows, picks=picks):
-        return resealed(_format_2_body(palette, sizes, rows, picks))
+        return resealed(_binary_body(palette, sizes, rows, picks))
 
-    # another shape, another full fingerprint behind the same file name, a
+    # another shape, another full fingerprint behind the same file name,
+    # another generator digest, the format-2 header of the same body, a
     # headerless body, a truncated body, a changed value, a bad palette
     # token; then bodies whose header is resealed to match: a stored zero, a
     # row out of range, a bad value, a word too many and a word too few,
@@ -730,6 +740,8 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
     tampered = [
         (head, body, (3, 3), fp),
         (head, body, (3, 2), fp[:16] + "e" * 48),
+        resealed(body, generator=b"e" * 64) + ((3, 2), fp),
+        (head.replace(b" 3 %s " % generator, b" 2 "), body, (3, 2), fp),
         (b"", body, (3, 2), fp),
         (head, body[:-4], (3, 2), fp),
         (head, body.replace(b"-3/5", b"-3/4"), (3, 2), fp),

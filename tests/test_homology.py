@@ -14,9 +14,9 @@ from leibhom import complexes
 from leibhom.algebra import builtin_algebra
 from leibhom.chain_maps import phi, proj_I
 from leibhom.complexes import build_complex
-from leibhom.homology import (ChainComplex, ChainMapRep, compose_maps,
-                              cone_pair_map, exactness_check, induced_map,
-                              induced_rank_streamed, les_of_cone,
+from leibhom.homology import (ChainComplex, ChainMapRep, NegativeBetti,
+                              compose_maps, cone_pair_map, exactness_check,
+                              induced_map, induced_rank_streamed, les_of_cone,
                               mapping_cone, verify_boundary_squares,
                               verify_chain_map)
 from leibhom.linalg import ZERO_TEST_CAP, SparseMatrix, rank_only
@@ -63,7 +63,7 @@ def test_homology_refuses_a_negative_betti_number():
     one = SparseMatrix.identity(1)
     C = ChainComplex("BROKEN", [1, 1, 1], [None, one, one])
     assert C.betti(0) == 0
-    with pytest.raises(ValueError, match="betti -1"):
+    with pytest.raises(NegativeBetti, match="betti -1"):
         C.homology(1)
 
 

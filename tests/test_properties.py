@@ -15,7 +15,7 @@ from leibhom.complexes import (_contraction_column_fn, cyclic_quotient,
                                index_tuple, tuple_index, wedge_basis)
 from leibhom.linalg import (ZERO_TEST_CAP, Echelon, SparseMatrix, ZeroTest,
                             rank_only, vec_scaled_add)
-from leibhom.perms import compose, identity_perm, invert, sign
+from leibhom.perms import compose, invert, sign
 
 
 @st.composite
@@ -325,9 +325,9 @@ PERMS = st.integers(0, 7).flatmap(
 @given(PERMS)
 def test_perm_sign_counts_inversions_and_compose_is_a_group_law(perms):
     """sign is (-1)^inversions and multiplicative; compose is p after q,
-    associative, with identity_perm as unit and invert as inverse."""
+    associative, with the identity as unit and invert as inverse."""
     p, q, r = perms
-    e = identity_perm(len(p))
+    e = tuple(range(1, len(p) + 1))
     assert sign(p) == (-1) ** inversions(p)
     assert compose(p, q) == tuple(p[q[i] - 1] for i in range(len(p)))
     assert sign(compose(p, q)) == sign(p) * sign(q)
