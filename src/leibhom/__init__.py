@@ -30,7 +30,7 @@ from .chain_maps import (bar_iota, bar_pi, corner, cycle_slot_bridge,
                          proj_lie, theta, theta_nf, tr_phi_column_fn, trace)
 from .serialize import (FormatError, algebra_from_dict, algebra_to_dict,
                         load_algebra, save_algebra)
-from .suites import SUITE_IDS, SuiteConfig, run_all, run_suite
+from .suites import SUITE_IDS, SuiteConfig, run_suite
 
 __version__ = "1.0.0"
 

@@ -17,6 +17,9 @@ from .linalg import Echelon, SparseMatrix, kernel_basis
 # largest dimension N * N * dim A of a matrix algebra
 MATRIX_MAX_DIM = 4096
 
+# failing triples (pairs for a morphism) a validation lists before it stops
+MAX_FAILURES = 20
+
 
 class Presentation:
     """Single-generator presentation A = Q[t]/(r(t)), used for Kahler modules.
@@ -116,7 +119,7 @@ class ValidationReport:
         return "; ".join(bits)
 
 
-def validate_algebra(A: Algebra, max_failures: int = 20) -> ValidationReport:
+def validate_algebra(A: Algebra) -> ValidationReport:
     """Check associativity on all basis triples and both unit axioms."""
     assoc = []
     for i in range(A.dim):
@@ -127,11 +130,11 @@ def validate_algebra(A: Algebra, max_failures: int = 20) -> ValidationReport:
                 right = multiply_coords(A, {i: 1}, dict(A.products[j][k]))
                 if left != right:
                     assoc.append((i, j, k))
-                    if len(assoc) >= max_failures:
+                    if len(assoc) >= MAX_FAILURES:
                         break
-            if len(assoc) >= max_failures:
+            if len(assoc) >= MAX_FAILURES:
                 break
-        if len(assoc) >= max_failures:
+        if len(assoc) >= MAX_FAILURES:
             break
     unit = {k: v for k, v in enumerate(A.unit) if v}
     unit_fail = []
@@ -403,9 +406,9 @@ def validate_morphism(f: AlgebraMorphism) -> MorphismReport:
             right = multiply_coords(B, fi, f.apply_coords({j: 1}))
             if left != right:
                 fails.append((i, j))
-                if len(fails) >= 20:
+                if len(fails) >= MAX_FAILURES:
                     break
-        if len(fails) >= 20:
+        if len(fails) >= MAX_FAILURES:
             break
     unital = f.apply_coords({k: v for k, v in enumerate(A.unit) if v}) \
         == {k: v for k, v in enumerate(B.unit) if v}

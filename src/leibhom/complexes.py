@@ -59,7 +59,7 @@ from math import comb, factorial, gcd
 from . import cache
 from .algebra import Algebra
 from .homology import ChainComplex
-from .linalg import SparseMatrix, ZeroTest, rank_by_rows, rank_only
+from .linalg import SparseMatrix, rank_by_rows, rank_only
 from .perms import (contract_edge, cyclic_class, cyclic_index, face_cyclic,
                     symmetric_group, symmetric_index)
 
@@ -549,7 +549,8 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     For CL, CHH, L and P, _d2_certified proves d.d = 0 from the terms of d_n
     and d_{n-1}, without generating a column. Otherwise, or when the proof
     does not go through, the columns of d_n are generated, checked and
-    dropped, and the first column with d_{n-1}(column) != 0 is the witness.
+    dropped, and the first column whose dict product d_{n-1}(column)
+    (SparseMatrix.apply) is nonzero is the witness.
     """
     if n < 2:
         return None
@@ -559,9 +560,8 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     fn = boundary_column_fn(A, kind, n)
     if hasattr(fn, "terms") and _d2_certified(fn, boundary_column_fn(A, kind, n - 1)):
         return None
-    vanishes = ZeroTest((lower, 1))
     for j in range(degree_dim(A, kind, n)):
-        if not vanishes(fn(j)):
+        if lower.apply(fn(j)):
             return (n, j)
     return None
 

@@ -11,8 +11,8 @@ out of one reduction.
 
 from __future__ import annotations
 
-from .linalg import (Echelon, SparseMatrix, ZeroTest, blocked_rank,
-                     kernel_basis, rank_only)
+from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
+                     rank_only, vec_scaled_add)
 
 
 class ChainComplex:
@@ -89,13 +89,13 @@ def verify_boundary_squares(C: ChainComplex):
     """Check d_{n-1} o d_n = 0 for 2 <= n <= cutoff, column by column.
 
     Returns (True, None), or (False, (degree, column)) for the first column
-    of d_n that d_{n-1} does not send to zero.
+    of d_n that d_{n-1} does not send to zero (the dict product
+    SparseMatrix.apply decides).
     """
     for n in range(2, C.cutoff + 1):
-        upper = C.boundaries[n]
-        vanishes = ZeroTest((C.boundaries[n - 1], 1))
-        for j in range(upper.cols):
-            if not vanishes(upper.columns[j]):
+        lower = C.boundaries[n - 1]
+        for j, col in enumerate(C.boundaries[n].columns):
+            if lower.apply(col):
                 return False, (n, j)
     return True, None
 
@@ -220,8 +220,9 @@ class ChainMapRep:
 def verify_chain_map(F: ChainMapRep, max_degree=None):
     """Check the commutation squares; returns (ok, witness).
 
-    The witness is (degree, column) of the first failing square, comparing
-    target_d(F(col)) against chain_sign * F(source_d(col)).
+    The witness is (degree, column) of the first failing square: the first
+    column at which the dict product target_d(F(col)) - chain_sign *
+    F(source_d(col)) is nonzero.
     """
     src, tgt, s = F.source, F.target, F.shift
     for n in F.degrees():
@@ -231,12 +232,12 @@ def verify_chain_map(F: ChainMapRep, max_degree=None):
             continue
         if not (1 <= n <= src.cutoff and 1 <= n - s <= tgt.cutoff):
             continue
-        upper = F.maps[n]
-        dsrc = src.boundary(n)
-        vanishes = ZeroTest((tgt.boundary(n - s), 1),
-                            (F.maps[n - 1], -F.chain_sign))
-        for j in range(dsrc.cols):
-            if not vanishes(upper.columns[j], dsrc.columns[j]):
+        upper, lower = F.maps[n], F.maps[n - 1]
+        dsrc, dtgt = src.boundary(n), tgt.boundary(n - s)
+        for j, col in enumerate(dsrc.columns):
+            diff = dtgt.apply(upper.columns[j])
+            vec_scaled_add(diff, lower.apply(col), -F.chain_sign)
+            if diff:
                 return False, (n, j)
     return True, None
 

@@ -8,6 +8,8 @@ large streamed computations and, with tracking on, also yields kernel
 relations, span membership and exact coordinates over the inserted vectors.
 Built modulo a family S, it works in the quotient by span(S): the homology
 solver eliminates a chain modulo the boundaries in one echelon this way.
+The d.d = 0 and chain-map checks test their products for zero with
+SparseMatrix.apply, the dict product.
 
 Echelon reduces in one of two ways. Untracked (rank, span membership, block
 pivot counts), only the leads of the pivots are read, so a pivot may have
@@ -17,20 +19,6 @@ Tracked, the content is divided out only after a step that grows it and at
 the end; the divisions skipped are by positive scalars, so the relations,
 and the representatives and report signs built from them, are those of a
 division after every step.
-
-The d.d = 0 and chain-map checks ask only whether a sum of products
-sum_k sign_k * M_k @ v_k is zero, and ZeroTest decides that without dict
-arithmetic. Each column of each M_k is held once as two tuples of row
-indices, the rows of its positive and of its negative entries, each row
-repeated |entry| times (the two swap for sign_k = -1). For a vector, the
-tuples of every column it touches are concatenated into two lists, a
-coefficient's sign swapping the column's two tuples and |coefficient|
-repeating them; the sum is zero iff the two lists are equal once sorted,
-since per row they count the +1 and the -1 contributions. Python visits
-each vector entry once; concatenating, sorting and comparing run in C. A
-vector with a non-integral coefficient or one above ZERO_TEST_CAP in
-absolute value, or touching a column with such an entry, falls back to the
-dict product (as in SparseMatrix.apply), which stays the reference.
 
 Echelon always leads with the smallest index. rank_only, which only needs a
 count, feeds it columns shortest first and rows in reverse, so that each
@@ -179,97 +167,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz())
-
-
-# Largest |entry| and |coefficient| that ZeroTest repeats rows for, so a
-# product term adds at most ZERO_TEST_CAP^2 rows; the boundaries and
-# comparison maps of the battery have entries of at most 5.
-ZERO_TEST_CAP = 8
-
-
-def _small_int(v):
-    """v as an int if it is integral with |v| <= ZERO_TEST_CAP, else None."""
-    if type(v) is not int:
-        if v.denominator != 1:
-            return None
-        v = v.numerator
-    return v if -ZERO_TEST_CAP <= v <= ZERO_TEST_CAP else None
-
-
-def _signed_rows(col: dict, sign: int):
-    """(rows of positive, rows of negative entries of sign * col), or None."""
-    pos = []
-    neg = []
-    for r, v in col.items():
-        if v == 1:
-            pos.append(r)
-        elif v == -1:
-            neg.append(r)
-        else:
-            v = _small_int(v)
-            if v is None:
-                return None
-            if v > 0:
-                pos += (r,) * v
-            else:
-                neg += (r,) * -v
-    return (tuple(pos), tuple(neg)) if sign > 0 else (tuple(neg), tuple(pos))
-
-
-class ZeroTest:
-    """Exact test of sum_k sign_k * M_k @ v_k == 0 (see the module docstring).
-
-    Built from the (M_k, sign_k) pairs, then called with the vectors v_k, one
-    per pair, in order. A column's row tuples are made the first time a
-    vector touches it, so columns no vector touches cost nothing.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, *signed_matrices):
-        # (columns, sign, rows) per matrix; rows[j] is 0 until column j is
-        # first touched, then its row tuples, or None outside the row form
-        self._terms = [(M.columns, sign, [0] * M.cols)
-                       for M, sign in signed_matrices]
-
-    def __call__(self, *vecs) -> bool:
-        pos = []
-        neg = []
-        for (columns, sign, rows), vec in zip(self._terms, vecs):
-            for j, c in vec.items():
-                pn = rows[j]
-                if not pn:
-                    if pn == 0:
-                        pn = rows[j] = _signed_rows(columns[j], sign)
-                    if pn is None:
-                        return self._dict_product_vanishes(vecs)
-                if c == 1:
-                    pos += pn[0]
-                    neg += pn[1]
-                    continue
-                if c == -1:
-                    pos += pn[1]
-                    neg += pn[0]
-                    continue
-                c = _small_int(c)
-                if c is None:
-                    return self._dict_product_vanishes(vecs)
-                if c > 0:
-                    pos += pn[0] * c
-                    neg += pn[1] * c
-                else:
-                    pos += pn[1] * -c
-                    neg += pn[0] * -c
-        pos.sort()
-        neg.sort()
-        return pos == neg
-
-    def _dict_product_vanishes(self, vecs) -> bool:
-        out: dict = {}
-        for (columns, sign, _), vec in zip(self._terms, vecs):
-            for j, c in vec.items():
-                vec_scaled_add(out, columns[j], sign * c)
-        return not out
 
 
 class Echelon:

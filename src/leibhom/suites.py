@@ -861,7 +861,3 @@ def check_matrix_size_for(suite_ids, N):
             except ValueError as exc:
                 raise ValueError("suite %s cannot build M_%d(%s): %s"
                                  % (sid, N, A.name, exc))
-
-
-def run_all(config: SuiteConfig):
-    return [run_suite(sid, config) for sid in SUITE_IDS]

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) of per-element index arithmetic, of
-the antisymmetrization columns, of the exact zero test of matrix products,
-of the two echelon reductions and the quotient solver, and of permutation
-signs and composition."""
+the antisymmetrization columns, of the d.d = 0 witness, of the two echelon
+reductions and the quotient solver, and of permutation signs and
+composition."""
 
 import itertools
 from fractions import Fraction
@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from leibhom.chain_maps import _epsilon_column, _phi_column, _theta_column
 from leibhom.complexes import (_contraction_column_fn, cyclic_quotient,
                                index_tuple, tuple_index, wedge_basis)
-from leibhom.linalg import (ZERO_TEST_CAP, Echelon, SparseMatrix, ZeroTest,
-                            rank_only, vec_scaled_add)
+from leibhom.homology import ChainComplex, verify_boundary_squares
+from leibhom.linalg import (Echelon, SparseMatrix, kernel_basis, rank_only,
+                            vec_scaled_add)
 from leibhom.perms import compose, invert, sign
 
 
@@ -146,11 +147,11 @@ def test_epsilon_column_is_the_signed_sum_over_orderings(case):
     assert list(got.items()) == list(want.items())
 
 
-# entries inside the row-tuple form, above ZERO_TEST_CAP, and Fractions
-# (integral ones among them, such as 4/2)
+# small entries, entries above 8, and Fractions (integral ones among them,
+# such as 4/2)
 VALUES = st.one_of(
     st.integers(-3, 3),
-    st.integers(-3 * ZERO_TEST_CAP, 3 * ZERO_TEST_CAP),
+    st.integers(-24, 24),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
 
 
@@ -168,46 +169,40 @@ def matrices(draw, rows, cols):
 
 
 @st.composite
-def signed_products(draw):
-    """(M, sign, vectors) triples over a shared row count."""
-    rows = draw(st.integers(1, 5))
-    out = []
-    for _ in range(draw(st.integers(1, 2))):
-        cols = draw(st.integers(1, 6))
-        out.append((draw(matrices(rows, cols)), draw(st.sampled_from([1, -1])),
-                    draw(st.lists(vectors(cols), min_size=1, max_size=3))))
-    return out
+def two_boundaries(draw):
+    """d_1: C_1 -> C_0 and d_2: C_2 -> C_1, some columns of d_2 cycles of d_1
+    (combinations of its kernel basis), the others random vectors."""
+    dims = [draw(st.integers(1, 4)) for _ in range(3)]
+    d_1 = draw(matrices(dims[0], dims[1]))
+    kernel = kernel_basis(d_1)
+    columns = []
+    for _ in range(dims[2]):
+        if kernel and draw(st.booleans()):
+            col = {}
+            for k in kernel:
+                vec_scaled_add(col, k, draw(VALUES))
+        else:
+            col = draw(vectors(dims[1]))
+        columns.append(col)
+    return dims, d_1, SparseMatrix(dims[1], dims[2], columns)
 
 
 @settings(max_examples=300, deadline=None)
-@given(signed_products())
-def test_zero_test_agrees_with_the_dict_product(products):
-    """ZeroTest((M_k, s_k), ...)(v_k, ...) is `not sum_k s_k * M_k.apply(v_k)`,
-    call after call on one test object."""
-    test = ZeroTest(*((M, sign) for M, sign, _ in products))
-    for i in range(max(len(vecs) for _, _, vecs in products)):
-        vecs = [vecs[i % len(vecs)] for _, _, vecs in products]
-        total = {}
-        for (M, sign, _), v in zip(products, vecs):
-            vec_scaled_add(total, M.apply(v), sign)
-        assert test(*vecs) == (not total)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda rows: st.tuples(matrices(rows, 4), vectors(4), VALUES,
-                           st.integers(0, rows - 1))))
-def test_zero_test_sees_a_product_cancel_and_a_bump(case):
-    """M v - N e_0 vanishes for N's one column M v, and stops vanishing once
-    that column is bumped at one row."""
-    M, v, bump, r = case
-    column = M.apply(v)
-    N = SparseMatrix(M.rows, 1, [column])
-    assert ZeroTest((M, 1), (N, -1))(v, {0: 1})
-    bumped = dict(column)
-    vec_scaled_add(bumped, {r: 1}, bump)
-    N = SparseMatrix(M.rows, 1, [bumped])
-    assert ZeroTest((M, 1), (N, -1))(v, {0: 1}) == (not bump)
+@given(two_boundaries())
+def test_boundary_squares_witness_is_the_first_nonzero_dense_column(case):
+    """verify_boundary_squares names the first column of d_2 at which the
+    dense Fraction product d_1 d_2 is nonzero, or returns (True, None)."""
+    dims, d_1, d_2 = case
+    dense_1 = [[Fraction(d_1.columns[k].get(r, 0)) for k in range(dims[1])]
+               for r in range(dims[0])]
+    want = (True, None)
+    for j, col in enumerate(d_2.columns):
+        if any(sum(row[k] * col.get(k, 0) for k in range(dims[1]))
+               for row in dense_1):
+            want = (False, (2, j))
+            break
+    C = ChainComplex("X", dims, [None, d_1, d_2])
+    assert verify_boundary_squares(C) == want
 
 
 def dense_rank(vecs, size):

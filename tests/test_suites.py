@@ -10,7 +10,7 @@ from leibhom.algebra import builtin_algebra, builtin_morphism, matrix_morphism
 from leibhom.complexes import Session, build_complex
 from leibhom.homology import compose_maps, cone_pair_map, mapping_cone
 from leibhom.suites import (SUITE_IDS, SuiteConfig, _Checks, _d2_checks,
-                            _relative_stream, run_all, run_suite)
+                            _relative_stream, run_suite)
 
 FAST = SuiteConfig(cutoff=3, matrix_size=2, seed=42)
 
@@ -62,10 +62,14 @@ def test_report_shape_and_config_echo():
     assert counts == rep["counts"]
 
 
-def test_run_all_order_and_determinism():
-    # each config brings its own session, so the second run rebuilds it all
-    first = run_all(SuiteConfig(cutoff=3, matrix_size=2, seed=42))
-    second = run_all(SuiteConfig(cutoff=3, matrix_size=2, seed=42))
+def test_battery_order_and_determinism():
+    # the battery as cmd_verify runs it; each config brings its own
+    # session, so the second run rebuilds it all
+    def battery():
+        config = SuiteConfig(cutoff=3, matrix_size=2, seed=42)
+        return [run_suite(sid, config) for sid in SUITE_IDS]
+
+    first, second = battery(), battery()
     assert [r["suite"] for r in first] == list(SUITE_IDS)
     blob1 = json.dumps(first, sort_keys=True)
     blob2 = json.dumps(second, sort_keys=True)
