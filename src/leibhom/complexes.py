@@ -11,14 +11,17 @@ Over a finite-dimensional unital Q-algebra A of dimension d:
   L        Q[S_n] tensor A^(tensor n), matrix-transport boundary
   P        Q[U_{n+1}] tensor A^(tensor n+1), U_m = m-cycles in S_m
 
-All boundaries are generated one column at a time so huge degrees can be
-streamed (for d.d = 0 checks or rank streams) without materializing the
-matrix. Fully built matrices, and the ranks of their boundaries, live in the
-registry of a Session, keyed by algebra fingerprint: one session per run,
-so nothing built in one run is seen by another, and a matrix loaded from
-the disk cache is the generated one (see cache). boundary_rank ranks
-a boundary the session does not hold by its rows, straight from the column
-generator, and stores no matrix.
+Every boundary has a column generator, so huge degrees can be streamed
+(for d.d = 0 checks or rank streams) without materializing the matrix, and
+a stored boundary is assembled from it column by column. Fully built
+matrices, and the ranks of their boundaries, live in the registry of a
+Session, keyed by algebra fingerprint: one session per run, so nothing
+built in one run is seen by another, and a matrix loaded from the disk
+cache is the generated one (see cache). boundary_rank ranks a boundary the
+session does not hold by its rows and stores no matrix: the rows of a
+contraction boundary are built from its terms (_contraction_rows), with no
+column generated, and those of a derived one are scattered from its
+generated columns.
 
 Tensor basis order is lexicographic with the first factor most significant,
 matching itertools.product. Wedge bases are increasing index tuples in
@@ -263,9 +266,86 @@ def _contraction_column_fn(d: int, table, m: int, parts):
                     out.pop(idx, None)
         return out
 
-    # the terms themselves, for the d.d certificate (_d2_certified)
+    # the terms themselves, for the d.d certificate (_d2_certified) and the
+    # row builder (_contraction_rows)
     col.terms = (table, m, tuple(tuple(terms) for terms in parts))
     return col
+
+
+def _contraction_rows(terms, rows: int, cols: int) -> list:
+    """The rows of the rows x cols matrix whose column function carries
+    terms (_contraction_column_fn), as dicts {column: value}, built from
+    the terms with no column generated.
+
+    A term and the digits a = t_i, b = t_j fix every other digit's place
+    in the column and the row alike, so each entry (k, c) of their product
+    is added along one grid of (row offset, column offset) pairs over the
+    other m - 2 digits, built once per slot pair (i, j). The column keys
+    are taken from one list, so each column index is one int object however
+    many rows hold it.
+    """
+    table, m, parts = terms
+    d = len(table)
+    dm = d ** m
+    ks = [k for row in table for entries in row for k, _ in entries]
+    kmin, kmax = (min(ks), max(ks)) if ks else (0, 0)
+    keys = list(range(cols))
+    by_row = [{} for _ in range(rows)]
+    grids = {}  # (i, j) -> (grid, least row offset, greatest row offset)
+    for s, part in enumerate(parts):
+        for i, j, swapped, sign, base in part:
+            if (i, j) not in grids:
+                grid = _slot_grid(d, m, i, j)
+                ros = [ro for ro, _ in grid]
+                grids[(i, j)] = grid, min(ros), max(ros)
+            grid, lo, hi = grids[(i, j)]
+            w = d ** (m - 2 - i)
+            # a negative row would wrap round the list silently
+            if base + kmin * w + lo < 0 or base + kmax * w + hi >= rows:
+                raise IndexError("a term of the %d-slot contraction leaves "
+                                 "the %d rows" % (m, rows))
+            p, r = d ** (m - 1 - i), d ** (m - 1 - j)
+            for a in range(d):
+                for b in range(d):
+                    entries = table[b][a] if swapped else table[a][b]
+                    if not entries:
+                        continue
+                    col0 = s * dm + a * p + b * r
+                    for k, c in entries:
+                        row0, val = base + k * w, sign * c
+                        for ro, co in grid:
+                            row = by_row[row0 + ro]
+                            key = keys[col0 + co]
+                            v = row.get(key, 0) + val
+                            if v:
+                                row[key] = v
+                            else:
+                                row.pop(key, None)
+    return by_row
+
+
+def _slot_grid(d: int, m: int, i: int, j: int) -> list:
+    """(row offset, column offset) of every assignment of the m - 2 digits
+    other than i < j: digit l has column weight d^(m-1-l) and, with slot j
+    deleted, row weight d^(m-2-l) before j and d^(m-1-l) after it."""
+    grid = [(0, 0)]
+    for slot in range(m):
+        if slot == i or slot == j:
+            continue
+        rw = d ** (m - 2 - slot) if slot < j else d ** (m - 1 - slot)
+        cw = d ** (m - 1 - slot)
+        grid = [(ro + t * rw, co + t * cw) for ro, co in grid for t in range(d)]
+    return grid
+
+
+def _scattered_rows(fn, rows: int, cols: int) -> list:
+    """The rows of the matrix whose columns fn generates, as dicts
+    {column: value}; nothing is kept of a column once it is scattered."""
+    by_row = [{} for _ in range(rows)]
+    for j in range(cols):
+        for i, v in fn(j).items():
+            by_row[i][j] = v
+    return by_row
 
 
 def _hochschild_faces(n: int):
@@ -519,9 +599,12 @@ def build_complex(A: Algebra, kind: str, cutoff: int, session=None,
 def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
     """rank d_n, memoized in the session's ranks.
 
-    A stored d_n is ranked by rank_only. Any other is ranked by rows from its
-    column generator (rank_by_rows) and not stored, except P's: by rows, a
-    large P degree can rank much slower, so P's d_n is built and stored.
+    A stored d_n is ranked by rank_only. Any other is ranked by its rows
+    (rank_by_rows) and not stored, except P's: by rows, a large P degree can
+    rank much slower, so P's d_n is built and stored. The rows of a column
+    generator that carries terms (CHH, and CL and L from d_2 on) are built
+    from the terms; those of any other are scattered from its generated
+    columns.
     """
     fingerprint = A.fingerprint()
     memo = session.ranks.setdefault((fingerprint, kind), {})
@@ -535,8 +618,12 @@ def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
             check_bound(A, kind, n, session.max_dim)
             rows = degree_dim(A, kind, n - 1)
             cols = degree_dim(A, kind, n)
-            rank = rank_by_rows(rows, cols, map(
-                boundary_column_fn(A, kind, n), range(cols)))
+            fn = boundary_column_fn(A, kind, n)
+            if hasattr(fn, "terms"):
+                by_row = _contraction_rows(fn.terms, rows, cols)
+            else:
+                by_row = _scattered_rows(fn, rows, cols)
+            rank = rank_by_rows(by_row, cols)
         assert 0 <= rank <= min(rows, cols), (kind, n, rank)
         memo[n] = rank
     return memo[n]

@@ -221,8 +221,9 @@ def verify_chain_map(F: ChainMapRep, max_degree=None):
     """Check the commutation squares; returns (ok, witness).
 
     The witness is (degree, column) of the first failing square: the first
-    column at which the dict product target_d(F(col)) - chain_sign *
-    F(source_d(col)) is nonzero.
+    column at which target_d(F(col)) - chain_sign * F(source_d(col)) is
+    nonzero, built as one dict: the product target_d(F(col)), with
+    -chain_sign * c * F(e_i) added for each entry (i, c) of source_d(col).
     """
     src, tgt, s = F.source, F.target, F.shift
     for n in F.degrees():
@@ -234,9 +235,11 @@ def verify_chain_map(F: ChainMapRep, max_degree=None):
             continue
         upper, lower = F.maps[n], F.maps[n - 1]
         dsrc, dtgt = src.boundary(n), tgt.boundary(n - s)
+        lower_cols, sign = lower.columns, -F.chain_sign
         for j, col in enumerate(dsrc.columns):
             diff = dtgt.apply(upper.columns[j])
-            vec_scaled_add(diff, lower.apply(col), -F.chain_sign)
+            for i, c in col.items():
+                vec_scaled_add(diff, lower_cols[i], sign * c)
             if diff:
                 return False, (n, j)
     return True, None

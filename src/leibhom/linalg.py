@@ -25,17 +25,16 @@ count, feeds it columns shortest first and rows in reverse, so that each
 pivot leads with its largest original row; fill, not coefficient size,
 decides the cost of sparse exact elimination, and this order keeps the
 pivots of boundary matrices much sparser. rank_by_rows ranks a matrix that
-nothing keeps, handed over column by column, by its rows instead: it
-scatters the columns into row dicts, labels the columns by fewest nonzeros
-first (ties by highest index first), so that each pivot leads with its
-sparsest column, and feeds the rows in shortest first. A boundary d_n has
-far fewer rows than columns (d_5 of CL over gl_2 of the dual numbers is
-4096 x 32768), so this takes fewer, shorter reduction steps, and row dicts
-hold the entries more compactly than column dicts. Every other path keeps
-the natural order, which its results depend on: kernel_basis relations
-(and the representatives and report signs built from them) follow the
-pivot order, and blocked_rank needs the leading block eliminated ahead of
-the trailing one.
+nothing keeps, handed over as row dicts, by its rows instead: it labels
+the columns by fewest nonzeros first (ties by highest index first), so that
+each pivot leads with its sparsest column, and feeds the rows in shortest
+first. A boundary d_n has far fewer rows than columns (d_5 of CL over gl_2
+of the dual numbers is 4096 x 32768), so this takes fewer, shorter
+reduction steps, and row dicts hold the entries more compactly than column
+dicts. Every other path keeps the natural order, which its results depend
+on: kernel_basis relations (and the representatives and report signs built
+from them) follow the pivot order, and blocked_rank needs the leading block
+eliminated ahead of the trailing one.
 """
 
 from __future__ import annotations
@@ -374,23 +373,22 @@ def rank_only(M: SparseMatrix) -> int:
     return ech.rank
 
 
-def rank_by_rows(rows: int, cols: int, columns) -> int:
-    """Rank of the rows x cols matrix whose columns `columns` yields in order,
-    eliminated by rows (see the module docstring); nothing is kept of a
-    column once it is scattered into the rows."""
-    by_row = [{} for _ in range(rows)]
+def rank_by_rows(by_row: list, cols: int) -> int:
+    """Rank of the matrix with cols columns whose rows are the dicts
+    {column: value} of by_row, eliminated by rows (see the module
+    docstring). The rows are consumed: each is dropped from by_row as it
+    goes in."""
     counts = [0] * cols
-    for j, col in enumerate(columns):
-        counts[j] = len(col)
-        for i, v in col.items():
-            by_row[i][j] = v
+    for row in by_row:
+        for j in row:
+            counts[j] += 1
     label = [0] * cols
     # a stable sort of the indices from the highest down: ties keep that order
     for pos, j in enumerate(sorted(range(cols - 1, -1, -1),
                                    key=counts.__getitem__)):
         label[j] = pos
     ech = Echelon()
-    for i in sorted(range(rows), key=lambda i: len(by_row[i])):
+    for i in sorted(range(len(by_row)), key=lambda i: len(by_row[i])):
         row, by_row[i] = by_row[i], None
         if row:
             ech.insert({label[j]: v for j, v in row.items()})

@@ -950,6 +950,104 @@ def test_boundary_rank_by_rows_is_rank_only(name, kind):
     assert bool(session.boundaries) == (kind == "P")
 
 
+def assert_built_rows_are_scattered_columns(A, kind, n):
+    fn = boundary_column_fn(A, kind, n)
+    rows, cols = degree_dim(A, kind, n - 1), degree_dim(A, kind, n)
+    built = complexes._contraction_rows(fn.terms, rows, cols)
+    assert built == complexes._scattered_rows(fn, rows, cols)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("kind", ["CL", "CHH", "L", "P"])
+def test_contraction_rows_are_the_scattered_columns(name, kind):
+    """The rows built from the terms are the generated columns scattered
+    into rows, in every degree of at most 1500 columns; only the d_1 of CL
+    and L, a zero column function, carries no terms."""
+    A = builtin_algebra(name)
+    for n in range(1, 7):
+        if degree_dim(A, kind, n) > 1500:
+            break
+        fn = boundary_column_fn(A, kind, n)
+        if n == 1 and kind in ("CL", "L"):
+            assert not hasattr(fn, "terms")
+            continue
+        assert_built_rows_are_scattered_columns(A, kind, n)
+
+
+def test_contraction_rows_of_cl_over_gl2_dual():
+    A = matrix_algebra(builtin_algebra("dual"), 2)
+    for n in range(2, 5):
+        assert_built_rows_are_scattered_columns(A, "CL", n)
+
+
+def test_contraction_rows_refuse_a_term_outside_the_rows():
+    """A term whose rows leave range(rows) raises, above and below: a
+    negative row would otherwise wrap round the row list silently."""
+    A = builtin_algebra("s3")
+    table, m, parts = boundary_column_fn(A, "CHH", 2).terms
+    rows, cols = degree_dim(A, "CHH", 1), degree_dim(A, "CHH", 2)
+    for shift in (-1, 1):
+        moved = tuple(tuple(term[:4] + (term[4] + shift,) for term in part)
+                      for part in parts)
+        with pytest.raises(IndexError, match="leaves the 36 rows"):
+            complexes._contraction_rows((table, m, moved), rows, cols)
+    with pytest.raises(IndexError):
+        complexes._contraction_rows((table, m, parts), rows - 1, cols)
+
+
+def test_a_table_ranked_by_rows_generates_no_contraction_column(monkeypatch):
+    """The betti tables of CL, CHH and L build their rows from the terms: no
+    column function is called but the zero d_1 of CL and L. CLAMBDA's rows
+    are scattered from its generated columns."""
+    from leibhom import cli
+    A = builtin_algebra("s3")
+    calls = []
+
+    def counting(A, kind, n):
+        fn = boundary_column_fn(A, kind, n)
+
+        def col(j):
+            calls.append((kind, n))
+            return fn(j)
+        return functools.update_wrapper(col, fn)
+
+    monkeypatch.setattr(complexes, "boundary_column_fn", counting)
+    for kind, generated in (("CL", {("CL", 1)}), ("CHH", set()),
+                            ("L", {("L", 1)}),
+                            ("CLAMBDA", {("CLAMBDA", n) for n in (1, 2, 3)})):
+        del calls[:]
+        session = Session()
+        table = cli._betti_table(A, kind, 3, session)
+        assert set(calls) == generated
+        assert session.boundaries == {}
+        C = build_complex(A, kind, 3)
+        assert table["betti"] == [C.betti(n) for n in range(3)]
+
+
+def conjugacy_classes(A):
+    cay, e = A.group_meta["cayley"], A.group_meta["identity"]
+    inv = [row.index(e) for row in cay]
+    return {frozenset(cay[cay[h][g]][inv[h]] for h in range(len(cay)))
+            for g in range(len(cay))}
+
+
+@pytest.mark.parametrize("name,top", [("cyclic:2", 5), ("cyclic:3", 4),
+                                      ("s3", 3)])
+def test_hochschild_homology_of_a_group_algebra(name, top):
+    """HH_*(Q[G]) is the sum over the conjugacy classes of the rational
+    homology of their centralizers (Burghelea 1985), which for a finite
+    group is Q in degree 0: HH_0 counts the classes and HH_n = 0 for n > 0.
+    Taken through boundary_rank."""
+    A = builtin_algebra(name)
+    session = Session()
+    ranks = [0] + [boundary_rank(A, "CHH", n, session)
+                   for n in range(1, top + 2)]
+    hh = [degree_dim(A, "CHH", n) - ranks[n] - ranks[n + 1]
+          for n in range(top + 1)]
+    assert hh == [len(conjugacy_classes(A))] + [0] * top
+    assert hh[0] == {"cyclic:2": 2, "cyclic:3": 3, "s3": 3}[name]
+
+
 def test_boundary_rank_reads_the_memo_then_the_stored_matrix():
     A = builtin_algebra("dual")
     session = Session()

@@ -106,7 +106,11 @@ def test_rank_only_edge_cases_match_dense_oracle():
 
 
 def by_rows(M):
-    return rank_by_rows(M.rows, M.cols, iter(M.columns))
+    rows = [{} for _ in range(M.rows)]
+    for j, col in enumerate(M.columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rank_by_rows(rows, M.cols)
 
 
 def test_rank_by_rows_matches_rank_only_and_the_dense_oracle():
