@@ -26,7 +26,7 @@ from .homology import NegativeBetti, betti_number, induced_map, verify_chain_map
 from .linalg import rank_only
 from .serialize import FormatError, load_algebra
 from . import chain_maps as cmaps
-from .suites import (SUITE_IDS, SuiteConfig, check_matrix_size_for,
+from .suites import (SUITE_IDS, SuiteConfig, _fmt_wit, check_matrix_size_for,
                      lift_identities, run_suite)
 
 CACHE_ENV = "LEIBHOM_CACHE_DIR"
@@ -317,7 +317,7 @@ def _map_report(algebras, token, maxdeg, session):
     rep["evidence"] = "chain_map"
     rep["chain_map_verified"] = ok
     if not ok:
-        rep["witness"] = {"degree": wit[0], "column": wit[1]}
+        rep["witness"] = _fmt_wit(wit)
     rep["induced_ranks"] = _induced_rows(F)
     return rep, ok
 

@@ -226,10 +226,6 @@ def check_bound(A: Algebra, kind: str, n: int, max_dim: int) -> None:
 
 # ---------------------------------------------------------------- boundaries
 
-def _zero_column(_j: int) -> dict:
-    return {}
-
-
 def _contraction_column_fn(d: int, table, m: int, parts):
     """Column function of a signed sum of slot contractions on m-slot tensors.
 
@@ -355,8 +351,6 @@ def _hochschild_faces(n: int):
 
 
 def _cl_column_fn(A: Algebra, n: int):
-    if n == 1:
-        return _zero_column
     terms = [(i, j, False, 1 if j % 2 else -1, 0)
              for j in range(1, n) for i in range(j)]
     return _contraction_column_fn(A.dim, bracket_table(A), n, [terms])
@@ -383,8 +377,6 @@ def _l_transport_terms(sigma):
 
 
 def _l_column_fn(A: Algebra, n: int):
-    if n == 1:
-        return _zero_column
     pidx_lo = symmetric_index(n - 1)
     dlo = A.dim ** (n - 1)
     parts = [[(i1 - 1, j1 - 1, swapped, sign, pidx_lo[new_perm] * dlo)
@@ -601,10 +593,9 @@ def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
 
     A stored d_n is ranked by rank_only. Any other is ranked by its rows
     (rank_by_rows) and not stored, except P's: by rows, a large P degree can
-    rank much slower, so P's d_n is built and stored. The rows of a column
-    generator that carries terms (CHH, and CL and L from d_2 on) are built
-    from the terms; those of any other are scattered from its generated
-    columns.
+    rank much slower, so P's d_n is built and stored. The rows of a
+    contraction boundary (CL, CHH, L) are built from its terms; those of a
+    derived one are scattered from its generated columns.
     """
     fingerprint = A.fingerprint()
     memo = session.ranks.setdefault((fingerprint, kind), {})
@@ -669,7 +660,7 @@ def _d2_certified(up, down) -> bool:
     """
     table, m, parts = up.terms
     if getattr(down, "terms", ())[:2] != (table, m - 1):
-        return False  # CL's d_1 has no terms
+        return False
     parts_lo, dlo = down.terms[2], len(table) ** (m - 1)
     composites = {}  # the two contractions -> (trees, merged input slots)
     vanishes = {}  # group -> whether its sum is zero on every assignment

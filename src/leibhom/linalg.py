@@ -11,14 +11,14 @@ solver eliminates a chain modulo the boundaries in one echelon this way.
 The d.d = 0 and chain-map checks test their products for zero with
 SparseMatrix.apply, the dict product.
 
-Echelon reduces in one of two ways. Untracked (rank, span membership, block
-pivot counts), only the leads of the pivots are read, so a pivot may have
-any scale and sign, and a step against a lead +-1, most steps on the
-boundary matrices, is a plain subtraction with no scaling and no gcd.
-Tracked, the content is divided out only after a step that grows it and at
-the end; the divisions skipped are by positive scalars, so the relations,
-and the representatives and report signs built from them, are those of a
-division after every step.
+Echelon reduces in one loop. Each step cross-multiplies by the two leads
+over their gcd; tracked, the inserted combination is scaled and combined
+the same way. Untracked (rank, span membership, block pivot counts), only
+the leads of the pivots are read, so a step that would only flip vec's sign
+flips the pivot's multiplier instead. The content is divided out only after
+a step that grows it and, tracked, at the end; the divisions skipped are by
+positive scalars, so the relations, and the representatives and report
+signs built from them, are those of a division after every step.
 
 Echelon always leads with the smallest index. rank_only, which only needs a
 count, feeds it columns shortest first and rows in reverse, so that each
@@ -172,17 +172,14 @@ class Echelon:
     """Fraction-free integer column echelon with lead = smallest index.
 
     Inserted vectors (ints or Fractions) are cleared of denominators, then
-    reduced against the pivots. Untracked, a step against a lead +-1
-    subtracts the pivot and nothing else; a step against another lead
-    cross-multiplies, then divides out the content gcd to hold coefficient
-    growth down, and so does storing a pivot. With track on, every step
-    cross-multiplies and the content is divided out after each step that
-    scales by more than a sign and on the way out. Each pivot also keeps the
-    integer combination of inserted vectors it equals, a rejected insert
-    leaves its combination in .relations (a kernel vector of the inserted
-    family), and express() writes a vector of the span over the inserted
-    vectors. Every relation, and every stored pivot together with its
-    combination, has content 1.
+    reduced against the pivots by _reduce, which cross-multiplies and
+    divides out the content after each step that scales by more than a
+    sign; a stored pivot has content 1. With track on, each pivot also
+    keeps the integer combination of inserted vectors it equals, a rejected
+    insert leaves its combination in .relations (a kernel vector of the
+    inserted family), and express() writes a vector of the span over the
+    inserted vectors. Every relation, and every stored pivot together with
+    its combination, has content 1.
 
     The vectors of modulo are reduced first and kept as pivots with an empty
     combination, so rank counts them, and insert, relations and express()
@@ -199,8 +196,7 @@ class Echelon:
         for vec in modulo:
             work = integerize(vec)[0]
             combo = {} if track else None
-            lead = self._reduce(work) if combo is None \
-                else self._reduce_tracked(work, combo)
+            lead = self._reduce(work, combo)
             if lead is not None:
                 self.pivots[lead] = (dict(work), combo)
 
@@ -208,57 +204,20 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec: dict):
-        """Reduce vec in place, untracked; its new lead or None.
+    def _reduce(self, vec: dict, combo=None):
+        """Reduce vec in place, and combo with it if given; vec's new lead
+        or None.
 
-        Only the lead of the result is used, never its scale or sign, so a
-        step against a lead a = +-1 subtracts (b*a)*p and leaves vec as it
-        is; a step against any other lead cross-multiplies and divides out
-        the content. A new pivot leaves with content 1.
-        """
-        pivots = self.pivots
-        while vec:
-            lead = min(vec)
-            hit = pivots.get(lead)
-            if hit is None:
-                _divide_content(vec, None)
-                return lead
-            p = hit[0]
-            a = p[lead]
-            b = vec.pop(lead)
-            unit = a == 1 or a == -1
-            if unit:
-                mp = b if a == 1 else -b
-            else:
-                g = gcd(a, b)
-                mv = a // g
-                mp = b // g
-                if mv != 1:
-                    for k in vec:
-                        vec[k] *= mv
-            for k, pv in p.items():
-                if k == lead:
-                    continue
-                val = vec.get(k, 0) - mp * pv
-                if val:
-                    vec[k] = val
-                else:
-                    del vec[k]
-            if not unit:
-                _divide_content(vec, None)
-        return None
-
-    def _reduce_tracked(self, vec: dict, combo: dict):
-        """Reduce vec and combo in place; vec's new lead or None.
-
-        combo is scaled and combined exactly like vec, so an invariant
-        vec = sum combo[i] * inserted_i (modulo span(modulo)) holds
-        throughout. Each step scales both by mv = a / gcd(a, b), sign
-        included. The content is divided out after a step with |mv| != 1,
-        where it grows, and on the way out, from a relation too once vec is
-        zero. A division skipped in between is by a positive scalar, so
-        every pivot, relation and expression comes out as it would with a
-        division after every step.
+        Each step against a pivot p with lead a takes b from vec's lead and
+        forms mv * vec - mp * p, with mv = a / gcd(a, b) and mp = b / gcd(a,
+        b), sign included. Tracked, combo is scaled and combined exactly
+        like vec, so vec = sum combo[i] * inserted_i (modulo span(modulo))
+        holds throughout. Untracked, only vec's lead is read, so a step with
+        mv = -1 negates mp and leaves vec unscaled. The content is divided
+        out after a step with |mv| != 1, where it grows, and on the way out,
+        from a relation too once vec is zero. A division skipped in between
+        is by a positive scalar, so every pivot, relation and expression
+        comes out as it would with a division after every step.
         """
         pivots = self.pivots
         while vec:
@@ -273,11 +232,14 @@ class Echelon:
             g = gcd(a, b)
             mv = a // g
             mp = b // g
-            if mv != 1:
+            if mv == -1 and combo is None:
+                mp = -mp
+            elif mv != 1:
                 for k in vec:
                     vec[k] *= mv
-                for k in combo:
-                    combo[k] *= mv
+                if combo is not None:
+                    for k in combo:
+                        combo[k] *= mv
             for k, pv in p.items():
                 if k == lead:
                     continue
@@ -286,10 +248,12 @@ class Echelon:
                     vec[k] = val
                 else:
                     del vec[k]
-            vec_scaled_add(combo, pcombo, -mp)
+            if combo is not None:
+                vec_scaled_add(combo, pcombo, -mp)
             if mv != -1 and mv != 1:
                 _divide_content(vec, combo)
-        _divide_content(vec, combo)
+        if combo is not None:
+            _divide_content(vec, combo)
         return None
 
     def insert(self, vec: dict):
@@ -298,8 +262,7 @@ class Echelon:
         self.num_inserted += 1
         work, scale = integerize(vec)
         combo = {idx: scale} if self.track else None
-        lead = self._reduce(work) if combo is None \
-            else self._reduce_tracked(work, combo)
+        lead = self._reduce(work, combo)
         if lead is None:
             if combo is not None:
                 self.relations.append(combo)
@@ -323,7 +286,7 @@ class Echelon:
             raise ValueError("echelon built without tracking")
         work, scale = integerize(vec)
         combo = {-1: -scale}
-        if self._reduce_tracked(work, combo) is not None:
+        if self._reduce(work, combo) is not None:
             return None
         s = combo.pop(-1)
         if s == 1:

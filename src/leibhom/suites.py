@@ -37,17 +37,16 @@ TRACE_PHI_NAMES = ("dual", "split:2", "cyclic:2")
 
 
 class SuiteConfig:
-    """What a suite runs on: the algebras, the cutoff, the matrix size N, the
-    seed, and session, the run's boundaries, ranks, dimension bound and disk
-    cache (a fresh Session by default)."""
+    """What a suite runs on over the built-in algebras: the cutoff, the
+    matrix size N, the seed, and session, the run's boundaries, ranks,
+    dimension bound and disk cache (a fresh Session by default)."""
 
-    def __init__(self, algebras=BUILTIN_NAMES, cutoff=4, matrix_size=3,
-                 seed=0, session=None, debug_break_phi=False):
+    def __init__(self, cutoff=4, matrix_size=3, seed=0, session=None,
+                 debug_break_phi=False):
         if cutoff < 2:
             raise ValueError("cutoff must be at least 2")
         if matrix_size < 2:
             raise ValueError("matrix size must be at least 2")
-        self.algebras = tuple(algebras)
         self.cutoff = cutoff
         self.matrix_size = matrix_size
         self.seed = seed
@@ -56,7 +55,7 @@ class SuiteConfig:
 
     def as_dict(self):
         return {
-            "algebras": list(self.algebras),
+            "algebras": list(BUILTIN_NAMES),
             "cutoff": self.cutoff,
             "matrix_size": self.matrix_size,
             "seed": self.seed,
@@ -206,7 +205,7 @@ def suite_core(config: SuiteConfig):
     checks = _Checks()
     rng = random.Random(config.seed)
     cutoff = config.cutoff
-    for name in config.algebras:
+    for name in BUILTIN_NAMES:
         A = builtin_algebra(name)
         kinds = [k for k in KINDS if k != "BAR" or A.group_meta is not None]
         _d2_checks(checks, A, name, kinds, cutoff, config.session)
@@ -317,7 +316,7 @@ def _phi_inverse_indexing_invariance(A, cl, chh, ph, cutoff):
 def suite_degree0(config: SuiteConfig):
     checks = _Checks()
     cutoff = config.cutoff
-    for name in config.algebras:
+    for name in BUILTIN_NAMES:
         A = builtin_algebra(name)
         cx = _complexes(config, A, ("CL", "CHH", "CLAMBDA", "CE"), cutoff)
         b = [cx["CL"].betti(1), cx["CHH"].betti(0), cx["CLAMBDA"].betti(0),
@@ -346,7 +345,7 @@ def suite_degree0(config: SuiteConfig):
 def suite_commutative(config: SuiteConfig):
     checks = _Checks()
     cutoff = config.cutoff
-    for name in config.algebras:
+    for name in BUILTIN_NAMES:
         A = builtin_algebra(name)
         if not A.commutative:
             checks.skip("commutative_suite[%s]" % name,

@@ -961,16 +961,12 @@ def assert_built_rows_are_scattered_columns(A, kind, n):
 @pytest.mark.parametrize("kind", ["CL", "CHH", "L", "P"])
 def test_contraction_rows_are_the_scattered_columns(name, kind):
     """The rows built from the terms are the generated columns scattered
-    into rows, in every degree of at most 1500 columns; only the d_1 of CL
-    and L, a zero column function, carries no terms."""
+    into rows, in every degree of at most 1500 columns, d_1 included: the
+    d_1 of CL and L carries an empty term list and builds zero rows."""
     A = builtin_algebra(name)
     for n in range(1, 7):
         if degree_dim(A, kind, n) > 1500:
             break
-        fn = boundary_column_fn(A, kind, n)
-        if n == 1 and kind in ("CL", "L"):
-            assert not hasattr(fn, "terms")
-            continue
         assert_built_rows_are_scattered_columns(A, kind, n)
 
 
@@ -997,8 +993,8 @@ def test_contraction_rows_refuse_a_term_outside_the_rows():
 
 def test_a_table_ranked_by_rows_generates_no_contraction_column(monkeypatch):
     """The betti tables of CL, CHH and L build their rows from the terms: no
-    column function is called but the zero d_1 of CL and L. CLAMBDA's rows
-    are scattered from its generated columns."""
+    column function is called, d_1 included. CLAMBDA's rows are scattered
+    from its generated columns."""
     from leibhom import cli
     A = builtin_algebra("s3")
     calls = []
@@ -1012,8 +1008,7 @@ def test_a_table_ranked_by_rows_generates_no_contraction_column(monkeypatch):
         return functools.update_wrapper(col, fn)
 
     monkeypatch.setattr(complexes, "boundary_column_fn", counting)
-    for kind, generated in (("CL", {("CL", 1)}), ("CHH", set()),
-                            ("L", {("L", 1)}),
+    for kind, generated in (("CL", set()), ("CHH", set()), ("L", set()),
                             ("CLAMBDA", {("CLAMBDA", n) for n in (1, 2, 3)})):
         del calls[:]
         session = Session()

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from leibhom import chain_maps as cmaps
-from leibhom.algebra import builtin_algebra, builtin_morphism, matrix_morphism
+from leibhom.algebra import (BUILTIN_NAMES, builtin_algebra, builtin_morphism,
+                             matrix_morphism)
 from leibhom.complexes import Session, build_complex
 from leibhom.homology import compose_maps, cone_pair_map, mapping_cone
 from leibhom.suites import (SUITE_IDS, SuiteConfig, _Checks, _d2_checks,
@@ -107,10 +108,11 @@ def test_degree0_suite_ranks_each_induced_map_once(monkeypatch):
         return real(M)
 
     monkeypatch.setattr(suites, "rank_only", counting)
-    rep = run_suite("degree0", SuiteConfig(algebras=("dual",), cutoff=2))
+    rep = run_suite("degree0", SuiteConfig(cutoff=2))
     assert rep["counts"]["fail"] == 0
-    # phi, the cyclic projection, theta and the Lie projection
-    assert len(ranked) == 4 and len({id(M) for M in ranked}) == 4
+    # phi, the cyclic projection, theta and the Lie projection, per algebra
+    maps = 4 * len(BUILTIN_NAMES)
+    assert len(ranked) == maps and len({id(M) for M in ranked}) == maps
 
 
 def test_matrices_suite_skips_when_size_too_small():
