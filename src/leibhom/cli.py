@@ -2,11 +2,13 @@
 
 Three subcommands: `algebra` (list/validate/inspect), `compute` (betti tables
 and induced-map ranks for one algebra), and `verify` (run the bundled
-suites). Every run writes report.json (stable key order, no timing fields),
-report.md (the same content as tables), and manifest.json (command echo,
-input hashes, cache counters, wall time). Exit codes: 0 success, 1 a
-verification check failed, 2 usage, input or file-system error, 3 resource
-bound exceeded.
+suites). A `compute` or `verify` run that completes writes its boundary
+cache files (Session.save), then report.json (stable key order, no timing
+fields), report.md (the same content as tables), and manifest.json (command
+echo, config, input hashes, the cache's hits, misses and writes under
+"cache" and its rejects under "cache_rejects", wall time); a run stopped by
+an error writes none of them. Exit codes: 0 success, 1 a verification check
+failed, 2 usage, input or file-system error, 3 resource bound exceeded.
 """
 
 import argparse
@@ -142,9 +144,9 @@ def _make_cache(session):
 
 def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
                    session):
-    """Write the session's rank records, then report.json, report.md and
+    """Write the session's cache files, then report.json, report.md and
     manifest.json once each."""
-    session.record_ranks()
+    session.save()
     counts = session.cache_counts
     os.makedirs(outdir, exist_ok=True)
     paths = {name: os.path.join(outdir, name)
@@ -157,7 +159,6 @@ def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
         # "cache" keeps its three keys: perfbench/run.py compares it whole
         "cache": {k: counts[k] for k in ("hits", "misses", "writes")},
         "cache_rejects": counts["rejects"],
-        "rank_cache": dict(session.rank_counts),
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
     }
@@ -436,7 +437,8 @@ def cmd_verify(args, argv):
                          session=_session(args.max_dim, args.cache),
                          debug_break_phi=args.debug_break_phi)
     suite_ids = SUITE_IDS if args.suite == "all" else (args.suite,)
-    check_matrix_size_for(suite_ids, args.matrix_size)
+    check_matrix_size_for(suite_ids, args.matrix_size,
+                          config.session.max_dim)
     _make_cache(config.session)
     reports = [run_suite(sid, config) for sid in suite_ids]
 

@@ -502,13 +502,12 @@ class Session:
     and cache_counts counts its hits, misses, writes and rejects.
 
     A boundary is assembled from its column generator or loaded from a cache
-    file bound to the generator's source (see cache). A loaded one takes
-    its rank from the rank record next to its file, which binds the rank to
-    the file's body digest and shape and is trusted only when both match
-    (cache.load_rank). unrecorded maps each cache-backed boundary, loaded or
-    saved, that has no valid record to its body digest; record_ranks, called
-    once at the end of a run, writes the records of those it has ranked.
-    rank_counts counts the records' hits, writes and rejects.
+    file bound to the generator's source (see cache), and a loaded one puts
+    the rank its file holds, if any, into ranks. unsaved maps each boundary
+    whose file save() may write to whether that file loaded (without a
+    rank). save(), called once at the end of a run, writes each boundary
+    assembled under the cache, with its rank if known, and each loaded one
+    ranked since; a warm run that ranks nothing new writes nothing.
     """
 
     def __init__(self, max_dim=DEFAULT_MAX_DIM, cache_dir=None):
@@ -518,29 +517,26 @@ class Session:
         self.cache_dir = cache_dir
         self.boundaries = {}
         self.ranks = {}
-        self.unrecorded = {}
+        self.unsaved = {}
         self.cache_counts = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
-        self.rank_counts = {"hits": 0, "writes": 0, "rejects": 0}
 
-    def record_ranks(self) -> None:
-        """Write the rank record of every cache-backed boundary ranked in
-        this session that has no valid record yet."""
-        for key in sorted(self.unrecorded):
+    def save(self) -> None:
+        """Write the cache files this session owes, once."""
+        for key, loaded in sorted(self.unsaved.items()):
             fingerprint, kind, n = key
             rank = self.ranks.get((fingerprint, kind), {}).get(n)
-            if rank is not None:
-                mat = self.boundaries[key]
-                cache.save_rank(self.cache_dir, fingerprint, kind, n, mat.rows,
-                                mat.cols, self.unrecorded.pop(key), rank,
-                                self.rank_counts)
+            if rank is not None or not loaded:
+                cache.save_boundary(self.cache_dir, fingerprint, kind, n,
+                                    self.boundaries[key], rank,
+                                    self.cache_counts)
+        self.unsaved.clear()
 
 
 def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
                     cached=True) -> SparseMatrix:
     """d_n from the session, else from its disk cache if cached, else built.
 
-    A boundary loaded from the cache takes its rank from its rank record
-    when the record is valid.
+    A boundary loaded from the cache takes the rank its file holds.
     """
     if session is None:
         session = Session()
@@ -551,25 +547,18 @@ def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
     check_bound(A, kind, n, session.max_dim)
     rows = degree_dim(A, kind, n - 1)
     cols = degree_dim(A, kind, n)
-    cache_dir = session.cache_dir if cached else None
-    loaded = None
-    if cache_dir is not None:
-        loaded = cache.load_boundary(cache_dir, key[0], kind, n, rows, cols,
-                                     session.cache_counts)
-    if loaded is not None:
-        mat, digest = loaded
-        rank = cache.load_rank(cache_dir, key[0], kind, n, rows, cols, digest,
-                               session.rank_counts)
+    mat = None
+    if cached and session.cache_dir is not None:
+        mat, rank = cache.load_boundary(session.cache_dir, key[0], kind, n,
+                                        rows, cols, session.cache_counts
+                                        ) or (None, None)
         if rank is None:
-            session.unrecorded[key] = digest
+            session.unsaved[key] = mat is not None
         else:
             session.ranks.setdefault((key[0], kind), {}).setdefault(n, rank)
-    else:
+    if mat is None:
         mat = SparseMatrix.from_columns(rows, cols,
                                         boundary_column_fn(A, kind, n))
-        if cache_dir is not None:
-            session.unrecorded[key] = cache.save_boundary(
-                cache_dir, key[0], kind, n, mat, session.cache_counts)
     session.boundaries[key] = mat
     return mat
 

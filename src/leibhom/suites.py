@@ -11,13 +11,15 @@ matrices, so every suite finishes quickly at the default config.
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 from .algebra import (BUILTIN_MORPHISMS, BUILTIN_NAMES, builtin_algebra,
                       builtin_morphism, check_matrix_size, matrix_algebra,
                       matrix_morphism, validate_morphism)
 from .complexes import (KINDS, KahlerModule, ResourceBoundExceeded, Session,
-                        boundary_column_fn, build_complex, degree_dim,
-                        index_tuple, tuple_index, verify_d2_streamed)
+                        boundary_column_fn, build_complex, check_bound,
+                        degree_dim, index_tuple, tuple_index,
+                        verify_d2_streamed)
 from .homology import (ChainComplex, ChainMapRep, compose_maps, cone_column_fn,
                        cone_pair_map, exactness_check, induced_map,
                        induced_rank_streamed, les_of_cone, mapping_cone,
@@ -143,15 +145,13 @@ def _d2_checks(checks, A, label, kinds, cutoff, session):
     for kind in kinds:
         cid = "boundary_squares_to_zero[%s:%s]" % (label, kind)
         try:
-            # degrees over the session's bound are streamed, not stored
+            # degrees over the session's bound are streamed, not stored,
+            # lowest first so that a failure names the first failing degree
             direct_cut = cutoff
-            streamed = []
-            for n in range(cutoff, 1, -1):
-                if degree_dim(A, kind, n) > session.max_dim:
-                    streamed.append(n)
-                    direct_cut = n - 1
-                else:
-                    break
+            while (direct_cut > 1
+                   and degree_dim(A, kind, direct_cut) > session.max_dim):
+                direct_cut -= 1
+            streamed = range(direct_cut + 1, cutoff + 1)
             C = build_complex(A, kind, direct_cut, session)
             ok, wit = verify_boundary_squares(C)
             for n in streamed:
@@ -162,7 +162,7 @@ def _d2_checks(checks, A, label, kinds, cutoff, session):
                     ok, wit = False, bad
             detail = "degrees <= %d, dims %s" % (cutoff, C.dims)
             if streamed:
-                detail += ", degrees %s streamed" % sorted(streamed)
+                detail += ", degrees %s streamed" % list(streamed)
             checks.record(cid, ok, detail, _fmt_wit(wit))
         except ResourceBoundExceeded as e:
             checks.skip(cid, str(e))
@@ -840,12 +840,15 @@ def run_suite(suite_id: str, config: SuiteConfig):
     return _SUITES[suite_id](config)
 
 
-def check_matrix_size_for(suite_ids, N):
+def check_matrix_size_for(suite_ids, N, max_dim):
     """Refuse, before any of suite_ids runs, an N at which one of them could
     not build M_N of an algebra it extends: gl_N(Q), the tr o phi streams and
     the lift on the dual numbers (matrices), every group (groupring), and
     the source and target of the built-in morphisms (relative; it extends
-    those that meet the hypotheses, and the control is no larger)."""
+    those that meet the hypotheses, and the control is no larger). For the
+    matrices suite at N >= 3, also refuse an N at which the lift's
+    CL(M_N(dual)) to degree 3 exceeds max_dim, sized on the dimension
+    N^2 dim(dual) before any product table is built."""
     morphisms = [builtin_morphism(m) for m in BUILTIN_MORPHISMS]
     extended = {
         "matrices": [builtin_algebra(a)
@@ -860,3 +863,7 @@ def check_matrix_size_for(suite_ids, N):
             except ValueError as exc:
                 raise ValueError("suite %s cannot build M_%d(%s): %s"
                                  % (sid, N, A.name, exc))
+    if "matrices" in suite_ids and N >= 3:
+        lifted = SimpleNamespace(dim=N * N * builtin_algebra("dual").dim)
+        for n in range(1, 4):
+            check_bound(lifted, "CL", n, max_dim)

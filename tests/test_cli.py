@@ -13,7 +13,9 @@ from leibhom import cache
 from leibhom import chain_maps as cmaps
 from leibhom import cli
 from leibhom.algebra import builtin_algebra
+from leibhom.complexes import ResourceBoundExceeded
 from leibhom.serialize import algebra_to_dict, save_algebra
+from leibhom.suites import check_matrix_size_for
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -385,6 +387,32 @@ def test_compute_refuses_an_over_bound_matrix_algebra_before_building_it(
     assert built == []
 
 
+@pytest.mark.parametrize("size,over", [
+    # M_20(dual) has dimension 800: CL_2 over it needs 800^2 columns
+    (20, "CL degree 2 needs 640000 basis columns"),
+    # M_5(dual) has dimension 50: CL_3 over it needs 50^3
+    (5, "CL degree 3 needs 125000 basis columns"),
+])
+def test_verify_refuses_an_over_bound_lift_before_any_suite(
+        tmp_path, capsys, monkeypatch, size, over):
+    """At N >= 3 the matrices suite lifts P(dual) into CL(M_N(dual)) to
+    degree 3; an N at which that exceeds the bound is refused on the
+    dimension N^2 dim(dual) before any suite runs."""
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    cache = tmp_path / "cache"
+    assert cli.main(["verify", "--suite", "matrices", "--matrix-size",
+                     str(size), "--cache", str(cache),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "error: %s, bound is 100000\n" % over
+    assert not cache.exists() and ran == []
+    # the bound is the session's, and only the matrices suite lifts
+    assert check_matrix_size_for(("matrices",), 4, 100000) is None
+    assert check_matrix_size_for(("core", "relative"), size, 100000) is None
+    with pytest.raises(ResourceBoundExceeded, match="CL degree 3 needs 5832"):
+        check_matrix_size_for(("matrices",), 3, 5000)
+
+
 def test_compute_refuses_p_kahler_on_an_algebra_file_before_any_table(
         tmp_path, capsys):
     path = tmp_path / "dual.json"
@@ -559,11 +587,12 @@ def _format_1(fingerprint, kind, n, mat):
         body)).encode(), digest
 
 
-def test_a_format_1_cache_file_and_its_rank_record_are_rewritten(tmp_path):
+def test_a_format_1_cache_file_is_rewritten_and_an_old_rank_record_ignored(
+        tmp_path):
     """A boundary file of the text format 1 is rejected and rewritten as
-    format 3. Its rank record names the old body's digest, so it holds for
-    no format-3 body, and the run rewrites it for the new body. The report
-    is the one a run without a cache gives."""
+    format 4, with its rank. A .rank record an older version wrote next to
+    it is neither read nor written. The report is the one a run without a
+    cache gives."""
     A = builtin_algebra("dual")
     fp = A.fingerprint()
     cdir = tmp_path / "cache"
@@ -574,41 +603,35 @@ def test_a_format_1_cache_file_and_its_rank_record_are_rewritten(tmp_path):
         assert r.returncode == 0, r.stderr
         man = json.loads((tmp_path / out / "manifest.json").read_text())
         return ((tmp_path / out / "report.json").read_bytes(),
-                man["cache"], man["cache_rejects"], man["rank_cache"])
+                man["cache"], man["cache_rejects"])
 
     plain = compute("plain")[0]
     assert compute("cold", "--cache", str(cdir))[0] == plain
     bnd = cache.boundary_path(str(cdir), fp, "CHH", 3)
-    record = cache.rank_path(str(cdir), fp, "CHH", 3)
-    good_bnd, good_record = open(bnd, "rb").read(), open(record, "rb").read()
+    good = open(bnd, "rb").read()
     counts = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
-    mat, digest = cache.load_boundary(str(cdir), fp, "CHH", 3, 8, 16, counts)
+    mat, rank = cache.load_boundary(str(cdir), fp, "CHH", 3, 8, 16, counts)
     old, old_digest = _format_1(fp, "CHH", 3, mat)
     with open(bnd, "wb") as fh:
         fh.write(old)
-    rank = cache.load_rank(str(cdir), fp, "CHH", 3, 8, 16, digest, counts)
-    cache.save_rank(str(cdir), fp, "CHH", 3, 8, 16, old_digest, rank, counts)
-    # the old record holds for the old body only
-    assert cache.load_rank(str(cdir), fp, "CHH", 3, 8, 16, digest,
-                           counts) is None
-    assert cache.load_rank(str(cdir), fp, "CHH", 3, 8, 16, old_digest,
-                           counts) == rank
-    assert counts["rejects"] == 1
-    report, boundaries, rejects, ranks = compute("migrate", "--cache",
-                                                 str(cdir))
+    # a rank record of the old format, naming a wrong rank
+    record = cdir / (os.path.basename(bnd)[:-len(".bnd")] + ".rank")
+    stale = ("leibhom-rank 1 %s CHH 3 8 16 %s %d 0\n"
+             % (fp, old_digest, rank - 1)).encode()
+    record.write_bytes(stale)
+    report, boundaries, rejects = compute("migrate", "--cache", str(cdir))
     assert report == plain
     assert (boundaries, rejects) == ({"hits": 2, "misses": 0, "writes": 1}, 1)
-    assert ranks == {"hits": 2, "writes": 1, "rejects": 0}
-    assert open(bnd, "rb").read() == good_bnd
-    assert open(record, "rb").read() == good_record
+    assert open(bnd, "rb").read() == good
+    assert record.read_bytes() == stale
     assert compute("warm", "--cache", str(cdir))[1:] == (
-        {"hits": 3, "misses": 0, "writes": 0}, 0,
-        {"hits": 3, "writes": 0, "rejects": 0})
+        {"hits": 3, "misses": 0, "writes": 0}, 0)
 
 
 def test_compute_reports_are_the_same_plain_cold_and_warm(tmp_path):
-    """A cold cache run records the rank of each table boundary it writes;
-    the warm run reads all of them back, and all three reports agree."""
+    """A cold cache run writes each table boundary with its rank; the warm
+    run reads all of them back and writes nothing, and all three reports
+    agree."""
     cdir = tmp_path / "cache"
     reports, counts = [], []
     for out, cache in (("plain", []), ("cold", ["--cache", str(cdir)]),
@@ -619,16 +642,15 @@ def test_compute_reports_are_the_same_plain_cold_and_warm(tmp_path):
         assert r.returncode == 0, r.stderr
         reports.append((tmp_path / out / "report.json").read_bytes())
         man = json.loads((tmp_path / out / "manifest.json").read_text())
-        counts.append((man["cache"], man["rank_cache"]))
+        assert "rank_cache" not in man
+        counts.append(man["cache"])
     assert reports[0] == reports[1] == reports[2]
-    assert len(list(cdir.glob("*.bnd"))) == 12
-    assert len(list(cdir.glob("*.rank"))) == 12
-    none = {"hits": 0, "writes": 0, "rejects": 0}
-    assert counts == [
-        ({"hits": 0, "misses": 0, "writes": 0}, none),
-        ({"hits": 0, "misses": 12, "writes": 12}, dict(none, writes=12)),
-        ({"hits": 12, "misses": 0, "writes": 0}, dict(none, hits=12))]
-    assert b"rank_cache" not in reports[0]
+    files = list(cdir.iterdir())
+    assert len(files) == 12 and all(f.suffix == ".bnd" for f in files)
+    assert all(f.read_bytes().split(b"\n")[1].isdigit() for f in files)
+    assert counts == [{"hits": 0, "misses": 0, "writes": 0},
+                      {"hits": 0, "misses": 12, "writes": 12},
+                      {"hits": 12, "misses": 0, "writes": 0}]
 
 
 def test_cache_env_var_used(tmp_path):

@@ -8,6 +8,7 @@ import os
 import sys
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -515,7 +516,7 @@ def test_d2_certificate_agrees_with_the_stream_on_mutated_terms(name, kind, n):
 def test_d2_certified_degree_generates_no_column(monkeypatch, tmp_path):
     """s3 P_4 is proved from the terms: no column of d_4 is generated, and
     each column of d_3 once, to build d_3, or none when d_3 is loaded from
-    the cache."""
+    the cache the session before saved."""
     A = builtin_algebra("s3")
     calls = []
 
@@ -534,6 +535,8 @@ def test_d2_certified_degree_generates_no_column(monkeypatch, tmp_path):
         del calls[:]
         assert verify_d2_streamed(A, "P", 4, session) is None
         assert calls == [3] * built
+        if session is not None:
+            session.save()
     assert session.cache_counts == {"hits": 1, "misses": 0, "writes": 0,
                                     "rejects": 0}
 
@@ -555,7 +558,7 @@ def test_a_cache_file_of_another_generator_is_rewritten_and_passes_d2(
     cdir = str(tmp_path)
     with monkeypatch.context() as patch:
         patch.setattr(cache, "_generator_digest", lambda: "0" * 64)
-        cache.save_boundary(cdir, A.fingerprint(), "P", 3, wrong,
+        cache.save_boundary(cdir, A.fingerprint(), "P", 3, wrong, None,
                             Session().cache_counts)
     path = cache.boundary_path(cdir, A.fingerprint(), "P", 3)
     assert open(path, "rb").read().split()[2] == b"0" * 64
@@ -564,6 +567,7 @@ def test_a_cache_file_of_another_generator_is_rewritten_and_passes_d2(
     session = Session(cache_dir=cdir)
     assert verify_d2_streamed(A, "P", 4, session) is None
     assert session.boundaries[(A.fingerprint(), "P", 3)] == lower
+    session.save()
     assert session.cache_counts == {"hits": 0, "misses": 0, "writes": 1,
                                     "rejects": 1}
     warm = Session(cache_dir=cdir)
@@ -644,6 +648,12 @@ def test_registry_and_file_cache(tmp_path):
     cdir = str(tmp_path)
     session = Session(cache_dir=cdir)
     M1 = boundary_matrix(A, "CHH", 2, session)
+    assert session.cache_counts == {"hits": 0, "misses": 1, "writes": 0,
+                                    "rejects": 0}
+    assert not os.listdir(cdir)
+    # the file is written once, at the end of the run
+    session.save()
+    session.save()
     assert session.cache_counts == {"hits": 0, "misses": 1, "writes": 1,
                                     "rejects": 0}
     # the session's registry absorbs the second request, no new file traffic
@@ -658,8 +668,9 @@ def test_registry_and_file_cache(tmp_path):
     assert M3 == M1 and M3 is not M1
     # an uncached build neither reads nor writes the cache
     M4 = boundary_matrix(A, "CHH", 3, later, cached=False)
-    assert later.cache_counts["hits"] == 1
-    assert later.cache_counts["misses"] == 0
+    later.save()
+    assert later.cache_counts == {"hits": 1, "misses": 0, "writes": 0,
+                                  "rejects": 0}
     assert not os.path.exists(
         cache.boundary_path(cdir, A.fingerprint(), "CHH", 3))
     assert boundary_matrix(A, "CHH", 3, later) is M4
@@ -668,7 +679,7 @@ def test_registry_and_file_cache(tmp_path):
 def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
     """Ints of either sign and any size, Fractions, empty columns and empty
     shapes load back equal and of the same types, each column in ascending
-    row order, with the body digest the writer returned."""
+    row order, with the rank, or the missing rank, they were written with."""
     cdir = str(tmp_path)
     mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5),
                                               2: Fraction(1, 2)}])
@@ -679,10 +690,11 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
                                 {2: 1, 0: -1}]),
             SparseMatrix(5, 0, []), SparseMatrix(0, 0, []),
             SparseMatrix(0, 2, [{}, {}])]):
-        digest = cache.save_boundary(cdir, "f" * 16, "CHH", k, m, counts)
-        back, body_digest = cache.load_boundary(cdir, "f" * 16, "CHH", k,
-                                                m.rows, m.cols, counts)
-        assert back == m and body_digest == digest
+        rank = None if k % 2 else min(m.rows, m.cols)
+        cache.save_boundary(cdir, "f" * 16, "CHH", k, m, rank, counts)
+        back, back_rank = cache.load_boundary(cdir, "f" * 16, "CHH", k,
+                                              m.rows, m.cols, counts)
+        assert back == m and back_rank == rank
         assert [list(col) for col in back.columns] == [sorted(col)
                                                        for col in m.columns]
         assert [list(map(type, col.values())) for col in back.columns] == [
@@ -694,8 +706,8 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
 
 
 def _binary_body(palette, sizes, rows, picks):
-    """The body of formats 2 and 3: the palette line, then the three uint32
-    arrays."""
+    """The body of formats 2 and 3, which format 4 prefixes with its rank
+    line: the palette line, then the three uint32 arrays."""
     words = array("I", [*sizes, *rows, *picks])
     if sys.byteorder == "big":
         words.byteswap()
@@ -707,45 +719,57 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
     fp = "f" * 64
     mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5)}])
     path = cache.boundary_path(cdir, fp, "CHH", 1)
-    cache.save_boundary(cdir, fp, "CHH", 1, mat, Session().cache_counts)
+    cache.save_boundary(cdir, fp, "CHH", 1, mat, 2, Session().cache_counts)
     good = open(path, "rb").read()
     head, body = good[:good.index(b"\n") + 1], good[good.index(b"\n") + 1:]
     generator = cache._generator_digest().encode()
-    assert head.split() == [b"leibhom-boundary", b"3", generator, fp.encode(),
+    assert head.split() == [b"leibhom-boundary", b"4", generator, fp.encode(),
                             b"CHH", b"1", b"3", b"2", b"3",
                             hashlib.sha256(body).hexdigest().encode()]
     palette, sizes, rows, picks = ["4", "-7", "-3/5"], [2, 1], [0, 2, 1], [
         0, 1, 2]
-    assert body == _binary_body(palette, sizes, rows, picks)
+    old_body = _binary_body(palette, sizes, rows, picks)
+    assert body == b"2\n" + old_body
     session = Session(cache_dir=cdir)
     counts = session.cache_counts
-    assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2, counts)[0] == mat
+    assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2, counts) == (mat, 2)
 
-    def resealed(body, nnz=3, generator=generator):
-        return (b"leibhom-boundary 3 %s %s CHH 1 3 2 %d %s\n" % (
-            generator, fp.encode(), nnz,
+    def resealed(body, nnz=3, generator=generator, fmt=b"4"):
+        return (b"leibhom-boundary %s %s %s CHH 1 3 2 %d %s\n" % (
+            fmt, generator, fp.encode(), nnz,
             hashlib.sha256(body).hexdigest().encode()), body)
 
-    def forged(palette=palette, sizes=sizes, rows=rows, picks=picks):
-        return resealed(_binary_body(palette, sizes, rows, picks))
+    def forged(palette=palette, sizes=sizes, rows=rows, picks=picks,
+               rank=b"2"):
+        return resealed(rank + b"\n" + _binary_body(palette, sizes, rows,
+                                                     picks))
 
     # another shape, another full fingerprint behind the same file name,
-    # another generator digest, the format-2 header of the same body, a
-    # headerless body, a truncated body, a changed value, a bad palette
-    # token; then bodies whose header is resealed to match: a stored zero, a
-    # row out of range, a bad value, a word too many and a word too few,
-    # column sizes that do not sum to the entry count, a row repeated within
-    # a column, a palette index past the palette, a non-ASCII palette (the
+    # another generator digest, the format-3 header of the same body, the
+    # format-3 file of the same matrix, a headerless body, a truncated body,
+    # a changed value, a bad palette token, a changed rank; then bodies whose
+    # header is resealed to match: a rank above min(rows, cols), a signed,
+    # an empty and a non-numeric rank, no rank line, a stored zero, a row
+    # out of range, a bad value, a word too many and a word too few, column
+    # sizes that do not sum to the entry count, a row repeated within a
+    # column, a palette index past the palette, a non-ASCII palette (the
     # Arabic-Indic digit four, which int() would read as 4)
     tampered = [
         (head, body, (3, 3), fp),
         (head, body, (3, 2), fp[:16] + "e" * 48),
         resealed(body, generator=b"e" * 64) + ((3, 2), fp),
-        (head.replace(b" 3 %s " % generator, b" 2 "), body, (3, 2), fp),
+        (head.replace(b"boundary 4 ", b"boundary 3 "), body, (3, 2), fp),
+        resealed(old_body, fmt=b"3") + ((3, 2), fp),
         (b"", body, (3, 2), fp),
         (head, body[:-4], (3, 2), fp),
         (head, body.replace(b"-3/5", b"-3/4"), (3, 2), fp),
         (head, body.replace(b"-3/5", b"-3/x"), (3, 2), fp),
+        (head, b"1" + body[1:], (3, 2), fp),
+        forged(rank=b"3") + ((3, 2), fp),
+        forged(rank=b"+1") + ((3, 2), fp),
+        forged(rank=b"") + ((3, 2), fp),
+        forged(rank=b"1_0") + ((3, 2), fp),
+        resealed(old_body) + ((3, 2), fp),
         forged(palette=["4", "0", "-3/5"]) + ((3, 2), fp),
         forged(rows=[0, 3, 1]) + ((3, 2), fp),
         forged(palette=["4", "-7", "x"]) + ((3, 2), fp),
@@ -763,8 +787,22 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
                                    counts) is None, k
         assert counts["rejects"] == k + 1
     assert counts["hits"] == 1 and counts["misses"] == 0
-    # resealing the untouched body gives back the written header
+    # resealing the untouched body gives back the written header, and a
+    # rank of 0, of min(rows, cols) or none at all loads
     assert resealed(body) == (head, body) == forged()
+    for rank, want in ((b"0", 0), (b"2", 2), (b"-", None)):
+        with open(path, "wb") as fh:
+            fh.write(b"".join(forged(rank=rank)))
+        assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2,
+                                   counts) == (mat, want)
+
+
+def test_readme_shows_the_header_of_the_current_cache_format():
+    """README's example header line names the format the cache writes."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    [line] = [line for line in readme.read_text(encoding="utf-8").splitlines()
+              if line.startswith("leibhom-boundary ")]
+    assert line.startswith(cache.FORMAT + " ")
 
 
 def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):
@@ -812,11 +850,13 @@ def test_sessions_share_no_boundaries_ranks_or_counts(tmp_path, monkeypatch):
     C1 = build_complex(A, "CHH", 3, one)
     assert [C1.betti(n) for n in range(3)] == [2, 1, 1]
     assert len(ranked) == 3
+    one.save()
     assert one.cache_counts == {"hits": 0, "misses": 3, "writes": 3,
                                 "rejects": 0}
     C2 = build_complex(A, "CHH", 3, two)
+    # the ranks come with the files one saved
     assert [C2.betti(n) for n in range(3)] == [2, 1, 1]
-    assert len(ranked) == 6
+    assert len(ranked) == 3
     assert two.cache_counts == {"hits": 3, "misses": 0, "writes": 0,
                                 "rejects": 0}
     assert one.cache_counts["hits"] == 0
@@ -826,7 +866,7 @@ def test_sessions_share_no_boundaries_ranks_or_counts(tmp_path, monkeypatch):
     for _ in range(2):
         C = build_complex(A, "CHH", 3)
         assert [C.betti(n) for n in range(3)] == [2, 1, 1]
-    assert len(ranked) == 12
+    assert len(ranked) == 9
 
 
 def _counting_rank_only(monkeypatch):
@@ -839,9 +879,10 @@ def _counting_rank_only(monkeypatch):
 
 
 def test_a_warm_session_ranks_no_boundary_it_loaded(tmp_path, monkeypatch):
-    """A cold session records the ranks of its cache-backed boundaries; a
-    warm one reads them with the boundaries and ranks none of them, also
-    through the solver, which cross-checks the stored ranks."""
+    """A cold session writes its cache-backed boundaries with their ranks
+    when it saves; a warm one reads the ranks with the boundaries and ranks
+    none of them, also through the solver, which cross-checks the stored
+    ranks, and saves nothing."""
     ranked = _counting_rank_only(monkeypatch)
     cdir = str(tmp_path)
     cold = Session(cache_dir=cdir)
@@ -849,11 +890,14 @@ def test_a_warm_session_ranks_no_boundary_it_loaded(tmp_path, monkeypatch):
     want = [[build_complex(A, kind, 4, cold).betti(n) for n in range(4)]
             for A in algebras for kind in ("CL", "CHH")]
     assert len(ranked) == 16
-    cold.record_ranks()
-    assert cold.rank_counts == {"hits": 0, "writes": 16, "rejects": 0}
-    assert len(os.listdir(cdir)) == 32
-    cold.record_ranks()
-    assert cold.rank_counts["writes"] == 16
+    assert not os.listdir(cdir)
+    cold.save()
+    assert cold.cache_counts["writes"] == 16
+    assert sorted(os.listdir(cdir)) == sorted(
+        os.path.basename(cache.boundary_path(cdir, A.fingerprint(), kind, n))
+        for A in algebras for kind in ("CL", "CHH") for n in range(1, 5))
+    cold.save()
+    assert cold.cache_counts["writes"] == 16
     del ranked[:]
     warm = Session(cache_dir=cdir)
     got = []
@@ -863,65 +907,111 @@ def test_a_warm_session_ranks_no_boundary_it_loaded(tmp_path, monkeypatch):
             got.append([C.betti(n) for n in range(4)])
             assert C.homology(2).representatives is not None
     assert got == want and ranked == []
+    warm.save()
     assert warm.cache_counts == {"hits": 16, "misses": 0, "writes": 0,
                                  "rejects": 0}
-    assert warm.rank_counts == {"hits": 16, "writes": 0, "rejects": 0}
-    warm.record_ranks()
-    assert warm.rank_counts["writes"] == 0
+
+
+def test_a_file_saved_without_a_rank_is_rewritten_once_ranked(
+        tmp_path, monkeypatch):
+    """A boundary the run never ranked is saved with no rank. The run that
+    loads and ranks it rewrites the file once, with the rank; after that no
+    run ranks it, and no run but the ranking one writes it."""
+    ranked = _counting_rank_only(monkeypatch)
+    A = builtin_algebra("dual")
+    cdir = str(tmp_path)
+    path = cache.boundary_path(cdir, A.fingerprint(), "CHH", 3)
+    cold = Session(cache_dir=cdir)
+    boundary_matrix(A, "CHH", 3, cold)
+    cold.save()
+    assert ranked == [] and cold.cache_counts["writes"] == 1
+    unranked = open(path, "rb").read()
+    assert unranked.split(b"\n")[1] == b"-"
+    # loaded and not ranked: nothing to write
+    idle = Session(cache_dir=cdir)
+    boundary_matrix(A, "CHH", 3, idle)
+    idle.save()
+    assert idle.cache_counts == {"hits": 1, "misses": 0, "writes": 0,
+                                 "rejects": 0}
+    assert open(path, "rb").read() == unranked
+    runs = []
+    for _ in range(3):
+        session = Session(cache_dir=cdir)
+        C = build_complex(A, "CHH", 3, session)
+        assert [C.betti(n) for n in range(3)] == [2, 1, 1]
+        session.save()
+        runs.append((len(ranked), dict(session.cache_counts)))
+        del ranked[:]
+    # the first run ranks all three, d_3 from its file; it writes d_1, d_2
+    # and rewrites d_3 with its rank
+    assert runs == [
+        (3, {"hits": 1, "misses": 2, "writes": 3, "rejects": 0}),
+        (0, {"hits": 3, "misses": 0, "writes": 0, "rejects": 0}),
+        (0, {"hits": 3, "misses": 0, "writes": 0, "rejects": 0})]
+    ranked_file = open(path, "rb").read()
+    assert ranked_file.split(b"\n")[1] == b"4"
+    assert ranked_file.split(b"\n", 2)[2] == unranked.split(b"\n", 2)[2]
 
 
 @pytest.mark.parametrize("tamper", ["body digest", "rank", "fingerprint",
                                     "kind", "degree", "truncated",
-                                    "own digest"])
+                                    "own digest", "format 3"])
 def test_a_refused_rank_record_is_ranked_afresh_and_rewritten(
         tmp_path, monkeypatch, tamper):
+    """The rank record of a boundary is the rank line of its .bnd file, and
+    its body digest covers it. A file refused for any reason (its header,
+    its digest, its length, a rank outside [0, min(rows, cols)], an older
+    format) is assembled, ranked afresh and rewritten when the run saves."""
     ranked = _counting_rank_only(monkeypatch)
     A = builtin_algebra("dual")
     fp = A.fingerprint()
     cdir = str(tmp_path / "cache")
     cold = Session(cache_dir=cdir)
     bettis = [build_complex(A, "CHH", 3, cold).betti(n) for n in range(3)]
-    cold.record_ranks()
-    path = cache.rank_path(cdir, fp, "CHH", 2)
-    with open(path) as fh:
+    cold.save()
+    path = cache.boundary_path(cdir, fp, "CHH", 2)
+    with open(path, "rb") as fh:
         good = fh.read()
     mat = cold.boundaries[(fp, "CHH", 2)]
     rank = cold.ranks[(fp, "CHH")][2]
-    _, body_digest = cache.load_boundary(cdir, fp, "CHH", 2, mat.rows,
-                                         mat.cols, Session().cache_counts)
     assert 1 <= rank < min(mat.rows, mat.cols)
+    head, body = good.split(b"\n", 1)
+    fields = head.split(b" ")
+    rank_line, rest = body.split(b"\n", 1)
+    assert rank_line == b"%d" % rank
 
-    def forged(fingerprint=fp, kind="CHH", n=2, body=body_digest, r=rank):
-        fdir = str(tmp_path / "forged")
-        os.makedirs(fdir, exist_ok=True)
-        cache.save_rank(fdir, fingerprint, kind, n, mat.rows, mat.cols, body,
-                        r, Session().rank_counts)
-        with open(cache.rank_path(fdir, fingerprint, kind, n)) as fh:
-            return fh.read()
+    def resealed(body, fmt=b"4"):
+        return b" ".join([fields[0], fmt, *fields[2:-1],
+                          hashlib.sha256(body).hexdigest().encode()]
+                         ) + b"\n" + body
 
-    fields = good.split(" ")
+    def field(k, value):
+        return b" ".join(fields[:k] + [value] + fields[k + 1:]) + b"\n" + body
+
     bad = {
-        "body digest": lambda: forged(body="0" * 64),
-        "rank": lambda: forged(r=min(mat.rows, mat.cols) + 1),
-        "fingerprint": lambda: forged(fingerprint=fp[:16] + "0" * 48),
-        "kind": lambda: forged(kind="CL"),
-        "degree": lambda: forged(n=3),
+        "body digest": lambda: field(9, b"0" * 64),
+        "rank": lambda: resealed(b"%d\n" % (min(mat.rows, mat.cols) + 1)
+                                 + rest),
+        "fingerprint": lambda: field(3, fp[:16].encode() + b"0" * 48),
+        "kind": lambda: field(4, b"CL"),
+        "degree": lambda: field(5, b"3"),
         "truncated": lambda: good[:-9],
-        "own digest": lambda: " ".join(fields[:-2] + [str(rank - 1),
-                                                      fields[-1]]),
+        "own digest": lambda: good.replace(b"\n%d\n" % rank,
+                                           b"\n%d\n" % (rank - 1)),
+        "format 3": lambda: resealed(rest, fmt=b"3"),
     }[tamper]()
-    assert forged() == good and bad != good
-    with open(path, "w") as fh:
+    assert resealed(body) == good and bad != good
+    with open(path, "wb") as fh:
         fh.write(bad)
     del ranked[:]
     warm = Session(cache_dir=cdir)
     C = build_complex(A, "CHH", 3, warm)
     assert [C.betti(n) for n in range(3)] == bettis
     assert ranked == [C.boundary(2)]
-    assert warm.rank_counts == {"hits": 2, "writes": 0, "rejects": 1}
-    warm.record_ranks()
-    assert warm.rank_counts["writes"] == 1
-    with open(path) as fh:
+    warm.save()
+    assert warm.cache_counts == {"hits": 2, "misses": 0, "writes": 1,
+                                 "rejects": 1}
+    with open(path, "rb") as fh:
         assert fh.read() == good
 
 

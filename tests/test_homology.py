@@ -2,8 +2,11 @@
 
 Betti oracles are frozen from independent classical values: the Hochschild
 homology of Q is Q in degree zero only; for the dual numbers it is Q^2, Q,
-Q, Q, ...; cyclic homology of Q alternates Q, 0, Q, 0; and a group algebra
-over Q has vanishing positive rational group homology for finite groups.
+Q, Q, ...; cyclic homology of Q alternates Q, 0, Q, 0; a group algebra
+over Q has vanishing positive rational group homology for finite groups;
+the upper-triangular 2x2 matrices have the Hochschild and cyclic homology
+of Q x Q (Cibils); and Hochschild homology of a tensor product is the
+convolution of the factors' (Kunneth).
 """
 
 from fractions import Fraction
@@ -11,9 +14,10 @@ from fractions import Fraction
 import pytest
 
 from leibhom import complexes
-from leibhom.algebra import builtin_algebra
+from leibhom.algebra import Algebra, builtin_algebra, validate_algebra
 from leibhom.chain_maps import phi, proj_I
-from leibhom.complexes import build_complex
+from leibhom.complexes import (Session, boundary_rank, build_complex,
+                               degree_dim)
 from leibhom.homology import (ChainComplex, ChainMapRep, NegativeBetti,
                               compose_maps, cone_pair_map, exactness_check,
                               induced_map, induced_rank_streamed, les_of_cone,
@@ -48,6 +52,51 @@ def test_betti_oracle_split_und_group():
     assert [chh.betti(n) for n in range(4)] == [2, 0, 0, 0]
     bar = build_complex(G, "BAR", 4)
     assert [bar.betti(n) for n in range(4)] == [1, 0, 0, 0]
+
+
+def _bettis(A, kind, top):
+    """betti_0..betti_top of kind over A, through boundary_rank."""
+    session = Session()
+    ranks = [0] + [boundary_rank(A, kind, n, session)
+                   for n in range(1, top + 2)]
+    return [degree_dim(A, kind, n) - ranks[n] - ranks[n + 1]
+            for n in range(top + 1)]
+
+
+def test_betti_oracle_upper_triangular_matrices():
+    """T_2(Q), basis e11, e12, e22, is the path algebra of the quiver with
+    one arrow: hereditary, so HH_n vanishes for n >= 1 and HH_0 = Q^2 (one
+    class per vertex), and HC_* is that of Q x Q (Cibils)."""
+    T = Algebra("upper_triangular:2", ["e11", "e12", "e22"], [1, 0, 1], [
+        [[(0, 1)], [(1, 1)], []],
+        [[], [], [(1, 1)]],
+        [[], [], [(2, 1)]],
+    ])
+    assert validate_algebra(T).ok and not T.commutative
+    assert _bettis(T, "CHH", 4) == [2, 0, 0, 0, 0]
+    assert _bettis(T, "CLAMBDA", 4) == [2, 0, 2, 0, 2]
+
+
+def test_betti_oracle_kunneth_for_dual_tensor_dual():
+    """HH_*(A (x) B) = HH_*(A) (x) HH_*(B): for the dual numbers, HH is
+    [2, 1, 1, 1, 1, ...], so HH of dual (x) dual = Q[x, y]/(x^2, y^2) is
+    the convolution [4, 4, 5, 6, 7]."""
+    D = builtin_algebra("dual")
+    basis = [(a, b) for a in range(2) for b in range(2)]
+    DD = Algebra("dual(x)dual", ["%s(x)%s" % (D.basis_names[a],
+                                              D.basis_names[b])
+                                 for a, b in basis],
+                 [D.unit[a] * D.unit[b] for a, b in basis],
+                 [[[(2 * k + m, c * e)
+                    for k, c in D.products[a][a2]
+                    for m, e in D.products[b][b2]]
+                   for a2, b2 in basis] for a, b in basis])
+    assert validate_algebra(DD).ok and DD.commutative
+    hh = _bettis(D, "CHH", 4)
+    assert hh == [2, 1, 1, 1, 1]
+    assert _bettis(DD, "CHH", 4) == [
+        sum(hh[i] * hh[n - i] for i in range(n + 1)) for n in range(5)] == [
+        4, 4, 5, 6, 7]
 
 
 def test_homology_degree_bounds():

@@ -8,10 +8,11 @@ import pytest
 from leibhom import chain_maps as cmaps
 from leibhom.algebra import (BUILTIN_NAMES, builtin_algebra, builtin_morphism,
                              matrix_morphism)
-from leibhom.complexes import Session, build_complex
+from leibhom import complexes
+from leibhom.complexes import Session, boundary_matrix, build_complex
 from leibhom.homology import compose_maps, cone_pair_map, mapping_cone
 from leibhom.suites import (SUITE_IDS, SuiteConfig, _Checks, _d2_checks,
-                            _relative_stream, run_suite)
+                            _fmt_wit, _relative_stream, run_suite)
 
 FAST = SuiteConfig(cutoff=3, matrix_size=2, seed=42)
 
@@ -182,3 +183,34 @@ def test_d2_check_streams_the_degrees_over_the_session_bound():
     assert [(row["status"], row["detail"]) for row in checks.rows] == [
         ("pass", "degrees <= 4, dims [6, 15, 76, 330], degrees [4] streamed"),
     ]
+
+
+def test_d2_check_names_the_lowest_failing_streamed_degree(monkeypatch):
+    """Streamed degrees are checked lowest first: with a fault planted in
+    both, the row names the lower one."""
+    A = builtin_algebra("dual")
+    # over the bound of 8, CHH_3 (16 columns) and CHH_4 (32) are streamed;
+    # CHH_4 streams against a d_3 the session holds already
+    session = Session(max_dim=8)
+    real = complexes.boundary_column_fn
+    d3 = boundary_matrix(A, "CHH", 3)
+    session.boundaries[(A.fingerprint(), "CHH", 3)] = d3
+    # column 0 of each faulty d_n is a basis vector that d_{n-1} does not
+    # kill
+    hit = {n: next(r for r, col in enumerate(lower.columns) if col)
+           for n, lower in ((3, boundary_matrix(A, "CHH", 2)), (4, d3))}
+
+    def faulty(A, kind, n):
+        fn = real(A, kind, n)
+        if n not in hit:
+            return fn
+        return lambda j: {hit[n]: 1} if j == 0 else fn(j)
+
+    monkeypatch.setattr(complexes, "boundary_column_fn", faulty)
+    checks = _Checks()
+    _d2_checks(checks, A, "dual", ("CHH",), 4, session)
+    [row] = checks.rows
+    assert row["status"] == "fail"
+    assert row["detail"] == ("degrees <= 4, dims [2, 4, 8], degrees [3, 4] "
+                             "streamed")
+    assert row["witness"] == _fmt_wit((3, 0))
