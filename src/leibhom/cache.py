@@ -97,7 +97,8 @@ def _write(path: str, data: bytes) -> None:
 def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
                   mat: SparseMatrix, rank: int | None,
                   counts: dict) -> None:
-    """Write d_n with its rank, or with "-" for a rank of None."""
+    """Write d_n with its rank, or with "-" for a rank of None, and remove
+    the <fp16>.<kind>.<n>.rank record older versions kept beside it."""
     os.makedirs(cache_dir, exist_ok=True)
     entries = list(chain.from_iterable(sorted(col.items())
                                        for col in mat.columns))
@@ -109,10 +110,15 @@ def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
     text = "%s\n%s\n" % ("-" if rank is None else rank,
                           " ".join(map(str, map(Fraction, palette))))
     body = text.encode("ascii") + _little_endian(words).tobytes()
-    _write(boundary_path(cache_dir, fingerprint, kind, degree), ("%s%d %s\n" % (
+    path = boundary_path(cache_dir, fingerprint, kind, degree)
+    _write(path, ("%s%d %s\n" % (
         _header_prefix(fingerprint, kind, degree, mat.rows, mat.cols),
         len(entries), hashlib.sha256(body).hexdigest())).encode("ascii") + body)
     counts["writes"] += 1
+    try:
+        os.remove(path[:-len(".bnd")] + ".rank")
+    except FileNotFoundError:
+        pass
 
 
 def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,

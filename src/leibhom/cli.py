@@ -255,7 +255,7 @@ def _induced_rows(F):
             "degree": m,
             "source_betti": mat.cols,
             "target_betti": mat.rows,
-            "rank": rank_only(mat),
+            "rank": rank_only(mat)[0],
         })
     return rows
 

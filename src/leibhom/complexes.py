@@ -21,7 +21,14 @@ cache is the generated one (see cache). boundary_rank ranks a boundary the
 session does not hold by its rows and stores no matrix: the rows of a
 contraction boundary are built from its terms (_contraction_rows), with no
 column generated, and those of a derived one are scattered from its
-generated columns.
+generated columns. Ranked in ascending degree, a boundary is cleared first
+(see linalg): the rows of d_n that the independent columns found in ranking
+d_{n-1} index lie in the span of its other rows, because d_{n-1} d_n = 0,
+and are left out. boundary_rank clears only where _d2_certified proves that
+product zero from the terms (CL, CHH, L and P) and both matrices are the
+generator's. A derived kind, a rank read from the memo or the cache, a
+matrix set in the session by other code, and ChainComplex.rank_boundary,
+whose complex does not know its algebra and kind, rank without clearing.
 
 Tensor basis order is lexicographic with the first factor most significant,
 matching itertools.product. Wedge bases are increasing index tuples in
@@ -503,11 +510,18 @@ class Session:
 
     A boundary is assembled from its column generator or loaded from a cache
     file bound to the generator's source (see cache), and a loaded one puts
-    the rank its file holds, if any, into ranks. unsaved maps each boundary
-    whose file save() may write to whether that file loaded (without a
-    rank). save(), called once at the end of a run, writes each boundary
-    assembled under the cache, with its rank if known, and each loaded one
-    ranked since; a warm run that ranks nothing new writes nothing.
+    the rank its file holds, if any, into ranks. generated maps the key of
+    each boundary boundary_matrix put into boundaries to that matrix, so a
+    matrix set in boundaries by other code is known not to be the
+    generator's. independent maps (fingerprint, kind, n) to the independent
+    columns that ranking the generator's d_n found, which boundary_rank
+    clears d_{n+1} with; they live in memory only, never in the cache.
+
+    unsaved maps each boundary whose file save() may write to whether that
+    file loaded (without a rank). save(), called once at the end of a run,
+    writes each boundary assembled under the cache, with its rank if known,
+    and each loaded one ranked since; a warm run that ranks nothing new
+    writes nothing.
     """
 
     def __init__(self, max_dim=DEFAULT_MAX_DIM, cache_dir=None):
@@ -517,6 +531,8 @@ class Session:
         self.cache_dir = cache_dir
         self.boundaries = {}
         self.ranks = {}
+        self.generated = {}
+        self.independent = {}
         self.unsaved = {}
         self.cache_counts = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
 
@@ -559,7 +575,7 @@ def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
     if mat is None:
         mat = SparseMatrix.from_columns(rows, cols,
                                         boundary_column_fn(A, kind, n))
-    session.boundaries[key] = mat
+    session.boundaries[key] = session.generated[key] = mat
     return mat
 
 
@@ -585,27 +601,46 @@ def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
     rank much slower, so P's d_n is built and stored. The rows of a
     contraction boundary (CL, CHH, L) are built from its terms; those of a
     derived one are scattered from its generated columns.
+
+    Either way d_n is cleared first (see linalg): the rows that the
+    independent columns found in ranking d_{n-1} index are left out. That
+    takes d_{n-1} ranked in this session, and both matrices the generator's
+    (rows built here, or a stored matrix boundary_matrix assembled or
+    loaded) with d_{n-1} d_n = 0 proven from their terms by _d2_certified,
+    which holds for CL, CHH, L and P. The derived kinds, a rank read from
+    the memo or the cache, and a matrix set in the session's boundaries by
+    other code clear nothing and give no clearing.
     """
     fingerprint = A.fingerprint()
     memo = session.ranks.setdefault((fingerprint, kind), {})
     if n not in memo:
-        mat = session.boundaries.get((fingerprint, kind, n))
+        key = (fingerprint, kind, n)
+        mat = session.boundaries.get(key)
         if mat is None and kind == "P":
             mat = boundary_matrix(A, kind, n, session)
-        if mat is not None:
-            rows, cols, rank = mat.rows, mat.cols, rank_only(mat)
-        else:
+        if mat is None:
             check_bound(A, kind, n, session.max_dim)
+        fn = boundary_column_fn(A, kind, n)
+        generated = mat is None or session.generated.get(key) is mat
+        skip = session.independent.get((fingerprint, kind, n - 1))
+        if not (generated and skip and _d2_certified(
+                fn, boundary_column_fn(A, kind, n - 1))):
+            skip = frozenset()
+        if mat is not None:
+            rows, cols = mat.rows, mat.cols
+            rank, independent = rank_only(mat, skip)
+        else:
             rows = degree_dim(A, kind, n - 1)
             cols = degree_dim(A, kind, n)
-            fn = boundary_column_fn(A, kind, n)
             if hasattr(fn, "terms"):
                 by_row = _contraction_rows(fn.terms, rows, cols)
             else:
                 by_row = _scattered_rows(fn, rows, cols)
-            rank = rank_by_rows(by_row, cols)
+            rank, independent = rank_by_rows(by_row, cols, skip)
         assert 0 <= rank <= min(rows, cols), (kind, n, rank)
         memo[n] = rank
+        if generated:
+            session.independent[key] = independent
     return memo[n]
 
 
@@ -625,7 +660,7 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
         session = Session()
     lower = boundary_matrix(A, kind, n - 1, session)
     fn = boundary_column_fn(A, kind, n)
-    if hasattr(fn, "terms") and _d2_certified(fn, boundary_column_fn(A, kind, n - 1)):
+    if _d2_certified(fn, boundary_column_fn(A, kind, n - 1)):
         return None
     for j in range(degree_dim(A, kind, n)):
         if lower.apply(fn(j)):
@@ -645,14 +680,19 @@ def _d2_certified(up, down) -> bool:
     group sums, and a group's sum is its untouched digits tensor a sum of
     trees that reads only its (at most four) merged digits: identical trees
     cancel, and what is left is checked once over every assignment of those
-    digits. False proves nothing; the caller then checks column by column.
+    digits. A group is checked with its merged slots renamed 0..k-1 in order
+    (_group_vanishes is memoized on that form), so the groups that differ
+    only in where their slots sit, across parts, degrees and calls, are
+    checked once per table. False proves nothing; the caller then checks
+    column by column, and so it is for a column function without terms.
     """
+    if not hasattr(up, "terms"):
+        return False
     table, m, parts = up.terms
     if getattr(down, "terms", ())[:2] != (table, m - 1):
         return False
     parts_lo, dlo = down.terms[2], len(table) ** (m - 1)
     composites = {}  # the two contractions -> (trees, merged input slots)
-    vanishes = {}  # group -> whether its sum is zero on every assignment
     for part in parts:
         groups = {}
         for i, j, swapped, sign, base in part:
@@ -664,11 +704,11 @@ def _d2_certified(up, down) -> bool:
                 group = groups.setdefault((base2, blocks), {})
                 group[trees] = group.get(trees, 0) + sign * sign2
         for (_, blocks), group in groups.items():
-            group = frozenset(item for item in group.items() if item[1])
-            if group and group not in vanishes:
-                slots = sorted(s for block in blocks for s in block)
-                vanishes[group] = _group_vanishes(table, slots, group)
-            if group and not vanishes[group]:
+            name = {s: i for i, s in enumerate(
+                sorted(s for block in blocks for s in block))}
+            group = frozenset((tuple(_renamed(tree, name) for tree in trees), c)
+                              for trees, c in group.items() if c)
+            if group and not _group_vanishes(table, len(name), group):
                 return False
     return True
 
@@ -690,15 +730,23 @@ def _contract(slots, i: int, j: int, swapped: bool) -> list:
     return out
 
 
+def _renamed(tree, name):
+    """tree with each input slot s read as name[s]."""
+    if type(tree) is int:
+        return name[tree]
+    return _renamed(tree[0], name), _renamed(tree[1], name)
+
+
 def _leaves(tree) -> tuple:
     return (tree,) if type(tree) is int else _leaves(tree[0]) + _leaves(tree[1])
 
 
-def _group_vanishes(table, slots, group) -> bool:
+@lru_cache(maxsize=None)
+def _group_vanishes(table, k: int, group) -> bool:
     """Whether sum c * (tensor of the trees' products) over the group is zero
-    for every assignment of basis elements to the merged input slots."""
-    for assignment in itertools.product(range(len(table)), repeat=len(slots)):
-        digits = dict(zip(slots, assignment))
+    for every assignment of basis elements to its merged input slots, which
+    are 0..k-1."""
+    for digits in itertools.product(range(len(table)), repeat=k):
         total = {}
         for trees, c in group:
             terms = {(): c}

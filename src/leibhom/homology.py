@@ -48,7 +48,7 @@ class ChainComplex:
             raise ValueError("rank of d_%d not available at cutoff %d" % (n, self.cutoff))
         if n not in self._ranks:
             d = self.boundaries[n]
-            rank = rank_only(d)
+            rank = rank_only(d)[0]
             assert 0 <= rank <= min(d.rows, d.cols), (self.kind, n, rank)
             self._ranks[n] = rank
         return self._ranks[n]
@@ -428,7 +428,7 @@ def exactness_check(matrices):
         if b.cols != a.rows:
             raise ValueError("sequence not composable: %dx%d then %dx%d"
                              % (a.rows, a.cols, b.rows, b.cols))
-    ranks = [rank_only(M) for M in matrices]
+    ranks = [rank_only(M)[0] for M in matrices]
     report = []
     for idx in range(len(matrices) - 1):
         fin, fout = matrices[idx], matrices[idx + 1]

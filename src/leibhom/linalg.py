@@ -35,6 +35,19 @@ dicts. Every other path keeps the natural order, which its results depend
 on: kernel_basis relations (and the representatives and report signs built
 from them) follow the pivot order, and blocked_rank needs the leading block
 eliminated ahead of the trailing one.
+
+rank_only and rank_by_rows also return the independent columns they found,
+and take a set of rows to leave out; together these clear a chain complex
+(Chen-Kerber's twist). If d_{n-1} d_n = 0 and J is a set of rank d_{n-1}
+independent columns of d_{n-1}, the rows of d_n indexed by J lie in the
+span of its other rows: the rows of d_{n-1} combine to vectors that are the
+unit vector e_j on J, and each is a relation among the rows of d_n. So d_n
+ranks the same with those rows left out, and its independent columns are
+the same too, which clears d_{n+1} in turn. Without d_{n-1} d_n = 0 the
+cleared rank can come out too small, so the caller must know the product
+vanishes: complexes.boundary_rank proves it from the terms of CL, CHH, L
+and P. The derived kinds, a degree whose rank below was read from the
+cache, and ChainComplex.rank_boundary are ranked without clearing.
 """
 
 from __future__ import annotations
@@ -319,28 +332,48 @@ def kernel_basis(M: SparseMatrix) -> list:
     return ech.relations
 
 
-def rank_only(M: SparseMatrix) -> int:
-    """Rank of M, eliminated in a fill-reducing order.
+def rank_only(M: SparseMatrix, skip=frozenset()):
+    """(rank of M, a set of rank-many independent column indices of M),
+    with the rows in skip left out, eliminated in a fill-reducing order.
 
     The rank does not depend on the order, so this path alone picks one that
     keeps pivots sparse: the nonzero columns go in fewest nonzeros first
     (a stable sort, so ties keep their column order), and rows are relabelled
     i -> rows - 1 - i so that each pivot's lead is its largest original row
     index. On the larger CHH, CL and BAR boundaries it cuts pivot fill by a
-    quarter to a half.
+    quarter to a half. The independent columns are those whose insert adds
+    a pivot.
+
+    The rows in skip must lie in the span of the other rows, or the rank
+    comes out too small. The rows that the independent columns of an L with
+    L M = 0 index do (the clearing lemma in the module docstring);
+    complexes.boundary_rank clears only where it has proven L M = 0.
     """
     last = M.rows - 1
+    columns = M.columns
     ech = Echelon()
-    for col in sorted((c for c in M.columns if c), key=len):
-        ech.insert({last - i: v for i, v in col.items()})
-    return ech.rank
+    independent = set()
+    for j in sorted((j for j, col in enumerate(columns) if col),
+                    key=lambda j: len(columns[j])):
+        col = {last - i: v for i, v in columns[j].items() if i not in skip}
+        if col and ech.insert(col) is not None:
+            independent.add(j)
+    return ech.rank, independent
 
 
-def rank_by_rows(by_row: list, cols: int) -> int:
-    """Rank of the matrix with cols columns whose rows are the dicts
-    {column: value} of by_row, eliminated by rows (see the module
-    docstring). The rows are consumed: each is dropped from by_row as it
-    goes in."""
+def rank_by_rows(by_row: list, cols: int, skip=frozenset()):
+    """(rank, a set of rank-many independent column indices) of the matrix
+    with cols columns whose rows are the dicts {column: value} of by_row,
+    the rows in skip left out, eliminated by rows (see the module
+    docstring). The independent columns are the leads of the pivots, mapped
+    back through the column labels. The rows are consumed: each is dropped
+    from by_row as it goes in, and each row in skip is dropped unread. As
+    for rank_only, the rows in skip must lie in the span of the others,
+    which the clearing lemma gives when L M = 0 is proven for the L whose
+    independent columns they are.
+    """
+    for i in skip:
+        by_row[i] = {}
     counts = [0] * cols
     for row in by_row:
         for j in row:
@@ -355,7 +388,8 @@ def rank_by_rows(by_row: list, cols: int) -> int:
         row, by_row[i] = by_row[i], None
         if row:
             ech.insert({label[j]: v for j, v in row.items()})
-    return ech.rank
+    leads = ech.pivots
+    return ech.rank, {j for j, pos in enumerate(label) if pos in leads}
 
 
 def blocked_rank(vec_iter, split: int, stop_at_second=None):

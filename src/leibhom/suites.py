@@ -331,7 +331,7 @@ def suite_degree0(config: SuiteConfig):
                 ("lie_projection",
                  induced_map(cmaps.proj_lie(A, cx["CL"], cx["CE"]), 1)))
         for label, F in maps:
-            r = rank_only(F)
+            r = rank_only(F)[0]
             checks.record("degree_zero_%s_bijective[%s]" % (label, name),
                           F.rows == F.cols and r == F.rows,
                           "induced map is %dx%d of rank %d" % (F.rows, F.cols, r))
@@ -372,7 +372,7 @@ def suite_commutative(config: SuiteConfig):
         for m in range(1, cutoff + 1):
             if m not in p.maps:
                 continue
-            r = rank_only(p.maps[m])
+            r = rank_only(p.maps[m])[0]
             tgt = om.dims[m - 1]
             detail.append("deg %d rank %d/%d" % (m, r, tgt))
             if r != tgt:
@@ -560,7 +560,7 @@ def suite_groupring(config: SuiteConfig):
         rows = []
         for n in range(top + 1):
             bb, bh = bar.betti(n), chh.betti(n)
-            r = rank_only(induced_map(io, n))
+            r = rank_only(induced_map(io, n))[0]
             rows.append("n=%d: H(BG)=%d rank(iota_*)=%d HH=%d" % (n, bb, r, bh))
             if r != bb or bb > bh:
                 ok = False
@@ -639,7 +639,7 @@ def suite_relative(config: SuiteConfig):
         for m in range(1, cutoff + 1):
             F = induced_map(relI, m)
             tb = mcl.cone.betti(m)
-            r = rank_only(F)
+            r = rank_only(F)[0]
             surj.append("deg %d rank %d/%d" % (m, r, tb))
             if r < tb:
                 allok = False
@@ -771,7 +771,7 @@ def suite_appendix(config: SuiteConfig):
         for n in range(top + 1):
             F = induced_map(emb, n)
             iso = (P.betti(n) == chh.betti(n) and F.rows == F.cols
-                   and rank_only(F) == F.rows)
+                   and rank_only(F)[0] == F.rows)
             rows.append("n=%d: %d vs %d" % (n, P.betti(n), chh.betti(n)))
             if not iso:
                 allok = False

@@ -152,7 +152,7 @@ def test_degree_zero_isomorphisms_dual():
                  (cmaps.theta(A, ce, clam), 1),
                  (cmaps.proj_lie(A, cl, ce), 1)):
         mat = induced_map(F, m)
-        assert mat.rows == mat.cols == rank_only(mat) == 2, F.kind
+        assert mat.rows == mat.cols == rank_only(mat)[0] == 2, F.kind
 
 
 def test_kahler_square_on_presented_commutative():
@@ -167,7 +167,7 @@ def test_kahler_square_on_presented_commutative():
     assert_chain_map(eo)
     # p is degree-wise surjective onto the forms
     for m in range(1, CUT + 1):
-        assert rank_only(p.maps[m]) == om.dims[m - 1]
+        assert rank_only(p.maps[m])[0] == om.dims[m - 1]
     # the square against phi commutes after passing to homology
     ph = cmaps.phi(A, cl, chh)
     for m in range(1, CUT):
@@ -239,7 +239,7 @@ def test_cycle_complex_embedding_computes_hochschild():
         for n in range(CUT):
             assert P.betti(n) == chh.betti(n), (name, n)
             mat = induced_map(emb, n)
-            assert rank_only(mat) == mat.rows == mat.cols, (name, n)
+            assert rank_only(mat)[0] == mat.rows == mat.cols, (name, n)
 
 
 def test_cycle_complex_of_rationals_acyclic_above_zero():

@@ -102,6 +102,19 @@ def test_map_reports_are_pinned(tmp_path, args, digest):
     assert hashlib.sha256(raw).hexdigest() == digest
 
 
+def test_hochschild_homology_of_s3_to_degree_5_is_pinned(tmp_path):
+    """compute s3 CHH to degree 5, the largest table ranked by clearing,
+    through cli.main. HH_*(Q[S_3]) is Q^3 in degree 0 (three conjugacy
+    classes) and 0 above; the report.json is pinned byte for byte."""
+    assert cli.main(["compute", "--algebra", "s3", "--complex", "CHH",
+                     "--max-degree", "5", "--out", str(tmp_path)]) == 0
+    raw = (tmp_path / "report.json").read_bytes()
+    [table] = json.loads(raw)["tables"]
+    assert table["betti"] == [3, 0, 0, 0, 0]
+    assert hashlib.sha256(raw).hexdigest() == \
+        "9af5c27270d91897bd5e5bb4ff4cdddbda264e14fac3f2c59fc46155b2d64fae"
+
+
 def test_compute_writes_reports(tmp_path):
     out = tmp_path / "out"
     r = run_cli("compute", "--algebra", "dual", "--complex", "CHH,CLAMBDA",
@@ -179,8 +192,8 @@ def test_the_kinds_a_map_builds_keep_their_boundaries(tmp_path, monkeypatch):
     by_rows = []
     real_rows = complexes.rank_by_rows
     monkeypatch.setattr(complexes, "rank_by_rows",
-                        lambda rows, cols: by_rows.append((len(rows), cols))
-                        or real_rows(rows, cols))
+                        lambda rows, cols, skip: by_rows.append(
+                            (len(rows), cols)) or real_rows(rows, cols, skip))
     assert cli.main(["compute", "--algebra", "dual", "--complex",
                      "CL,CHH,CLAMBDA", "--maps", "PHI", "--max-degree", "3",
                      "--out", str(tmp_path)]) == 0
@@ -591,8 +604,9 @@ def test_a_format_1_cache_file_is_rewritten_and_an_old_rank_record_ignored(
         tmp_path):
     """A boundary file of the text format 1 is rejected and rewritten as
     format 4, with its rank. A .rank record an older version wrote next to
-    it is neither read nor written. The report is the one a run without a
-    cache gives."""
+    it is not read, and it is removed when the file beside it is rewritten;
+    a warm run, which writes nothing, removes nothing. The report is the one
+    a run without a cache gives."""
     A = builtin_algebra("dual")
     fp = A.fingerprint()
     cdir = tmp_path / "cache"
@@ -623,9 +637,15 @@ def test_a_format_1_cache_file_is_rewritten_and_an_old_rank_record_ignored(
     assert report == plain
     assert (boundaries, rejects) == ({"hits": 2, "misses": 0, "writes": 1}, 1)
     assert open(bnd, "rb").read() == good
-    assert record.read_bytes() == stale
+    assert not record.exists()
+    # a stale record beside a file the warm run only reads stays
+    kept = cdir / (os.path.basename(cache.boundary_path(
+        str(cdir), fp, "CHH", 2))[:-len(".bnd")] + ".rank")
+    kept.write_bytes(stale)
+    files = {path.name: path.read_bytes() for path in cdir.iterdir()}
     assert compute("warm", "--cache", str(cdir))[1:] == (
         {"hits": 3, "misses": 0, "writes": 0}, 0)
+    assert {path.name: path.read_bytes() for path in cdir.iterdir()} == files
 
 
 def test_compute_reports_are_the_same_plain_cold_and_warm(tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from leibhom import cache, complexes
+from leibhom import cache, complexes, linalg
 from leibhom.algebra import (BUILTIN_NAMES, Algebra, builtin_algebra,
                              matrix_algebra, multiply_coords)
 from leibhom.complexes import (KINDS, KahlerModule, ResourceBoundExceeded,
@@ -1036,7 +1036,7 @@ def test_boundary_rank_by_rows_is_rank_only(name, kind):
         if degree_dim(A, kind, n) > 1500:
             break
         assert boundary_rank(A, kind, n, session) == rank_only(
-            boundary_matrix(A, kind, n))
+            boundary_matrix(A, kind, n))[0]
     assert bool(session.boundaries) == (kind == "P")
 
 
@@ -1144,6 +1144,67 @@ def test_boundary_rank_reads_the_memo_then_the_stored_matrix():
     assert boundary_rank(A, "CHH", 3, session) == 4
     assert session.ranks[key] == {1: 7, 2: 4, 3: 4}
     assert set(session.boundaries) == {key + (2,)}
+
+
+def _recording_skips(monkeypatch):
+    """The rows each rank_only and rank_by_rows call of boundary_rank leaves
+    out, in call order."""
+    skips = []
+    for name in ("rank_only", "rank_by_rows"):
+        real = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name, lambda *args, real=real: (
+            skips.append(args[-1]) or real(*args)))
+    return skips
+
+
+def test_boundary_rank_clears_the_rows_the_degree_below_proves_dependent(
+        monkeypatch):
+    """s3's CHH d_3 has rank 183, and its 183 independent columns clear as
+    many rows of d_4: ranked by rows, d_4 inserts exactly its nonzero rows
+    outside that set. Stored, each degree is cleared by the independent
+    columns of the stored degree below."""
+    A = builtin_algebra("s3")
+    key = (A.fingerprint(), "CHH")
+    session = Session()
+    assert [boundary_rank(A, "CHH", n, session) for n in (1, 2, 3)] == \
+        [3, 33, 183]
+    below = session.independent[key + (3,)]
+    assert len(below) == 183
+    rows = complexes._contraction_rows(
+        boundary_column_fn(A, "CHH", 4).terms, 1296, 7776)
+    outside = sorted(len(row) for i, row in enumerate(rows)
+                     if row and i not in below)
+    assert len(outside) < sum(1 for row in rows if row)
+    inserted = []
+    real_insert = linalg.Echelon.insert
+    monkeypatch.setattr(linalg.Echelon, "insert", lambda self, vec: (
+        inserted.append(len(vec)) or real_insert(self, vec)))
+    # HH_3(Q[S_3]) = 0: rank d_4 = 1296 - 183
+    assert boundary_rank(A, "CHH", 4, session) == 1113
+    assert sorted(inserted) == outside
+    monkeypatch.undo()
+    skips = _recording_skips(monkeypatch)
+    stored = Session()
+    build_complex(A, "CHH", 4, stored)
+    assert [boundary_rank(A, "CHH", n, stored) for n in (1, 2, 3, 4)] == \
+        [3, 33, 183, 1113]
+    assert skips[0] == set() and len(skips[3]) == 183
+    assert skips[1:] == [stored.independent[key + (n,)] for n in (1, 2, 3)]
+
+
+def test_boundary_rank_clears_nothing_without_the_certificate(monkeypatch):
+    """With _d2_certified forced False, no row is left out, by rows or
+    stored, though every degree records its independent columns."""
+    monkeypatch.setattr(complexes, "_d2_certified", lambda up, down: False)
+    skips = _recording_skips(monkeypatch)
+    A = builtin_algebra("s3")
+    session = Session()
+    build_complex(A, "CL", 3, session)
+    for kind in ("CHH", "CL", "P"):
+        for n in (1, 2, 3):
+            boundary_rank(A, kind, n, session)
+            assert (A.fingerprint(), kind, n) in session.independent
+    assert len(skips) == 9 and not any(skips)
 
 
 def test_boundary_matrix_consistent_with_build_complex():

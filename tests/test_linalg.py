@@ -68,7 +68,7 @@ def test_rank_only_matches_dense_oracle():
     for _ in range(40):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         M = random_sparse(rng, rows, cols)
-        assert rank_only(M) == dense_rank(to_dense(M))
+        assert rank_only(M)[0] == dense_rank(to_dense(M))
 
 
 def test_rank_only_edge_cases_match_dense_oracle():
@@ -89,8 +89,8 @@ def test_rank_only_edge_cases_match_dense_oracle():
                             {3: half}, {0: 2}]),
     ]
     for M in cases:
-        assert rank_only(M) == dense_rank(to_dense(M))
-    assert [rank_only(M) for M in cases] == [0, 0, 0, 0, 2, 3, 4]
+        assert rank_only(M)[0] == dense_rank(to_dense(M))
+    assert [rank_only(M)[0] for M in cases] == [0, 0, 0, 0, 2, 3, 4]
     rng = random.Random(31)
     for _ in range(20):
         M = random_sparse(rng, rng.randint(1, 6), rng.randint(1, 6),
@@ -102,15 +102,15 @@ def test_rank_only_edge_cases_match_dense_oracle():
             col = M.columns[rng.randrange(M.cols)]
             extra.append({r: scale * v for r, v in col.items()})
         W = SparseMatrix(M.rows, M.cols + 3, M.columns + extra)
-        assert rank_only(W) == rank_only(M) == dense_rank(to_dense(W))
+        assert rank_only(W)[0] == rank_only(M)[0] == dense_rank(to_dense(W))
 
 
-def by_rows(M):
+def by_rows(M, skip=frozenset()):
     rows = [{} for _ in range(M.rows)]
     for j, col in enumerate(M.columns):
         for i, v in col.items():
             rows[i][j] = v
-    return rank_by_rows(rows, M.cols)
+    return rank_by_rows(rows, M.cols, skip)[0]
 
 
 def test_rank_by_rows_matches_rank_only_and_the_dense_oracle():
@@ -133,7 +133,21 @@ def test_rank_by_rows_matches_rank_only_and_the_dense_oracle():
         cases.append(random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8),
                                    fractions=rng.random() < 0.5))
     for M in cases:
-        assert by_rows(M) == rank_only(M) == dense_rank(to_dense(M))
+        assert by_rows(M) == rank_only(M)[0] == dense_rank(to_dense(M))
+
+
+def test_clearing_needs_the_product_to_vanish():
+    """Why boundary_rank clears only under a d.d = 0 certificate: with
+    lower = (1 0) and upper the 2 x 2 identity, lower * upper != 0, and the
+    row of upper that lower's independent column indexes is not in the span
+    of the other, so the cleared rank comes out too small."""
+    lower = SparseMatrix(1, 2, [{0: 1}, {}])
+    upper = SparseMatrix.identity(2)
+    assert not lower.matmul(upper).is_zero()
+    for rank, found in (rank_only(lower), rank_by_rows([{0: 1}], 2)):
+        assert (rank, found) == (1, {0})
+        assert rank_only(upper, found)[0] == 1 < rank_only(upper)[0] == 2
+        assert by_rows(upper, found) == 1
 
 
 @pytest.mark.parametrize("name,kind,n", [("cyclic:3", "P", 3),
@@ -145,7 +159,7 @@ def test_rank_only_on_boundaries_matches_plain_order(name, kind, n):
     for col in M.columns:
         if col:
             plain.insert(col)
-    assert rank_only(M) == plain.rank
+    assert rank_only(M)[0] == plain.rank
     assert 0 < plain.rank < min(M.rows, M.cols)
 
 
@@ -177,7 +191,7 @@ def test_echelon_on_fractions_matches_dense_oracle():
         ech = Echelon(track=True)
         leads = [ech.insert(M.columns[c]) for c in range(cols)]
         rank = dense_rank(dense)
-        assert ech.rank == rank == rank_only(M)
+        assert ech.rank == rank == rank_only(M)[0]
         assert ech.rank + len(ech.relations) == cols
         assert sum(lead is None for lead in leads) == len(ech.relations)
         for rel in ech.relations:
@@ -267,7 +281,7 @@ def test_matrix_arithmetic_and_transpose():
     assert M.scaled(Fraction(1, 2)).entry(0, 1) == 1
     assert SparseMatrix.from_columns(2, 2, M.columns.__getitem__) == M
     I3 = SparseMatrix.identity(3)
-    assert I3.nnz() == 3 and rank_only(I3) == 3
+    assert I3.nnz() == 3 and rank_only(I3)[0] == 3
     assert M == SparseMatrix.from_entries(2, 2,
                                           [(0, 0, 1), (0, 1, 2), (1, 1, -1)])
     assert M != N

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) of per-element index arithmetic, of
 the antisymmetrization columns, of the d.d = 0 witness, of the two echelon
-reductions and the quotient solver, and of permutation signs and
+reductions and the quotient solver, of clearing a boundary by the
+independent columns of the one below, and of permutation signs and
 composition."""
 
 import itertools
@@ -14,8 +15,8 @@ from leibhom.chain_maps import _epsilon_column, _phi_column, _theta_column
 from leibhom.complexes import (_contraction_column_fn, cyclic_quotient,
                                index_tuple, tuple_index, wedge_basis)
 from leibhom.homology import ChainComplex, verify_boundary_squares
-from leibhom.linalg import (Echelon, SparseMatrix, kernel_basis, rank_only,
-                            vec_scaled_add)
+from leibhom.linalg import (Echelon, SparseMatrix, kernel_basis, rank_by_rows,
+                            rank_only, vec_scaled_add)
 from leibhom.perms import compose, invert, sign
 
 
@@ -221,6 +222,68 @@ def dense_rank(vecs, size):
     return rank
 
 
+def row_dicts(M):
+    """The rows of M as dicts {column: value}."""
+    rows = [{} for _ in range(M.rows)]
+    for j, col in enumerate(M.columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
+
+
+@st.composite
+def composable_pairs(draw):
+    """(lower, upper) with lower * upper = 0 exactly: upper is drawn
+    freely, sometimes with rows that combine others, and each row of lower
+    is a combination of the relations among the rows of upper (kernel_basis
+    of its transpose), with int and Fraction coefficients."""
+    mid = draw(st.integers(1, 7))
+    upper = draw(matrices(mid, draw(st.integers(1, 5))))
+    rows = row_dicts(upper)
+    for _ in range(draw(st.integers(0, 2))):
+        row = {}
+        for other in rows:
+            vec_scaled_add(row, other, draw(VALUES))
+        rows[draw(st.integers(0, mid - 1))] = row
+    upper = SparseMatrix.from_entries(
+        mid, upper.cols, ((i, j, v) for i, row in enumerate(rows)
+                          for j, v in row.items()))
+    relations = kernel_basis(SparseMatrix(upper.cols, mid, row_dicts(upper)))
+    lower_rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = {}
+        for rel in relations:
+            vec_scaled_add(row, rel, draw(VALUES))
+        lower_rows.append(row)
+    lower = SparseMatrix.from_entries(
+        len(lower_rows), mid, ((r, i, v) for r, row in enumerate(lower_rows)
+                               for i, v in row.items()))
+    return lower, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(composable_pairs())
+def test_rows_the_lower_boundary_proves_dependent_clear_exactly(pair):
+    """With lower * upper = 0, the independent columns that ranking lower
+    finds, by columns or by rows, are rank(lower) many and independent, and
+    upper ranked without the rows they index has the dense rank of upper,
+    by either path, with independent columns of upper again."""
+    lower, upper = pair
+    assert lower.matmul(upper).is_zero()
+    rank = dense_rank(upper.columns, upper.rows)
+    assert rank_only(upper)[0] == rank
+    low = dense_rank(lower.columns, lower.rows)
+    for ranked in (rank_only(lower), rank_by_rows(row_dicts(lower), lower.cols)):
+        found = ranked[1]
+        assert ranked[0] == len(found) == low
+        assert dense_rank([lower.columns[j] for j in found], lower.rows) == low
+        for cleared in (rank_only(upper, found),
+                        rank_by_rows(row_dicts(upper), upper.cols, found)):
+            assert cleared[0] == len(cleared[1]) == rank
+            assert dense_rank([upper.columns[j] for j in cleared[1]],
+                              upper.rows) == rank
+
+
 @st.composite
 def quotient_problems(draw):
     """(size, modulo family S, inserts, query v); v is drawn freely or as a
@@ -294,7 +357,7 @@ def test_untracked_and_tracked_reductions_agree(problem):
     assert [plain.insert(c) for c in M.columns] \
         == [tracked.insert(c) for c in M.columns]
     assert plain.rank == tracked.rank == dense_rank(S + M.columns, M.rows)
-    assert rank_only(M) == dense_rank(M.columns, M.rows)
+    assert rank_only(M)[0] == dense_rank(M.columns, M.rows)
     for vec, _ in plain.pivots.values():
         assert gcd(*vec.values()) == 1
         assert dense_rank(S + M.columns + [vec], M.rows) == plain.rank
