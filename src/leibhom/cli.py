@@ -219,13 +219,8 @@ def _load_compute_algebra(spec):
     return builtin_algebra(spec), []
 
 
-def _betti_table(A, kind, maxdeg, session, keep=False):
-    """The betti table of one kind. Its boundaries are ranked by
-    boundary_rank, which stores none of them unless keep builds the complex
-    first: a run keeps a kind its maps build, or every kind when it has a
-    disk cache."""
-    if keep:
-        build_complex(A, kind, maxdeg, session)
+def _betti_table(A, kind, maxdeg, session):
+    """The betti table of one kind, its boundaries ranked by boundary_rank."""
     dims = [degree_dim(A, kind, n) for n in range(maxdeg + 1)]
     ranks = [0] + [boundary_rank(A, kind, n, session)
                    for n in range(1, maxdeg + 1)]
@@ -369,12 +364,13 @@ def cmd_compute(args, argv):
             "n=%d" % n for n in range(args.max_degree + 1)) + " |"
         md += [header,
                "|" + "---|" * (args.max_degree + 2)]
-    kept = {kind for token in tokens
-            for alg, kind, _ in _map_complexes(token, args.max_degree)
-            if alg == "A"}
+    # the complexes the maps read are built first, so that a table ranks
+    # the boundaries they store
+    for token in tokens:
+        for alg, kind, cutoff in _map_complexes(token, args.max_degree):
+            build_complex(algebras[alg], kind, cutoff, session)
     for kind in kinds:
-        table = _betti_table(A, kind, args.max_degree, session,
-                             session.cache_dir is not None or kind in kept)
+        table = _betti_table(A, kind, args.max_degree, session)
         if args.dump_labels:
             table["labels"] = {str(n): basis_labels(A, kind, n)
                                for n in range(args.max_degree + 1)}

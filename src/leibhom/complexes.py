@@ -17,18 +17,18 @@ a stored boundary is assembled from it column by column. Fully built
 matrices, and the ranks of their boundaries, live in the registry of a
 Session, keyed by algebra fingerprint: one session per run, so nothing
 built in one run is seen by another, and a matrix loaded from the disk
-cache is the generated one (see cache). boundary_rank ranks a boundary the
-session does not hold by its rows and stores no matrix: the rows of a
-contraction boundary are built from its terms (_contraction_rows), with no
-column generated, and those of a derived one are scattered from its
-generated columns. Ranked in ascending degree, a boundary is cleared first
-(see linalg): the rows of d_n that the independent columns found in ranking
-d_{n-1} index lie in the span of its other rows, because d_{n-1} d_n = 0,
-and are left out. boundary_rank clears only where _d2_certified proves that
-product zero from the terms (CL, CHH, L and P) and both matrices are the
-generator's. A derived kind, a rank read from the memo or the cache, a
-matrix set in the session by other code, and ChainComplex.rank_boundary,
-whose complex does not know its algebra and kind, rank without clearing.
+cache is the generated one (see cache). Every rank of a session boundary
+is boundary_rank's, a complex's included (build_complex), and it ranks a
+boundary it does not store by its rows: the rows of a contraction boundary
+are built from its terms (_contraction_rows), with no column generated, and
+those of a derived one are scattered from its generated columns. Ranked in
+ascending degree, a boundary is cleared first (see linalg): the rows of d_n
+that the independent columns found in ranking d_{n-1} index lie in the span
+of its other rows, because d_{n-1} d_n = 0, and are left out. boundary_rank
+clears only where _d2_certified proves that product zero from the terms
+(CL, CHH, L and P) and both matrices are the generator's. A derived kind, a
+rank read from the memo or the cache, and a matrix set in the session by
+other code rank without clearing.
 
 Tensor basis order is lexicographic with the first factor most significant,
 matching itertools.product. Wedge bases are increasing index tuples in
@@ -52,12 +52,12 @@ with proj o section = id. _derived states the sections and projections,
 which are also the comparison maps proj_I, proj_lie, proj_adjoint, bar_pi
 and bar_iota.
 
-A streamed degree's d.d = 0 (verify_d2_streamed) is checked against the
-stored degree below it. For the contraction kinds the check needs no column
-of either degree: every composite of two contractions multiplies at most
-four input slots, so _d2_certified groups the composites by the slots they
-merge and checks each group over the digits of those slots alone. A degree
-it cannot prove this way is checked column by column.
+A streamed degree's d.d = 0 (verify_d2_streamed) needs no matrix for the
+contraction kinds, and no column of either degree: every composite of two
+contractions multiplies at most four input slots, so _d2_certified groups
+the composites by the slots they merge and checks each group over the
+digits of those slots alone. A degree it cannot prove this way is checked
+column by column against the stored degree below it.
 """
 
 from __future__ import annotations
@@ -503,8 +503,8 @@ class Session:
     """One run's boundaries, their ranks, and its disk cache with its counts.
 
     boundaries maps (fingerprint, kind, n) to d_n, and ranks maps
-    (fingerprint, kind) to {n: rank d_n}, the memo every complex built over
-    those boundaries shares, so each is ranked once. max_dim bounds every
+    (fingerprint, kind) to {n: rank d_n}, boundary_rank's memo, so each is
+    ranked once however many complexes read it. max_dim bounds every
     degree the session builds; cache_dir, if set, is the boundary disk cache,
     and cache_counts counts its hits, misses, writes and rejects.
 
@@ -581,7 +581,7 @@ def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
 
 def build_complex(A: Algebra, kind: str, cutoff: int, session=None,
                   cached=True) -> ChainComplex:
-    """d_1..d_cutoff as a ChainComplex that shares the session's ranks."""
+    """d_1..d_cutoff as a ChainComplex that ranks them by boundary_rank."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if session is None:
@@ -590,17 +590,19 @@ def build_complex(A: Algebra, kind: str, cutoff: int, session=None,
                            for n in range(1, cutoff + 1)]
     dims = [degree_dim(A, kind, 0)] + [d.cols for d in boundaries[1:]]
     return ChainComplex(kind, dims, boundaries,
-                        session.ranks.setdefault((A.fingerprint(), kind), {}))
+                        partial(boundary_rank, A, kind, session=session))
 
 
 def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
     """rank d_n, memoized in the session's ranks.
 
-    A stored d_n is ranked by rank_only. Any other is ranked by its rows
-    (rank_by_rows) and not stored, except P's: by rows, a large P degree can
-    rank much slower, so P's d_n is built and stored. The rows of a
-    contraction boundary (CL, CHH, L) are built from its terms; those of a
-    derived one are scattered from its generated columns.
+    d_n is stored when the session holds it, for P (by rows, a large P
+    degree can rank much slower), and for every kind when the session has a
+    disk cache, which then saves it; a stored d_n is ranked by rank_only,
+    and a loaded one may bring its rank. Any other d_n is ranked by its rows
+    (rank_by_rows) and not stored: the rows of a contraction boundary (CL,
+    CHH, L) are built from its terms, those of a derived one are scattered
+    from its generated columns.
 
     Either way d_n is cleared first (see linalg): the rows that the
     independent columns found in ranking d_{n-1} index are left out. That
@@ -609,59 +611,61 @@ def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
     loaded) with d_{n-1} d_n = 0 proven from their terms by _d2_certified,
     which holds for CL, CHH, L and P. The derived kinds, a rank read from
     the memo or the cache, and a matrix set in the session's boundaries by
-    other code clear nothing and give no clearing.
+    other code clear nothing and give no clearing. A column function is
+    built only to clear or to rank by rows.
     """
     fingerprint = A.fingerprint()
     memo = session.ranks.setdefault((fingerprint, kind), {})
-    if n not in memo:
-        key = (fingerprint, kind, n)
-        mat = session.boundaries.get(key)
-        if mat is None and kind == "P":
-            mat = boundary_matrix(A, kind, n, session)
-        if mat is None:
-            check_bound(A, kind, n, session.max_dim)
+    key = (fingerprint, kind, n)
+    mat = session.boundaries.get(key)
+    if mat is None and n not in memo and (
+            kind == "P" or session.cache_dir is not None):
+        mat = boundary_matrix(A, kind, n, session)  # may load the rank
+    if n in memo:
+        return memo[n]
+    if mat is None:
+        check_bound(A, kind, n, session.max_dim)
+    generated = mat is None or session.generated.get(key) is mat
+    skip = session.independent.get((fingerprint, kind, n - 1))
+    if not (generated and skip and _d2_certified(
+            boundary_column_fn(A, kind, n),
+            boundary_column_fn(A, kind, n - 1))):
+        skip = frozenset()
+    if mat is not None:
+        rows, cols = mat.rows, mat.cols
+        rank, independent = rank_only(mat, skip)
+    else:
+        rows = degree_dim(A, kind, n - 1)
+        cols = degree_dim(A, kind, n)
         fn = boundary_column_fn(A, kind, n)
-        generated = mat is None or session.generated.get(key) is mat
-        skip = session.independent.get((fingerprint, kind, n - 1))
-        if not (generated and skip and _d2_certified(
-                fn, boundary_column_fn(A, kind, n - 1))):
-            skip = frozenset()
-        if mat is not None:
-            rows, cols = mat.rows, mat.cols
-            rank, independent = rank_only(mat, skip)
+        if hasattr(fn, "terms"):
+            by_row = _contraction_rows(fn.terms, rows, cols)
         else:
-            rows = degree_dim(A, kind, n - 1)
-            cols = degree_dim(A, kind, n)
-            if hasattr(fn, "terms"):
-                by_row = _contraction_rows(fn.terms, rows, cols)
-            else:
-                by_row = _scattered_rows(fn, rows, cols)
-            rank, independent = rank_by_rows(by_row, cols, skip)
-        assert 0 <= rank <= min(rows, cols), (kind, n, rank)
-        memo[n] = rank
-        if generated:
-            session.independent[key] = independent
-    return memo[n]
+            by_row = _scattered_rows(fn, rows, cols)
+        rank, independent = rank_by_rows(by_row, cols, skip)
+    assert 0 <= rank <= min(rows, cols), (kind, n, rank)
+    memo[n] = rank
+    if generated:
+        session.independent[key] = independent
+    return rank
 
 
 def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     """Check d_{n-1} o d_n = 0 without storing d_n; None or (degree, column).
 
-    Only d_{n-1} is materialized (it is subject to the session's max_dim).
     For CL, CHH, L and P, _d2_certified proves d.d = 0 from the terms of d_n
-    and d_{n-1}, without generating a column. Otherwise, or when the proof
-    does not go through, the columns of d_n are generated, checked and
+    and d_{n-1}, without a matrix or a generated column. Otherwise, or when
+    the proof does not go through, d_{n-1} is stored (it is subject to the
+    session's max_dim), the columns of d_n are generated, checked and
     dropped, and the first column whose dict product d_{n-1}(column)
     (SparseMatrix.apply) is nonzero is the witness.
     """
     if n < 2:
         return None
-    if session is None:
-        session = Session()
-    lower = boundary_matrix(A, kind, n - 1, session)
     fn = boundary_column_fn(A, kind, n)
     if _d2_certified(fn, boundary_column_fn(A, kind, n - 1)):
         return None
+    lower = boundary_matrix(A, kind, n - 1, session)
     for j in range(degree_dim(A, kind, n)):
         if lower.apply(fn(j)):
             return (n, j)

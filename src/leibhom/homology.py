@@ -16,13 +16,14 @@ from .linalg import (Echelon, SparseMatrix, blocked_rank, kernel_basis,
 
 
 class ChainComplex:
-    def __init__(self, kind, dims, boundaries, ranks=None):
+    def __init__(self, kind, dims, boundaries, rank=None):
         self.kind = kind
         self.dims = list(dims)
         self.boundaries = list(boundaries)  # boundaries[n] = d_n, index 0 unused
-        # {n: rank d_n}; build_complex passes its session's memo, shared by
-        # every complex over the same boundaries, so each is ranked once
-        self._ranks = {} if ranks is None else ranks
+        # rank(n) is rank d_n: build_complex passes complexes.boundary_rank
+        # over its session; a complex built by hand ranks its stored d_n
+        self._rank = rank
+        self._ranks = {}
         self._homology = {}
         if len(self.boundaries) != len(self.dims):
             raise ValueError("need one boundary slot per degree")
@@ -48,7 +49,7 @@ class ChainComplex:
             raise ValueError("rank of d_%d not available at cutoff %d" % (n, self.cutoff))
         if n not in self._ranks:
             d = self.boundaries[n]
-            rank = rank_only(d)[0]
+            rank = self._rank(n) if self._rank else rank_only(d)[0]
             assert 0 <= rank <= min(d.rows, d.cols), (self.kind, n, rank)
             self._ranks[n] = rank
         return self._ranks[n]
@@ -279,32 +280,28 @@ def induced_map(F: ChainMapRep, n: int) -> SparseMatrix:
 
 
 def induced_rank_streamed(dim_source, dim_below, boundary_col, map_col,
-                          target_hom: HomologyData, stop_at_target=False):
+                          target_hom: HomologyData):
     """Rank of the induced map on homology without target-side materialization.
 
     For each source basis column j the stacked vector (d(e_j), psi(F(e_j)))
     goes into a staircase echelon with the boundary block leading; pivots
     landing in the psi block count exactly rank(F_*), because restricting the
     class functionals psi to the cycle space quotients out the row space of
-    d. With stop_at_target the stream stops once the target Betti number is
-    reached (surjectivity established; the count can only grow).
-
-    Returns (rank_lower_bound, completed).
+    d. The stream stops once the count reaches the target Betti number
+    (surjectivity established). The count only grows and cannot pass that
+    number, so the rank returned is exact whether or not the stream stopped.
     """
-    split = dim_below
-    want = target_hom.betti if stop_at_target else None
-
     def stacked():
         for j in range(dim_source):
             vec = dict(boundary_col(j))
             psi = target_hom.class_coords(map_col(j))
             for l, val in enumerate(psi):
                 if val:
-                    vec[split + l] = val
+                    vec[dim_below + l] = val
             yield vec
 
-    first, second, completed = blocked_rank(stacked(), split, stop_at_second=want)
-    return second, completed
+    return blocked_rank(stacked(), dim_below,
+                        stop_at_second=target_hom.betti)[1]
 
 
 class MappingCone:

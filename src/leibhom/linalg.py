@@ -46,8 +46,8 @@ ranks the same with those rows left out, and its independent columns are
 the same too, which clears d_{n+1} in turn. Without d_{n-1} d_n = 0 the
 cleared rank can come out too small, so the caller must know the product
 vanishes: complexes.boundary_rank proves it from the terms of CL, CHH, L
-and P. The derived kinds, a degree whose rank below was read from the
-cache, and ChainComplex.rank_boundary are ranked without clearing.
+and P. The derived kinds and a degree whose rank below was read from the
+cache are ranked without clearing.
 """
 
 from __future__ import annotations

@@ -187,7 +187,7 @@ def _streamed_surjectivity(checks, cid, hom, n, N, zero_detail, stream, detail):
         checks.skip(cid, "tested range needs matrix size >= %d" % (n + 1))
     else:
         cols, split, bcol, mcol = stream()
-        r, _ = induced_rank_streamed(cols, split, bcol, mcol, hom, True)
+        r = induced_rank_streamed(cols, split, bcol, mcol, hom)
         checks.record(cid, r >= b, detail % {"r": r, "b": b, "N": N, "cols": cols})
 
 

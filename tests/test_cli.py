@@ -166,7 +166,9 @@ def test_compute_report_is_the_same_with_and_without_a_cache(tmp_path):
     assert len(list((tmp_path / "c").glob("*.bnd"))) == 12
 
 
-def test_a_table_the_run_does_not_keep_stores_no_boundary():
+def test_a_table_the_run_does_not_keep_stores_no_boundary(tmp_path):
+    """Without a cache a table stores nothing; it ranks the boundaries of a
+    complex built before it, and with a cache it stores each one."""
     from leibhom.complexes import Session, build_complex
     A = builtin_algebra("dual")
     session = Session()
@@ -174,10 +176,14 @@ def test_a_table_the_run_does_not_keep_stores_no_boundary():
     assert session.boundaries == {}
     assert session.ranks == {(A.fingerprint(), "CHH"): {1: 0, 2: 3, 3: 4}}
     assert table["betti"] == [2, 1, 1] and table["dims"] == [2, 4, 8, 16]
-    C = build_complex(A, "CHH", 3, Session())
+    built = Session()
+    C = build_complex(A, "CHH", 3, built)
+    assert table == cli._betti_table(A, "CHH", 3, built)
     assert [C.betti(n) for n in range(3)] == table["betti"]
     assert C.dims == table["dims"]
-    assert table == cli._betti_table(A, "CHH", 3, Session(), keep=True)
+    cached = Session(cache_dir=str(tmp_path))
+    assert table == cli._betti_table(A, "CHH", 3, cached)
+    assert cached.boundaries == built.boundaries
 
 
 def test_the_kinds_a_map_builds_keep_their_boundaries(tmp_path, monkeypatch):

@@ -514,9 +514,8 @@ def test_d2_certificate_agrees_with_the_stream_on_mutated_terms(name, kind, n):
 
 
 def test_d2_certified_degree_generates_no_column(monkeypatch, tmp_path):
-    """s3 P_4 is proved from the terms: no column of d_4 is generated, and
-    each column of d_3 once, to build d_3, or none when d_3 is loaded from
-    the cache the session before saved."""
+    """s3 P_4 is proved from the terms: no column of d_4 or of d_3 is
+    generated, and d_3 is neither built nor read from the cache."""
     A = builtin_algebra("s3")
     calls = []
 
@@ -529,15 +528,13 @@ def test_d2_certified_degree_generates_no_column(monkeypatch, tmp_path):
         return functools.update_wrapper(col, fn)
 
     monkeypatch.setattr(complexes, "boundary_column_fn", counting)
-    cdir, d3 = str(tmp_path), degree_dim(A, "P", 3)
-    for session, built in ((None, d3), (Session(cache_dir=cdir), d3),
-                           (Session(cache_dir=cdir), 0)):
-        del calls[:]
+    cdir = str(tmp_path)
+    for session in (None, Session(cache_dir=cdir)):
         assert verify_d2_streamed(A, "P", 4, session) is None
-        assert calls == [3] * built
-        if session is not None:
-            session.save()
-    assert session.cache_counts == {"hits": 1, "misses": 0, "writes": 0,
+        assert calls == []
+    session.save()
+    assert session.boundaries == {} and os.listdir(cdir) == []
+    assert session.cache_counts == {"hits": 0, "misses": 0, "writes": 0,
                                     "rejects": 0}
 
 
@@ -565,12 +562,13 @@ def test_a_cache_file_of_another_generator_is_rewritten_and_passes_d2(
     generator = cache._generator_digest().encode()
     assert generator != b"0" * 64
     session = Session(cache_dir=cdir)
+    assert boundary_matrix(A, "P", 3, session) == lower
     assert verify_d2_streamed(A, "P", 4, session) is None
-    assert session.boundaries[(A.fingerprint(), "P", 3)] == lower
     session.save()
     assert session.cache_counts == {"hits": 0, "misses": 0, "writes": 1,
                                     "rejects": 1}
     warm = Session(cache_dir=cdir)
+    assert boundary_matrix(A, "P", 3, warm) == lower
     assert verify_d2_streamed(A, "P", 4, warm) is None
     assert warm.cache_counts["hits"] == 1 and warm.cache_counts["rejects"] == 0
     assert open(path, "rb").read().split()[2] == generator
@@ -805,16 +803,22 @@ def test_readme_shows_the_header_of_the_current_cache_format():
     assert line.startswith(cache.FORMAT + " ")
 
 
+def _counting_rank_only(monkeypatch):
+    """The matrices boundary_rank ranks with rank_only, in call order."""
+    ranked = []
+    real = complexes.rank_only
+    monkeypatch.setattr(complexes, "rank_only",
+                        lambda M, skip: ranked.append(M) or real(M, skip))
+    return ranked
+
+
 def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):
     import leibhom.homology as homology
-    ranked = []
+    ranked = _counting_rank_only(monkeypatch)
+    # a complex built by hand ranks its boundaries with homology's rank_only
     real = homology.rank_only
-
-    def counting(M):
-        ranked.append(M)
-        return real(M)
-
-    monkeypatch.setattr(homology, "rank_only", counting)
+    monkeypatch.setattr(homology, "rank_only",
+                        lambda M: ranked.append(M) or real(M))
     A = builtin_algebra("dual")
     session = Session()
     first = build_complex(A, "CHH", 4, session)
@@ -839,11 +843,7 @@ def test_build_complex_ranks_each_shared_boundary_once(monkeypatch):
 
 
 def test_sessions_share_no_boundaries_ranks_or_counts(tmp_path, monkeypatch):
-    import leibhom.homology as homology
-    ranked = []
-    real = homology.rank_only
-    monkeypatch.setattr(homology, "rank_only",
-                        lambda M: ranked.append(M) or real(M))
+    ranked = _counting_rank_only(monkeypatch)
     A = builtin_algebra("dual")
     cdir = str(tmp_path)
     one, two = Session(cache_dir=cdir), Session(cache_dir=cdir)
@@ -867,15 +867,6 @@ def test_sessions_share_no_boundaries_ranks_or_counts(tmp_path, monkeypatch):
         C = build_complex(A, "CHH", 3)
         assert [C.betti(n) for n in range(3)] == [2, 1, 1]
     assert len(ranked) == 9
-
-
-def _counting_rank_only(monkeypatch):
-    import leibhom.homology as homology
-    ranked = []
-    real = homology.rank_only
-    monkeypatch.setattr(homology, "rank_only",
-                        lambda M: ranked.append(M) or real(M))
-    return ranked
 
 
 def test_a_warm_session_ranks_no_boundary_it_loaded(tmp_path, monkeypatch):
@@ -1190,6 +1181,43 @@ def test_boundary_rank_clears_the_rows_the_degree_below_proves_dependent(
         [3, 33, 183, 1113]
     assert skips[0] == set() and len(skips[3]) == 183
     assert skips[1:] == [stored.independent[key + (n,)] for n in (1, 2, 3)]
+
+
+def test_a_complex_ranks_its_boundaries_cleared(monkeypatch):
+    """A complex build_complex makes ranks through boundary_rank, so each
+    degree of s3's CHH complex is cleared by the independent columns of the
+    one below; the solver, which cross-checks the ranks, still builds."""
+    skips = _recording_skips(monkeypatch)
+    A = builtin_algebra("s3")
+    key = (A.fingerprint(), "CHH")
+    session = Session()
+    C = build_complex(A, "CHH", 4, session)
+    assert [C.betti(n) for n in range(4)] == [3, 0, 0, 0]
+    assert skips == [frozenset()] + [session.independent[key + (n,)]
+                                     for n in (1, 2, 3)]
+    assert [len(skip) for skip in skips] == [0, 3, 33, 183]
+    assert C.homology(3).representatives == []
+    assert len(C.homology(0).representatives) == 3
+
+
+def test_a_hand_built_cone_ranks_with_rank_only_and_no_session(monkeypatch):
+    """The cone of the identity on dual's CHH complex has boundaries no
+    generator gave: it ranks them with homology's rank_only, and nothing
+    reaches boundary_rank or the session."""
+    import leibhom.homology as homology
+    session = Session()
+    C = build_complex(builtin_algebra("dual"), "CHH", 3, session)
+    identity = {n: SparseMatrix.identity(C.dims[n]) for n in range(4)}
+    cone = homology.mapping_cone(
+        homology.ChainMapRep("ID", C, C, 0, identity)).cone
+    skips = _recording_skips(monkeypatch)
+    ranked = []
+    real = homology.rank_only
+    monkeypatch.setattr(homology, "rank_only",
+                        lambda M: ranked.append(M) or real(M))
+    assert [cone.betti(n) for n in range(3)] == [0, 0, 0]
+    assert ranked == [cone.boundary(n) for n in (1, 2, 3)]
+    assert skips == [] and session.ranks == {} and session.independent == {}
 
 
 def test_boundary_rank_clears_nothing_without_the_certificate(monkeypatch):

@@ -185,6 +185,18 @@ def test_d2_check_streams_the_degrees_over_the_session_bound():
     ]
 
 
+def test_d2_check_certifies_a_degree_whose_lower_boundary_is_over_the_bound():
+    """Over the bound of 8, dual's CHH_3 (16 columns) and CHH_4 (32) are
+    both proved from their terms, and CHH_4 does not build the d_3 below it,
+    which is over the bound too: the row passes instead of being skipped."""
+    session = Session(max_dim=8)
+    checks = _Checks()
+    _d2_checks(checks, builtin_algebra("dual"), "dual", ("CHH",), 4, session)
+    assert [(row["status"], row["detail"]) for row in checks.rows] == [
+        ("pass", "degrees <= 4, dims [2, 4, 8], degrees [3, 4] streamed")]
+    assert max(M.cols for M in session.boundaries.values()) == 8
+
+
 def test_d2_check_names_the_lowest_failing_streamed_degree(monkeypatch):
     """Streamed degrees are checked lowest first: with a fault planted in
     both, the row names the lower one."""
