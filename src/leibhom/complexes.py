@@ -69,7 +69,7 @@ from math import comb, factorial, gcd
 from . import cache
 from .algebra import Algebra
 from .homology import ChainComplex
-from .linalg import SparseMatrix, rank_by_rows, rank_only
+from .linalg import SparseMatrix, rank_by_columns, rank_by_rows, rank_only
 from .perms import (contract_edge, cyclic_class, cyclic_index, face_cyclic,
                     symmetric_group, symmetric_index)
 
@@ -596,13 +596,14 @@ def build_complex(A: Algebra, kind: str, cutoff: int, session=None,
 def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
     """rank d_n, memoized in the session's ranks.
 
-    d_n is stored when the session holds it, for P (by rows, a large P
-    degree can rank much slower), and for every kind when the session has a
-    disk cache, which then saves it; a stored d_n is ranked by rank_only,
-    and a loaded one may bring its rank. Any other d_n is ranked by its rows
-    (rank_by_rows) and not stored: the rows of a contraction boundary (CL,
-    CHH, L) are built from its terms, those of a derived one are scattered
-    from its generated columns.
+    d_n is stored when the session holds it, for P, and for every kind when
+    the session has a disk cache, which then saves it; a loaded d_n may
+    bring its rank. d_n is ranked by its rows, but a stored P by its
+    columns (rank_by_columns): by rows, a large P degree ranks several
+    times slower. Any other stored d_n is transposed into rows by
+    rank_only. One not stored is never built: the rows of a contraction
+    boundary (CL, CHH, L) are built from its terms, those of a derived one
+    are scattered from its generated columns, and rank_by_rows ranks them.
 
     Either way d_n is cleared first (see linalg): the rows that the
     independent columns found in ranking d_{n-1} index are left out. That
@@ -633,7 +634,8 @@ def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
         skip = frozenset()
     if mat is not None:
         rows, cols = mat.rows, mat.cols
-        rank, independent = rank_only(mat, skip)
+        rank_stored = rank_by_columns if kind == "P" else rank_only
+        rank, independent = rank_stored(mat, skip)
     else:
         rows = degree_dim(A, kind, n - 1)
         cols = degree_dim(A, kind, n)
@@ -646,6 +648,8 @@ def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
     assert 0 <= rank <= min(rows, cols), (kind, n, rank)
     memo[n] = rank
     if generated:
+        # more than rank columns are dependent: clearing by them is unsound
+        assert len(independent) == rank, (kind, n, rank, len(independent))
         session.independent[key] = independent
     return rank
 

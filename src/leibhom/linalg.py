@@ -20,24 +20,29 @@ a step that grows it and, tracked, at the end; the divisions skipped are by
 positive scalars, so the relations, and the representatives and report
 signs built from them, are those of a division after every step.
 
-Echelon always leads with the smallest index. rank_only, which only needs a
-count, feeds it columns shortest first and rows in reverse, so that each
-pivot leads with its largest original row; fill, not coefficient size,
-decides the cost of sparse exact elimination, and this order keeps the
-pivots of boundary matrices much sparser. rank_by_rows ranks a matrix that
-nothing keeps, handed over as row dicts, by its rows instead: it labels
-the columns by fewest nonzeros first (ties by highest index first), so that
-each pivot leads with its sparsest column, and feeds the rows in shortest
-first. A boundary d_n has far fewer rows than columns (d_5 of CL over gl_2
-of the dual numbers is 4096 x 32768), so this takes fewer, shorter
-reduction steps, and row dicts hold the entries more compactly than column
-dicts. Every other path keeps the natural order, which its results depend
-on: kernel_basis relations (and the representatives and report signs built
-from them) follow the pivot order, and blocked_rank needs the leading block
+Echelon always leads with the smallest index. The rank paths, which only
+need a count, pick an order that keeps the pivots sparse: fill, not
+coefficient size, decides the cost of sparse exact elimination. rank_by_rows
+ranks a matrix that nothing keeps, handed over as row dicts, by its rows: it
+labels the columns by fewest nonzeros first (ties by highest index first),
+so that each pivot leads with its sparsest column, and feeds the rows in
+shortest first. rank_only ranks a stored matrix the same way, by one private
+engine: it transposes the columns straight into those labels, with their
+stored lengths as the counts. A boundary d_n has far fewer rows than columns
+(d_5 of CL over gl_2 of the dual numbers is 4096 x 32768), so this takes
+fewer, shorter reduction steps, and row dicts hold the entries more
+compactly than column dicts. rank_by_columns eliminates a stored matrix by
+its columns instead, shortest first with the rows in reverse, so that each
+pivot leads with its largest original row. It serves P's boundaries, which
+rank several times slower by rows (s3's P_4, 7776 x 186624: 26.8 s by rows,
+8.2 s by columns), and the small induced maps exactness_check ranks. Every
+other path keeps the natural order, which its results depend on:
+kernel_basis relations (and the representatives and report signs built from
+them) follow the pivot order, and blocked_rank needs the leading block
 eliminated ahead of the trailing one.
 
-rank_only and rank_by_rows also return the independent columns they found,
-and take a set of rows to leave out; together these clear a chain complex
+The three rank paths also return the independent columns they found, and
+take a set of rows to leave out; together these clear a chain complex
 (Chen-Kerber's twist). If d_{n-1} d_n = 0 and J is a set of rank d_{n-1}
 independent columns of d_{n-1}, the rows of d_n indexed by J lie in the
 span of its other rows: the rows of d_{n-1} combine to vectors that are the
@@ -332,22 +337,17 @@ def kernel_basis(M: SparseMatrix) -> list:
     return ech.relations
 
 
-def rank_only(M: SparseMatrix, skip=frozenset()):
+def rank_by_columns(M: SparseMatrix, skip=frozenset()):
     """(rank of M, a set of rank-many independent column indices of M),
-    with the rows in skip left out, eliminated in a fill-reducing order.
+    with the rows in skip left out, eliminated by columns.
 
-    The rank does not depend on the order, so this path alone picks one that
-    keeps pivots sparse: the nonzero columns go in fewest nonzeros first
-    (a stable sort, so ties keep their column order), and rows are relabelled
-    i -> rows - 1 - i so that each pivot's lead is its largest original row
-    index. On the larger CHH, CL and BAR boundaries it cuts pivot fill by a
-    quarter to a half. The independent columns are those whose insert adds
-    a pivot.
-
-    The rows in skip must lie in the span of the other rows, or the rank
-    comes out too small. The rows that the independent columns of an L with
-    L M = 0 index do (the clearing lemma in the module docstring);
-    complexes.boundary_rank clears only where it has proven L M = 0.
+    The nonzero columns go in fewest nonzeros first (a stable sort, so ties
+    keep their column order), and rows are relabelled i -> rows - 1 - i so
+    that each pivot's lead is its largest original row index. The
+    independent columns are those whose insert adds a pivot. Stored P
+    boundaries, which rank several times slower by rows, go this way, and
+    so do the small induced maps of exactness_check. The rows in skip must
+    lie in the span of the others, as for rank_only.
     """
     last = M.rows - 1
     columns = M.columns
@@ -361,16 +361,36 @@ def rank_only(M: SparseMatrix, skip=frozenset()):
     return ech.rank, independent
 
 
+def rank_only(M: SparseMatrix, skip=frozenset()):
+    """(rank of M, a set of rank-many independent column indices of M),
+    with the rows in skip left out, eliminated by rows.
+
+    M is transposed straight into the column labels of rank_by_rows, its
+    stored column lengths serving as the column counts, and eliminated by
+    the same engine. The rows in skip must lie in the span of the other
+    rows, or the rank comes out too small. The rows that the independent
+    columns of an L with L M = 0 index do (the clearing lemma in the module
+    docstring); complexes.boundary_rank clears only where it has proven
+    L M = 0.
+    """
+    label = _column_labels([len(col) for col in M.columns])
+    by_row = [{} for _ in range(M.rows)]
+    for pos, col in zip(label, M.columns):
+        for i, v in col.items():
+            by_row[i][pos] = v
+    for i in skip:
+        by_row[i] = {}
+    return _rank_labelled_rows(by_row, label)
+
+
 def rank_by_rows(by_row: list, cols: int, skip=frozenset()):
     """(rank, a set of rank-many independent column indices) of the matrix
     with cols columns whose rows are the dicts {column: value} of by_row,
     the rows in skip left out, eliminated by rows (see the module
-    docstring). The independent columns are the leads of the pivots, mapped
-    back through the column labels. The rows are consumed: each is dropped
-    from by_row as it goes in, and each row in skip is dropped unread. As
-    for rank_only, the rows in skip must lie in the span of the others,
-    which the clearing lemma gives when L M = 0 is proven for the L whose
-    independent columns they are.
+    docstring). The rows are consumed: each is relabelled in place and
+    dropped from by_row as it goes in, and each row in skip is dropped
+    unread. As for rank_only, the rows in skip must lie in the span of the
+    others.
     """
     for i in skip:
         by_row[i] = {}
@@ -378,21 +398,40 @@ def rank_by_rows(by_row: list, cols: int, skip=frozenset()):
     for row in by_row:
         for j in row:
             counts[j] += 1
-    label = [0] * cols
+    label = _column_labels(counts)
+    for i, row in enumerate(by_row):
+        by_row[i] = {label[j]: v for j, v in row.items()}
+    return _rank_labelled_rows(by_row, label)
+
+
+def _column_labels(counts: list) -> list:
+    """label[j], the position of column j when the columns are ordered by
+    fewest nonzeros first (counts[j]), ties by highest index first."""
+    label = [0] * len(counts)
     # a stable sort of the indices from the highest down: ties keep that order
-    for pos, j in enumerate(sorted(range(cols - 1, -1, -1),
+    for pos, j in enumerate(sorted(range(len(counts) - 1, -1, -1),
                                    key=counts.__getitem__)):
         label[j] = pos
+    return label
+
+
+def _rank_labelled_rows(by_row: list, label: list):
+    """The engine of rank_only and rank_by_rows: (rank, independent columns)
+    of the rows of by_row, each a dict keyed by column label, inserted
+    shortest first (a stable sort of by_row in place) and consumed. The
+    independent columns are the leads of the pivots, mapped back through
+    label."""
     ech = Echelon()
-    for i in sorted(range(len(by_row)), key=lambda i: len(by_row[i])):
-        row, by_row[i] = by_row[i], None
+    by_row.sort(key=len)
+    for i, row in enumerate(by_row):
+        by_row[i] = None
         if row:
-            ech.insert({label[j]: v for j, v in row.items()})
+            ech.insert(row)
     leads = ech.pivots
     return ech.rank, {j for j, pos in enumerate(label) if pos in leads}
 
 
-def blocked_rank(vec_iter, split: int, stop_at_second=None):
+def blocked_rank(vec_iter, split: int, stop_at_second: int):
     """Stream stacked vectors into a staircase echelon, counting block pivots.
 
     Vectors mix a leading block (indices < split) and a trailing block. Since
@@ -401,15 +440,13 @@ def blocked_rank(vec_iter, split: int, stop_at_second=None):
     the span of the leading-block pivots: first-block pivot count = rank of
     the projected family, and trailing pivots count the quotient rank.
 
-    Returns (first_block_pivots, second_block_pivots, completed). If
-    stop_at_second is reached the stream stops early with completed=False;
-    the second count is then a valid lower bound on the full-stream value
-    (pivot counts only grow as columns arrive).
+    Returns (first_block_pivots, second_block_pivots). The stream stops once
+    the second count reaches stop_at_second; the counts are then lower bounds
+    on the full-stream values (pivot counts only grow as vectors arrive).
     """
     ech = Echelon()
     first = 0
     second = 0
-    completed = True
     for vec in vec_iter:
         if not vec:
             continue
@@ -420,7 +457,6 @@ def blocked_rank(vec_iter, split: int, stop_at_second=None):
             first += 1
         else:
             second += 1
-            if stop_at_second is not None and second >= stop_at_second:
-                completed = False
+            if second >= stop_at_second:
                 break
-    return first, second, completed
+    return first, second

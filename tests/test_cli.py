@@ -115,6 +115,21 @@ def test_hochschild_homology_of_s3_to_degree_5_is_pinned(tmp_path):
         "9af5c27270d91897bd5e5bb4ff4cdddbda264e14fac3f2c59fc46155b2d64fae"
 
 
+def test_induced_maps_over_cyclic_3_to_degree_6_are_pinned(tmp_path):
+    """compute CL, CHH and CLAMBDA of cyclic:3 to degree 6 with PHI, PROJ_I
+    and BAR_IOTA, through cli.main: its maps need the stored boundaries, so
+    every kind but P is ranked stored by rows (rank_only). The report.json is
+    pinned byte for byte, with the digest perfbench/expected.json gives its
+    induced_maps_c3 workload."""
+    assert cli.main(["compute", "--algebra", "cyclic:3", "--complex",
+                     "CL,CHH,CLAMBDA", "--maps", "PHI,PROJ_I,BAR_IOTA",
+                     "--max-degree", "6", "--out", str(tmp_path)]) == 0
+    raw = (tmp_path / "report.json").read_bytes()
+    assert all(m["chain_map_verified"] for m in json.loads(raw)["maps"])
+    assert hashlib.sha256(raw).hexdigest() == \
+        "c26342547fc6ca18ce4c5c8eea4982d41e6a77d32ba24029becbdc88e2f6b2d3"
+
+
 def test_compute_writes_reports(tmp_path):
     out = tmp_path / "out"
     r = run_cli("compute", "--algebra", "dual", "--complex", "CHH,CLAMBDA",
@@ -152,8 +167,9 @@ def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
 
 
 def test_compute_report_is_the_same_with_and_without_a_cache(tmp_path):
-    """Without a cache the tables are ranked by rows and nothing is stored;
-    with one every boundary is built, written, and ranked by rank_only."""
+    """Without a cache the tables are ranked from their generated rows and
+    nothing is stored; with one every boundary is built, written, and ranked
+    stored by rank_only."""
     args = ("compute", "--algebra", "dual", "--complex", "CL,CHH,CLAMBDA",
             "--max-degree", "4")
     cache = ("--cache", str(tmp_path / "c"))
@@ -188,7 +204,8 @@ def test_a_table_the_run_does_not_keep_stores_no_boundary(tmp_path):
 
 def test_the_kinds_a_map_builds_keep_their_boundaries(tmp_path, monkeypatch):
     """PHI builds CL and CHH, so their tables store d_1..d_3 as the map will
-    read them; CLAMBDA, which no map builds, is ranked by rows."""
+    read them; CLAMBDA, which no map builds, is ranked from its generated
+    rows by rank_by_rows."""
     from leibhom import complexes
     sessions = []
     real = cli._session

@@ -1138,10 +1138,10 @@ def test_boundary_rank_reads_the_memo_then_the_stored_matrix():
 
 
 def _recording_skips(monkeypatch):
-    """The rows each rank_only and rank_by_rows call of boundary_rank leaves
-    out, in call order."""
+    """The rows each rank_only, rank_by_columns and rank_by_rows call of
+    boundary_rank leaves out, in call order."""
     skips = []
-    for name in ("rank_only", "rank_by_rows"):
+    for name in ("rank_only", "rank_by_columns", "rank_by_rows"):
         real = getattr(complexes, name)
         monkeypatch.setattr(complexes, name, lambda *args, real=real: (
             skips.append(args[-1]) or real(*args)))
@@ -1218,6 +1218,26 @@ def test_a_hand_built_cone_ranks_with_rank_only_and_no_session(monkeypatch):
     assert [cone.betti(n) for n in range(3)] == [0, 0, 0]
     assert ranked == [cone.boundary(n) for n in (1, 2, 3)]
     assert skips == [] and session.ranks == {} and session.independent == {}
+
+
+@pytest.mark.parametrize("kind", ["P", "CL", "CHH", "L", "CLAMBDA"])
+def test_a_stored_boundary_is_ranked_by_rows_unless_it_is_p(
+        tmp_path, monkeypatch, kind):
+    """boundary_rank stores P's boundaries, and every kind's when the session
+    has a disk cache. A stored P boundary is ranked by its columns
+    (rank_by_columns), a stored boundary of any other kind by its rows
+    (rank_only, which transposes it), with the ranks of the unstored path."""
+    A = builtin_algebra("dual")
+    want = [boundary_rank(A, kind, n, Session()) for n in (1, 2, 3)]
+    calls = []
+    for name in ("rank_only", "rank_by_columns", "rank_by_rows"):
+        real = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name, lambda *args, name=name, real=real: (
+            calls.append(name) or real(*args)))
+    session = Session(cache_dir=None if kind == "P" else str(tmp_path))
+    assert [boundary_rank(A, kind, n, session) for n in (1, 2, 3)] == want
+    assert calls == ["rank_by_columns" if kind == "P" else "rank_only"] * 3
+    assert len(session.boundaries) == 3
 
 
 def test_boundary_rank_clears_nothing_without_the_certificate(monkeypatch):

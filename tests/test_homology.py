@@ -339,13 +339,13 @@ def test_exactness_check_flags_non_exact():
 def test_exactness_check_ranks_each_matrix_once(monkeypatch):
     import leibhom.homology as homology
     ranked = []
-    real = homology.rank_only
+    real = homology.rank_by_columns
 
     def counting(M):
         ranked.append(M)
         return real(M)
 
-    monkeypatch.setattr(homology, "rank_only", counting)
+    monkeypatch.setattr(homology, "rank_by_columns", counting)
     # Q -0-> Q -id-> Q -0-> Q is exact at both inner nodes
     seq = [SparseMatrix(1, 1), SparseMatrix.identity(1), SparseMatrix(1, 1)]
     nodes = exactness_check(seq)

@@ -332,8 +332,8 @@ def test_blocked_rank_matches_stacked_ranks():
                     col[top + r] = v
                 yield col
 
-        r1, r2, done = blocked_rank(stacked_cols(), top)
-        assert done
+        # the second count cannot reach bottom + 1: the whole stream goes in
+        r1, r2 = blocked_rank(stacked_cols(), top, stop_at_second=bottom + 1)
         stacked = [[A.entry(r, c) for c in range(cols)] for r in range(top)] \
             + [[B.entry(r, c) for c in range(cols)] for r in range(bottom)]
         assert r1 + r2 == dense_rank(stacked)
@@ -346,14 +346,16 @@ def test_blocked_rank_keeps_the_leading_block_first():
     # both vectors as trailing pivots (0, 2)
     cols = ({0: Fraction(1, 2), 2: Fraction(2, 3)},
             {0: Fraction(3, 4), 3: Fraction(1, 5)})
-    assert blocked_rank(iter(cols), 2) == (1, 1, True)
+    assert blocked_rank(iter(cols), 2, stop_at_second=2) == (1, 1)
 
 
 def test_blocked_rank_early_stop():
     cols = ({0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)},
             {3: Fraction(1)})
-    r1, r2, done = blocked_rank(iter(cols), 1, stop_at_second=2)
-    assert (r1, r2, done) == (1, 2, False)
+    stream = iter(cols)
+    assert blocked_rank(stream, 1, stop_at_second=2) == (1, 2)
+    # stopped at the third vector: the fourth was never read
+    assert list(stream) == [{3: Fraction(1)}]
 
 
 # ---------------------------------------------------------------------------

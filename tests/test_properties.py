@@ -15,8 +15,9 @@ from leibhom.chain_maps import _epsilon_column, _phi_column, _theta_column
 from leibhom.complexes import (_contraction_column_fn, cyclic_quotient,
                                index_tuple, tuple_index, wedge_basis)
 from leibhom.homology import ChainComplex, verify_boundary_squares
-from leibhom.linalg import (Echelon, SparseMatrix, kernel_basis, rank_by_rows,
-                            rank_only, vec_scaled_add)
+from leibhom.linalg import (Echelon, SparseMatrix, kernel_basis,
+                            rank_by_columns, rank_by_rows, rank_only,
+                            vec_scaled_add)
 from leibhom.perms import compose, invert, sign
 
 
@@ -265,19 +266,21 @@ def composable_pairs(draw):
 @given(composable_pairs())
 def test_rows_the_lower_boundary_proves_dependent_clear_exactly(pair):
     """With lower * upper = 0, the independent columns that ranking lower
-    finds, by columns or by rows, are rank(lower) many and independent, and
-    upper ranked without the rows they index has the dense rank of upper,
-    by either path, with independent columns of upper again."""
+    finds, stored (rank_only, by rows, or rank_by_columns) or as row dicts
+    (rank_by_rows), are rank(lower) many and independent, and upper ranked
+    without the rows they index has the dense rank of upper, by each path,
+    with independent columns of upper again."""
     lower, upper = pair
     assert lower.matmul(upper).is_zero()
     rank = dense_rank(upper.columns, upper.rows)
-    assert rank_only(upper)[0] == rank
+    assert rank_only(upper)[0] == rank_by_columns(upper)[0] == rank
     low = dense_rank(lower.columns, lower.rows)
-    for ranked in (rank_only(lower), rank_by_rows(row_dicts(lower), lower.cols)):
+    for ranked in (rank_only(lower), rank_by_columns(lower),
+                   rank_by_rows(row_dicts(lower), lower.cols)):
         found = ranked[1]
         assert ranked[0] == len(found) == low
         assert dense_rank([lower.columns[j] for j in found], lower.rows) == low
-        for cleared in (rank_only(upper, found),
+        for cleared in (rank_only(upper, found), rank_by_columns(upper, found),
                         rank_by_rows(row_dicts(upper), upper.cols, found)):
             assert cleared[0] == len(cleared[1]) == rank
             assert dense_rank([upper.columns[j] for j in cleared[1]],
