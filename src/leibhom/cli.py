@@ -6,9 +6,11 @@ suites). A `compute` or `verify` run that completes writes its boundary
 cache files (Session.save), then report.json (stable key order, no timing
 fields), report.md (the same content as tables), and manifest.json (command
 echo, config, input hashes, the cache's hits, misses and writes under
-"cache" and its rejects under "cache_rejects", wall time); a run stopped by
-an error writes none of them. Exit codes: 0 success, 1 a verification check
-failed, 2 usage, input or file-system error, 3 resource bound exceeded.
+"cache" and its rejects under "cache_rejects", wall time, and the process's
+peak resident set size as "peak_rss_mb" where the platform reports it); a
+run stopped by an error writes none of them. Exit codes: 0 success, 1 a
+verification check failed, 2 usage, input or file-system error, 3 resource
+bound exceeded.
 """
 
 import argparse
@@ -18,6 +20,11 @@ import os
 import sys
 import time
 from types import SimpleNamespace
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform: the manifest omits it
+    resource = None
 
 from .algebra import (BUILTIN_NAMES, builtin_algebra, check_matrix_size,
                       matrix_algebra, validate_algebra)
@@ -142,6 +149,14 @@ def _make_cache(session):
         os.makedirs(session.cache_dir, exist_ok=True)
 
 
+def _peak_rss_mb():
+    """This process's peak resident set size in MiB; ru_maxrss counts KiB on
+    Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0),
+                 2)
+
+
 def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
                    session):
     """Write the session's cache files, then report.json, report.md and
@@ -162,6 +177,8 @@ def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
     }
+    if resource is not None:
+        manifest["peak_rss_mb"] = _peak_rss_mb()
     for name, payload in (("report.json", report), ("manifest.json", manifest)):
         with open(paths[name], "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

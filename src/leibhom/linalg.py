@@ -129,9 +129,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return all(not c for c in self.columns)
 
-    def entry(self, r: int, c: int):
-        return self.columns[c].get(r, 0)
-
     def apply(self, vec: dict) -> dict:
         """Matrix-vector product; vec indexes columns."""
         out: dict = {}

@@ -587,6 +587,10 @@ def test_verify_reports_byte_identical_across_runs(tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["cache"]["writes"] > 0 and m1["cache"]["hits"] == 0
     assert m2["cache"]["hits"] > 0 and m2["cache"]["writes"] == 0
+    # the peak RSS goes to the manifest only, beside the wall time
+    for man in (m1, m2):
+        assert isinstance(man["peak_rss_mb"], float) and man["peak_rss_mb"] > 0
+    assert b"peak_rss_mb" not in (out1 / "report.json").read_bytes()
 
 
 def test_truncated_cache_file_is_rejected_and_rewritten(tmp_path):

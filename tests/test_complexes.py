@@ -703,6 +703,25 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
             cache._parse_value(bad)
 
 
+def test_cache_loads_one_int_object_per_row_index(tmp_path):
+    """Rows past CPython's small-int cache, repeated across columns, come
+    back as one shared key object per distinct row index."""
+    cdir = str(tmp_path)
+    mat = SparseMatrix(600, 6, [
+        {r: (Fraction(r, 7) if r % 3 else r - 300) or 1
+         for r in range(c, 600, 4 + c)} for c in range(6)])
+    rank = rank_only(mat)[0]
+    counts = Session().cache_counts
+    cache.save_boundary(cdir, "f" * 16, "CHH", 2, mat, rank, counts)
+    m, back_rank = cache.load_boundary(cdir, "f" * 16, "CHH", 2, 600, 6,
+                                       counts)
+    assert m == mat and back_rank == rank == 6
+    keys = [k for c in m.columns for k in c]
+    assert len(keys) > len(set(keys)) and max(keys) > 256
+    assert len({id(k) for c in m.columns for k in c}) == \
+        len({k for c in m.columns for k in c})
+
+
 def _binary_body(palette, sizes, rows, picks):
     """The body of formats 2 and 3, which format 4 prefixes with its rank
     line: the palette line, then the three uint32 arrays."""

@@ -39,7 +39,8 @@ def dense_rank(rows):
 
 
 def to_dense(M):
-    return [[M.entry(r, c) for c in range(M.cols)] for r in range(M.rows)]
+    return [[M.columns[c].get(r, 0) for c in range(M.cols)]
+            for r in range(M.rows)]
 
 
 def random_sparse(rng, rows, cols, density=0.4, fractions=False):
@@ -260,12 +261,12 @@ def test_matmul_matches_dense_product():
         M = random_sparse(rng, a, b)
         N = random_sparse(rng, b, c)
         P = M.matmul(N)
-        dm, dn = to_dense(M), to_dense(N)
+        dm, dn, dp = to_dense(M), to_dense(N), to_dense(P)
         for r in range(a):
             for s in range(c):
                 want = sum((dm[r][k] * dn[k][s] for k in range(b)),
                            Fraction(0))
-                assert P.entry(r, s) == want
+                assert dp[r][s] == want
 
 
 def test_matmul_shape_mismatch():
@@ -276,9 +277,9 @@ def test_matmul_shape_mismatch():
 def test_matrix_arithmetic_and_transpose():
     M = SparseMatrix.from_entries(2, 2, [(0, 0, 1), (0, 1, 2), (1, 1, -1)])
     N = SparseMatrix.from_entries(2, 2, [(0, 0, -1), (1, 0, 3)])
-    assert (M + N).entry(0, 0) == 0
+    assert to_dense(M + N)[0][0] == 0
     assert (M - M).is_zero()
-    assert M.scaled(Fraction(1, 2)).entry(0, 1) == 1
+    assert to_dense(M.scaled(Fraction(1, 2)))[0][1] == 1
     assert SparseMatrix.from_columns(2, 2, M.columns.__getitem__) == M
     I3 = SparseMatrix.identity(3)
     assert I3.nnz() == 3 and rank_only(I3)[0] == 3
@@ -334,8 +335,7 @@ def test_blocked_rank_matches_stacked_ranks():
 
         # the second count cannot reach bottom + 1: the whole stream goes in
         r1, r2 = blocked_rank(stacked_cols(), top, stop_at_second=bottom + 1)
-        stacked = [[A.entry(r, c) for c in range(cols)] for r in range(top)] \
-            + [[B.entry(r, c) for c in range(cols)] for r in range(bottom)]
+        stacked = to_dense(A) + to_dense(B)
         assert r1 + r2 == dense_rank(stacked)
         assert r1 == dense_rank(stacked[:top])
 
