@@ -21,11 +21,6 @@ import sys
 import time
 from types import SimpleNamespace
 
-try:
-    import resource
-except ImportError:  # no getrusage on this platform: the manifest omits it
-    resource = None
-
 from .algebra import (BUILTIN_NAMES, builtin_algebra, check_matrix_size,
                       matrix_algebra, validate_algebra)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
@@ -149,14 +144,6 @@ def _make_cache(session):
         os.makedirs(session.cache_dir, exist_ok=True)
 
 
-def _peak_rss_mb():
-    """This process's peak resident set size in MiB; ru_maxrss counts KiB on
-    Linux and bytes on macOS."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return round(peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0),
-                 2)
-
-
 def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
                    session):
     """Write the session's cache files, then report.json, report.md and
@@ -177,8 +164,14 @@ def _write_outputs(outdir, report, md_lines, argv, config, inputs, t0,
         "wall_time_s": round(time.time() - t0, 3),
         "outputs": outputs,
     }
-    if resource is not None:
-        manifest["peak_rss_mb"] = _peak_rss_mb()
+    try:  # imported after the work, so that loading it adds nothing to the peak
+        import resource
+    except ImportError:  # no getrusage on this platform: the manifest omits it
+        pass
+    else:  # ru_maxrss counts KiB on Linux, bytes on macOS
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        manifest["peak_rss_mb"] = round(
+            peak / (1 << (20 if sys.platform == "darwin" else 10)), 2)
     for name, payload in (("report.json", report), ("manifest.json", manifest)):
         with open(paths[name], "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -677,7 +677,9 @@ def test_registry_and_file_cache(tmp_path):
 def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
     """Ints of either sign and any size, Fractions, empty columns and empty
     shapes load back equal and of the same types, each column in ascending
-    row order, with the rank, or the missing rank, they were written with."""
+    row order, with the rank, or the missing rank, they were written with.
+    Each distinct row index is one int object, also past CPython's cached
+    small ints (the 600-row matrix repeats such rows across columns)."""
     cdir = str(tmp_path)
     mat = SparseMatrix(3, 2, [{0: 4, 2: -7}, {1: Fraction(-3, 5),
                                               2: Fraction(1, 2)}])
@@ -687,7 +689,10 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
             SparseMatrix(3, 2, [{1: Fraction(-1, 2 ** 66), 0: -(2 ** 64) - 1},
                                 {2: 1, 0: -1}]),
             SparseMatrix(5, 0, []), SparseMatrix(0, 0, []),
-            SparseMatrix(0, 2, [{}, {}])]):
+            SparseMatrix(0, 2, [{}, {}]),
+            SparseMatrix(600, 6, [
+                {r: Fraction(r, 600 + r) if r % 3 else r - 301
+                 for r in range(c, 600, 4 + c)} for c in range(6)])]):
         rank = None if k % 2 else min(m.rows, m.cols)
         cache.save_boundary(cdir, "f" * 16, "CHH", k, m, rank, counts)
         back, back_rank = cache.load_boundary(cdir, "f" * 16, "CHH", k,
@@ -697,29 +702,12 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
                                                        for col in m.columns]
         assert [list(map(type, col.values())) for col in back.columns] == [
             [type(col[r]) for r in sorted(col)] for col in m.columns]
-    assert counts == {"hits": 6, "misses": 0, "writes": 6, "rejects": 0}
+        assert len({id(r) for col in back.columns for r in col}) == \
+            len({r for col in back.columns for r in col})
+    assert counts == {"hits": 7, "misses": 0, "writes": 7, "rejects": 0}
     for bad in ("1.5", "1/0", "x"):
         with pytest.raises(ValueError):
             cache._parse_value(bad)
-
-
-def test_cache_loads_one_int_object_per_row_index(tmp_path):
-    """Rows past CPython's small-int cache, repeated across columns, come
-    back as one shared key object per distinct row index."""
-    cdir = str(tmp_path)
-    mat = SparseMatrix(600, 6, [
-        {r: (Fraction(r, 7) if r % 3 else r - 300) or 1
-         for r in range(c, 600, 4 + c)} for c in range(6)])
-    rank = rank_only(mat)[0]
-    counts = Session().cache_counts
-    cache.save_boundary(cdir, "f" * 16, "CHH", 2, mat, rank, counts)
-    m, back_rank = cache.load_boundary(cdir, "f" * 16, "CHH", 2, 600, 6,
-                                       counts)
-    assert m == mat and back_rank == rank == 6
-    keys = [k for c in m.columns for k in c]
-    assert len(keys) > len(set(keys)) and max(keys) > 256
-    assert len({id(k) for c in m.columns for k in c}) == \
-        len({k for c in m.columns for k in c})
 
 
 def _binary_body(palette, sizes, rows, picks):
