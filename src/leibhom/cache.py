@@ -17,10 +17,14 @@ caller recomputes the boundary, and its Session overwrites the file when it
 saves) if its header does not name the boundary asked for, or its body
 fails its digest or its exact length, holds a rank outside [0, min(rows,
 cols)], a bad palette token, a zero in the palette, a row or palette index
-out of range, or column sizes that do not sum to the entry count or repeat
-a row within a column. A loaded boundary holds one int object per row
-index, shared by every entry in that row; the loader looks the keys up
-only after the range check, so a row out of range is a reject.
+out of range, column sizes that do not sum to the entry count, or rows
+that do not ascend within a column (save_boundary writes them ascending,
+so a row repeated within a column is a reject). A loaded boundary keeps
+the validated arrays and decodes its column dicts from them the first time
+anything reads its columns, then drops the arrays: a boundary whose rank
+comes from its file, or that no check reads, costs only its arrays. The
+decoded columns keep the file's order and the palette's values, and hold
+one int object per row index, shared by every entry in that row.
 
 The functions count their hits, misses, writes and rejects in the counts
 dict passed last (a Session's cache_counts), so determinism checks can
@@ -33,10 +37,11 @@ import hashlib
 import os
 import sys
 from array import array
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter, le
 
 from .linalg import SparseMatrix
 
@@ -58,6 +63,37 @@ def _generator_digest() -> str:
 
 _U32 = "I"
 assert array(_U32).itemsize == 4
+
+
+_COLUMNS = SparseMatrix.columns  # the slot that _Loaded.columns hides
+
+
+class _Loaded(SparseMatrix):
+    """A loaded boundary whose columns slot holds its validated arrays until
+    the first read of .columns builds the column dicts from them. The read
+    stores the dicts in the slot, dropping the arrays, and makes the matrix
+    a plain SparseMatrix, whose attribute reads take the slot's fast path (a
+    __getattr__ hook made every read of a decoded matrix's attributes
+    several times slower). A boundary nobody reads holds only its arrays."""
+
+    __slots__ = ()
+
+    def __init__(self, rows: int, cols: int, arrays):
+        self.rows = rows
+        self.cols = cols
+        _COLUMNS.__set__(self, arrays)
+
+    @property
+    def columns(self):
+        keys, palette, sizes, rs, picks = _COLUMNS.__get__(self)
+        # every entry of a row shares one int key: a new int per entry took
+        # 4 MB of a warm battery's peak RSS
+        pairs = zip(map(list(range(keys)).__getitem__, rs),
+                    map(palette.__getitem__, picks))
+        columns = list(map(dict, map(islice, repeat(pairs), sizes)))
+        _COLUMNS.__set__(self, columns)
+        self.__class__ = SparseMatrix
+        return columns
 
 
 def boundary_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> str:
@@ -128,9 +164,11 @@ def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
     """(the cached matrix, its rank or None), or None on a miss or a
     rejected file.
 
-    The file is read whole, and each check runs once over a whole array:
-    the palette is parsed once per distinct value, and each column is one
-    slice of the (row, value) pairs.
+    The file is read whole, and every check runs before this returns, each
+    once over a whole array: the palette is parsed once per distinct value,
+    and one pass over the row array checks that rows ascend within each
+    column. The matrix decodes its columns on their first read, each column
+    one slice of the (row, value) pairs.
     """
     try:
         with open(boundary_path(cache_dir, fingerprint, kind, degree),
@@ -172,13 +210,16 @@ def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
         if (0 in palette or sum(sizes) != nnz or top >= rows
                 or max(picks, default=-1) >= len(palette)):
             raise ValueError("entry out of range or a stored zero")
-        # every entry of a row shares one int key: a new int per entry took
-        # 4 MB of a warm battery's peak RSS
-        pairs = zip(map(list(range(top + 1)).__getitem__, rs),
-                    map(palette.__getitem__, picks))
-        mat = SparseMatrix(rows, cols, [dict(islice(pairs, k)) for k in sizes])
-        if sum(map(len, mat.columns)) != nnz:
-            raise ValueError("a row repeated within a column")
+        # one pass over the whole row array: only an entry that opens a
+        # column may fail to rise above the entry before it. inner marks
+        # the entries that open none (a per-column set check cost a warm
+        # battery wall time, and a set of the column starts its peak RSS)
+        inner = bytearray(b"\1") * (nnz + 1)
+        deque(map(inner.__setitem__, accumulate(sizes), repeat(0)), 0)
+        if any(compress(map(le, islice(rs, 1, None), rs),
+                        islice(inner, 1, None))):
+            raise ValueError("rows do not ascend within a column")
+        mat = _Loaded(rows, cols, (top + 1, palette, sizes, rs, picks))
     except ValueError:
         counts["rejects"] += 1
         return None

@@ -710,6 +710,95 @@ def test_cache_values_round_trip_and_bad_values_raise(tmp_path):
             cache._parse_value(bad)
 
 
+def _decoded(mat):
+    """Whether mat's column dicts exist: a loaded boundary becomes a plain
+    SparseMatrix when they are built."""
+    return type(mat) is SparseMatrix
+
+
+def _eager_columns(path):
+    """The column dicts a cache file holds, decoded entry by entry."""
+    data = open(path, "rb").read()
+    head, _, palette, body = data.split(b"\n", 3)
+    cols, nnz = map(int, head.split()[7:9])
+    values = [int(f) if f.denominator == 1 else f
+              for f in map(Fraction, palette.decode().split())]
+    words = array("I", body)
+    if sys.byteorder == "big":
+        words.byteswap()
+    columns, at = [], cols
+    for size in words[:cols]:
+        columns.append({})
+        for i in range(at, at + size):
+            columns[-1][words[i]] = values[words[i + nnz]]
+        at += size
+    return columns
+
+
+def test_a_loaded_boundary_decodes_its_columns_on_first_read(tmp_path):
+    """load_boundary checks a file whole but builds no column dict; the
+    first read of the columns does, whichever call reads them. The columns
+    are those an eager decode gives, in the file's order and of the
+    palette's types, with one key object per row."""
+    cdir, other = str(tmp_path / "a"), str(tmp_path / "b")
+    mat = SparseMatrix(600, 6, [
+        {r: Fraction(r, 600 + r) if r % 3 else r - 301
+         for r in range(c, 600, 4 + c)} for c in range(6)])
+    counts = Session().cache_counts
+    cache.save_boundary(cdir, "f" * 16, "CHH", 2, mat, None, counts)
+    path = cache.boundary_path(cdir, "f" * 16, "CHH", 2)
+    eager = _eager_columns(path)
+    assert eager == mat.columns
+
+    def resaved(m):
+        cache.save_boundary(other, "f" * 16, "CHH", 2, m, None, counts)
+        return open(cache.boundary_path(other, "f" * 16, "CHH", 2),
+                    "rb").read() == open(path, "rb").read()
+
+    vec = {1: 3, 4: Fraction(-1, 2)}
+    for read in (lambda m: m == mat, lambda m: m.nnz() == mat.nnz(),
+                 lambda m: m.apply(vec) == mat.apply(vec),
+                 lambda m: rank_only(m) == rank_only(mat), resaved):
+        back, rank = cache.load_boundary(cdir, "f" * 16, "CHH", 2, 600, 6,
+                                         counts)
+        assert rank is None and not _decoded(back)
+        assert read(back) and _decoded(back)
+        assert [list(col.items()) for col in back.columns] == [
+            list(col.items()) for col in eager]
+        assert [list(map(type, col.values())) for col in back.columns] == [
+            list(map(type, col.values())) for col in eager]
+        assert len({id(r) for col in back.columns for r in col}) == \
+            len({r for col in back.columns for r in col})
+    assert counts == {"hits": 5, "misses": 0, "writes": 2, "rejects": 0}
+
+
+def test_a_warm_appendix_run_leaves_the_unread_degree_undecoded(
+        tmp_path, monkeypatch, capsys):
+    """The appendix builds P to cutoff + 1 but reads no column of P_5 at
+    cutoff 4: a warm verify over the cache a cold one filled loads P_5 of
+    dual and split:2 without decoding it, and writes the cold report."""
+    from leibhom import cli
+    sessions = []
+    real = cli._session
+    monkeypatch.setattr(cli, "_session", lambda *args: sessions.append(
+        real(*args)) or sessions[-1])
+
+    def verify(out):
+        assert cli.main(["verify", "--suite", "appendix", "--cutoff", "4",
+                         "--cache", str(tmp_path / "cache"),
+                         "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / "report.json").read_bytes()
+
+    assert verify("cold") == verify("warm")
+    cold, warm = sessions
+    assert cold.cache_counts["hits"] == warm.cache_counts["misses"] == 0
+    assert warm.cache_counts["hits"] == cold.cache_counts["writes"] > 0
+    for name in ("dual", "split:2"):
+        key = (builtin_algebra(name).fingerprint(), "P", 5)
+        assert not _decoded(warm.boundaries[key])
+        assert warm.boundaries[key] == cold.boundaries[key]
+
+
 def _binary_body(palette, sizes, rows, picks):
     """The body of formats 2 and 3, which format 4 prefixes with its rank
     line: the palette line, then the three uint32 arrays."""
@@ -756,8 +845,9 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
     # header is resealed to match: a rank above min(rows, cols), a signed,
     # an empty and a non-numeric rank, no rank line, a stored zero, a row
     # out of range, a bad value, a word too many and a word too few, column
-    # sizes that do not sum to the entry count, a row repeated within a
-    # column, a palette index past the palette, a non-ASCII palette (the
+    # sizes that do not sum to the entry count, a row repeated within the
+    # first and within the second column, rows descending within a column,
+    # a palette index past the palette, a non-ASCII palette (the
     # Arabic-Indic digit four, which int() would read as 4)
     tampered = [
         (head, body, (3, 3), fp),
@@ -782,6 +872,8 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
         resealed(body[:-4]) + ((3, 2), fp),
         forged(sizes=[2, 2]) + ((3, 2), fp),
         forged(rows=[0, 0, 1]) + ((3, 2), fp),
+        forged(sizes=[1, 2], rows=[0, 1, 1]) + ((3, 2), fp),
+        forged(rows=[2, 0, 1]) + ((3, 2), fp),
         forged(picks=[0, 1, 3]) + ((3, 2), fp),
         forged(palette=["\u0664", "-7", "-3/5"]) + ((3, 2), fp),
     ]
@@ -793,13 +885,20 @@ def test_cache_rejects_files_that_fail_their_header(tmp_path):
         assert counts["rejects"] == k + 1
     assert counts["hits"] == 1 and counts["misses"] == 0
     # resealing the untouched body gives back the written header, and a
-    # rank of 0, of min(rows, cols) or none at all loads
+    # rank of 0, of min(rows, cols) or none at all loads; so does a column
+    # whose first row is at or below the last row of the column before it
     assert resealed(body) == (head, body) == forged()
     for rank, want in ((b"0", 0), (b"2", 2), (b"-", None)):
         with open(path, "wb") as fh:
             fh.write(b"".join(forged(rank=rank)))
         assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2,
                                    counts) == (mat, want)
+    for rows, second in (([0, 2, 2], {2: Fraction(-3, 5)}),
+                         ([1, 2, 0], {0: Fraction(-3, 5)})):
+        with open(path, "wb") as fh:
+            fh.write(b"".join(forged(rows=rows)))
+        assert cache.load_boundary(cdir, fp, "CHH", 1, 3, 2, counts) == (
+            SparseMatrix(3, 2, [{rows[0]: 4, rows[1]: -7}, second]), 2)
 
 
 def test_readme_shows_the_header_of_the_current_cache_format():
