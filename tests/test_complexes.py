@@ -773,7 +773,7 @@ def test_a_loaded_boundary_decodes_its_columns_on_first_read(tmp_path):
 
 
 def test_a_warm_appendix_run_leaves_the_unread_degree_undecoded(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, monkeypatch):
     """The appendix builds P to cutoff + 1 but reads no column of P_5 at
     cutoff 4: a warm verify over the cache a cold one filled loads P_5 of
     dual and split:2 without decoding it, and writes the cold report."""
