@@ -366,11 +366,10 @@ def identity_morphism(A: Algebra) -> AlgebraMorphism:
 
 
 class MorphismReport:
-    def __init__(self, mult_failures, unital, surjective, kernel, nilpotency):
+    def __init__(self, mult_failures, unital, surjective, nilpotency):
         self.mult_failures = mult_failures
         self.unital = unital
         self.surjective = surjective
-        self.kernel = kernel            # list of coordinate dicts
         self.nilpotency = nilpotency    # 0 for zero kernel, least m, or None
 
     @property
@@ -414,8 +413,8 @@ def validate_morphism(f: AlgebraMorphism) -> MorphismReport:
         == {k: v for k, v in enumerate(B.unit) if v}
     kernel = kernel_basis(f.matrix)
     surjective = A.dim - len(kernel) == B.dim
-    nil = _kernel_nilpotency(A, kernel)
-    return MorphismReport(fails, unital, surjective, kernel, nil)
+    return MorphismReport(fails, unital, surjective,
+                          _kernel_nilpotency(A, kernel))
 
 
 def _kernel_nilpotency(A: Algebra, kernel):

@@ -135,8 +135,7 @@ def _write(path: str, data: bytes) -> None:
 def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
                   mat: SparseMatrix, rank: int | None,
                   counts: dict) -> None:
-    """Write d_n with its rank, or with "-" for a rank of None, and remove
-    the <fp16>.<kind>.<n>.rank record older versions kept beside it."""
+    """Write d_n with its rank, or with "-" for a rank of None."""
     os.makedirs(cache_dir, exist_ok=True)
     entries = list(chain.from_iterable(sorted(col.items())
                                        for col in mat.columns))
@@ -153,10 +152,6 @@ def save_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,
         _header_prefix(fingerprint, kind, degree, mat.rows, mat.cols),
         len(entries), hashlib.sha256(body).hexdigest())).encode("ascii") + body)
     counts["writes"] += 1
-    try:
-        os.remove(path[:-len(".bnd")] + ".rank")
-    except FileNotFoundError:
-        pass
 
 
 def load_boundary(cache_dir: str, fingerprint: str, kind: str, degree: int,

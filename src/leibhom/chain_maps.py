@@ -387,7 +387,7 @@ def theta_nf(MA: Algebra, base: Algebra, cl_ma: ChainComplex,
         b = tuple(p[2] for p in pos)
         return {symmetric_index(n)[sigma] * d ** n + tuple_index(b, d): 1}
 
-    return _chain_map("THETA_NF", cl_ma, l_base, 0, col)
+    return _chain_map("NORMALIZATION", cl_ma, l_base, 0, col)
 
 
 # -------------------------------------------------------- functorial chains

@@ -19,13 +19,12 @@ import json
 import os
 import sys
 import time
-from types import SimpleNamespace
 
 from .algebra import (BUILTIN_NAMES, builtin_algebra, check_matrix_size,
                       matrix_algebra, validate_algebra)
 from .complexes import (DEFAULT_MAX_DIM, KINDS, KahlerModule,
                         ResourceBoundExceeded, Session, basis_labels,
-                        boundary_rank, build_complex, check_bound, degree_dim)
+                        boundary_rank, build_complex, check_bounds, degree_dim)
 from .homology import NegativeBetti, betti_number, induced_map, verify_chain_map
 from .linalg import rank_only
 from .serialize import FormatError, load_algebra
@@ -36,13 +35,13 @@ from .suites import (SUITE_IDS, SuiteConfig, _fmt_wit, check_matrix_size_for,
 CACHE_ENV = "LEIBHOM_CACHE_DIR"
 
 MAP_TOKENS = ("PHI", "THETA", "EPSILON", "PROJ_LIE", "PROJ_ADJ", "PROJ_I",
-              "P_KAHLER", "TRACE", "CORNER", "LIFT_P", "THETA_NF", "BAR_PI",
-              "BAR_IOTA", "EMBED_CY")
+              "P_KAHLER", "TRACE", "CORNER", "LIFT_P", "BAR_PI", "BAR_IOTA",
+              "EMBED_CY")
 
 # token -> (builder, source, target): chain_maps.<builder>(algebras, source
 # complex, target complex), looked up by name at call time so that a patched
 # one is seen. A side is (algebra, kind), "A" the input and "M" M_N(A); a map
-# between the two takes both algebras, source first. THETA_NF runs the lift.
+# between the two takes both algebras, source first.
 _MAPS = {
     "PHI": ("phi", ("A", "CL"), ("A", "CHH")),
     "THETA": ("theta", ("A", "CE"), ("A", "CLAMBDA")),
@@ -53,7 +52,6 @@ _MAPS = {
     "TRACE": ("trace", ("M", "CHH"), ("A", "CHH")),
     "CORNER": ("corner", ("A", "CHH"), ("M", "CHH")),
     "LIFT_P": ("lift_p", ("A", "P"), ("M", "CL")),
-    "THETA_NF": ("lift_p", ("A", "P"), ("M", "CL")),
     "BAR_PI": ("bar_pi", ("A", "CHH"), ("A", "BAR")),
     "BAR_IOTA": ("bar_iota", ("A", "BAR"), ("A", "CHH")),
     "EMBED_CY": ("embed_cy", ("A", "CHH"), ("A", "P")),
@@ -65,7 +63,7 @@ def _map_complexes(token, maxdeg):
     if token == "P_KAHLER":
         return [("A", "CL", maxdeg)]
     src, tgt = _MAPS[token][1:]
-    if token in ("LIFT_P", "THETA_NF"):
+    if token == "LIFT_P":
         # the lift of the 2-cycles lands in CL_3(M_N(A)); L(A) checks it
         return [src + (2,), tgt + (3,), ("A", "L", 3)]
     return [src + (maxdeg,), tgt + (maxdeg,)]
@@ -276,21 +274,16 @@ def _check_prerequisites(A, kinds, tokens, N, maxdeg, max_dim):
             # an algebra file carries none: only the built-ins are presented
             raise UsageError("P_KAHLER needs a presented algebra, %s has no "
                              "presentation" % A.name)
-        if token in ("LIFT_P", "THETA_NF") and N < 3:
-            raise UsageError("%s needs --matrix-size at least 3" % token)
+        if token == "LIFT_P" and N < 3:
+            raise UsageError("LIFT_P needs --matrix-size at least 3")
     sized = [("A", kind, maxdeg) for kind in kinds] + [
         cx for token in tokens for cx in _map_complexes(token, maxdeg)]
     needs_m = any(alg == "M" for alg, _, _ in sized)
     if needs_m:
         check_matrix_size(A, N)
-    # M_N(A) is sized before its product table is built: the kinds built
-    # over it (CL, CHH) have dimensions that read only its dimension
-    sizes = {"A": A, "M": SimpleNamespace(dim=N * N * A.dim)}
-    # every degree: the CE and CE_ADJ dimensions are not monotone in n; BAR
-    # over an algebra that is no group is refused here too (degree_dim)
+    # BAR over an algebra that is no group is refused here too (degree_dim)
     for alg, kind, cutoff in dict.fromkeys(sized):
-        for n in range(1, cutoff + 1):
-            check_bound(sizes[alg], kind, n, max_dim)
+        check_bounds(A, kind, cutoff, max_dim, N if alg == "M" else None)
     algebras = {"A": A}
     if needs_m:
         algebras["M"] = matrix_algebra(A, N)
@@ -309,7 +302,7 @@ def _map_report(algebras, token, maxdeg, session):
         builder, (src, _), (tgt, _) = _MAPS[token]
         sides = [algebras[alg] for alg in dict.fromkeys((src, tgt))]
         F = getattr(cmaps, builder)(*sides, *cxs[:2])
-    if token in ("LIFT_P", "THETA_NF"):
+    if token == "LIFT_P":
         ok_round, ok_nf = lift_identities(*sides, F, cxs[2])
         rep["evidence"] = "composite_identity"
         rep["identities"] = [

@@ -65,6 +65,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, partial
 from math import comb, factorial, gcd
+from types import SimpleNamespace
 
 from . import cache
 from .algebra import Algebra
@@ -229,6 +230,17 @@ def check_bound(A: Algebra, kind: str, n: int, max_dim: int) -> None:
     size = degree_dim(A, kind, n)
     if size > max_dim:
         raise ResourceBoundExceeded(kind, n, size, max_dim)
+
+
+def check_bounds(A: Algebra, kind: str, cutoff: int, max_dim: int,
+                 N: int | None = None) -> None:
+    """check_bound at every degree 1..cutoff of kind over A, or over M_N(A)
+    if N is given, sized on its dimension N^2 dim A before its product
+    table is built (CL and CHH read no more of it). Every degree, since
+    the CE and CE_ADJ dimensions are not monotone in n."""
+    sized = A if N is None else SimpleNamespace(dim=N * N * A.dim)
+    for n in range(1, cutoff + 1):
+        check_bound(sized, kind, n, max_dim)
 
 
 # ---------------------------------------------------------------- boundaries
@@ -502,11 +514,11 @@ def boundary_column_fn(A: Algebra, kind: str, n: int):
 class Session:
     """One run's boundaries, their ranks, and its disk cache with its counts.
 
-    boundaries maps (fingerprint, kind, n) to d_n, and ranks maps
-    (fingerprint, kind) to {n: rank d_n}, boundary_rank's memo, so each is
-    ranked once however many complexes read it. max_dim bounds every
-    degree the session builds; cache_dir, if set, is the boundary disk cache,
-    and cache_counts counts its hits, misses, writes and rejects.
+    boundaries maps (fingerprint, kind, n) to d_n, and ranks maps it to
+    rank d_n, boundary_rank's memo, so each is ranked once however many
+    complexes read it. max_dim bounds every degree the session builds;
+    cache_dir, if set, is the boundary disk cache, and cache_counts counts
+    its hits, misses, writes and rejects.
 
     A boundary is assembled from its column generator or loaded from a cache
     file bound to the generator's source (see cache), and a loaded one puts
@@ -539,10 +551,9 @@ class Session:
     def save(self) -> None:
         """Write the cache files this session owes, once."""
         for key, loaded in sorted(self.unsaved.items()):
-            fingerprint, kind, n = key
-            rank = self.ranks.get((fingerprint, kind), {}).get(n)
+            rank = self.ranks.get(key)
             if rank is not None or not loaded:
-                cache.save_boundary(self.cache_dir, fingerprint, kind, n,
+                cache.save_boundary(self.cache_dir, *key,
                                     self.boundaries[key], rank,
                                     self.cache_counts)
         self.unsaved.clear()
@@ -571,7 +582,7 @@ def boundary_matrix(A: Algebra, kind: str, n: int, session=None,
         if rank is None:
             session.unsaved[key] = mat is not None
         else:
-            session.ranks.setdefault((key[0], kind), {}).setdefault(n, rank)
+            session.ranks.setdefault(key, rank)
     if mat is None:
         mat = SparseMatrix.from_columns(rows, cols,
                                         boundary_column_fn(A, kind, n))
@@ -616,14 +627,13 @@ def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
     built only to clear or to rank by rows.
     """
     fingerprint = A.fingerprint()
-    memo = session.ranks.setdefault((fingerprint, kind), {})
     key = (fingerprint, kind, n)
     mat = session.boundaries.get(key)
-    if mat is None and n not in memo and (
+    if mat is None and key not in session.ranks and (
             kind == "P" or session.cache_dir is not None):
         mat = boundary_matrix(A, kind, n, session)  # may load the rank
-    if n in memo:
-        return memo[n]
+    if key in session.ranks:
+        return session.ranks[key]
     if mat is None:
         check_bound(A, kind, n, session.max_dim)
     generated = mat is None or session.generated.get(key) is mat
@@ -646,7 +656,7 @@ def boundary_rank(A: Algebra, kind: str, n: int, session: Session) -> int:
             by_row = _scattered_rows(fn, rows, cols)
         rank, independent = rank_by_rows(by_row, cols, skip)
     assert 0 <= rank <= min(rows, cols), (kind, n, rank)
-    memo[n] = rank
+    session.ranks[key] = rank
     if generated:
         # more than rank columns are dependent: clearing by them is unsound
         assert len(independent) == rank, (kind, n, rank, len(independent))

@@ -447,22 +447,16 @@ def exactness_check(matrices):
 def les_of_cone(mc: MappingCone, top_degree: int):
     """Long exact sequence of a cone, from H_top(source) down to H_0(cone) -> 0.
 
-    Returns (matrices, labels): the alternating induced maps f_*, incl_*, and
-    the connecting map (induced by the cone projection), terminated by the
-    zero map out of H_0(cone) so exactness at the tail is checked too.
+    Returns the matrices of the alternating induced maps f_*, incl_*, and
+    for n >= 1 the connecting map (induced by the cone projection), ending
+    with the zero map out of H_0(cone) so exactness at the tail is checked.
     """
     F = mc.of
     mats = []
-    labels = []
     for n in range(top_degree, -1, -1):
         mats.append(induced_map(F, n))
-        labels.append("H_%d(src) -> H_%d(tgt)" % (n, n))
         mats.append(induced_map(mc.incl, n))
-        labels.append("H_%d(tgt) -> H_%d(cone)" % (n, n))
         if n >= 1:
             mats.append(induced_map(mc.proj, n))
-            labels.append("H_%d(cone) -> H_%d(src)" % (n, n - 1))
-    tail = SparseMatrix(0, mc.cone.homology(0).betti)
-    mats.append(tail)
-    labels.append("H_0(cone) -> 0")
-    return mats, labels
+    mats.append(SparseMatrix(0, mc.cone.homology(0).betti))
+    return mats

@@ -11,13 +11,12 @@ matrices, so every suite finishes quickly at the default config.
 import hashlib
 import json
 import random
-from types import SimpleNamespace
 
 from .algebra import (BUILTIN_MORPHISMS, BUILTIN_NAMES, builtin_algebra,
                       builtin_morphism, check_matrix_size, matrix_algebra,
                       matrix_morphism, validate_morphism)
 from .complexes import (KINDS, KahlerModule, ResourceBoundExceeded, Session,
-                        boundary_column_fn, build_complex, check_bound,
+                        boundary_column_fn, build_complex, check_bounds,
                         degree_dim, index_tuple, tuple_index,
                         verify_d2_streamed)
 from .homology import (ChainComplex, ChainMapRep, compose_maps, cone_column_fn,
@@ -615,8 +614,7 @@ def suite_relative(config: SuiteConfig):
                              fmap, cutoff + 1)
             mc = mapping_cone(fmap)
             cones[kind] = (s, t, mc)
-            mats, _labels = les_of_cone(mc, cutoff)
-            nodes = exactness_check(mats)
+            nodes = exactness_check(les_of_cone(mc, cutoff))
             bad = [i for i, r in enumerate(nodes) if not r["exact"]]
             checks.record("long_exact_sequence_exact[%s:%s]" % (mname, kind),
                           not bad, "%d nodes through degree %d" % (len(nodes),
@@ -847,8 +845,7 @@ def check_matrix_size_for(suite_ids, N, max_dim):
     the source and target of the built-in morphisms (relative; it extends
     those that meet the hypotheses, and the control is no larger). For the
     matrices suite at N >= 3, also refuse an N at which the lift's
-    CL(M_N(dual)) to degree 3 exceeds max_dim, sized on the dimension
-    N^2 dim(dual) before any product table is built."""
+    CL(M_N(dual)) to degree 3 exceeds max_dim (check_bounds)."""
     morphisms = [builtin_morphism(m) for m in BUILTIN_MORPHISMS]
     extended = {
         "matrices": [builtin_algebra(a)
@@ -864,6 +861,4 @@ def check_matrix_size_for(suite_ids, N, max_dim):
                 raise ValueError("suite %s cannot build M_%d(%s): %s"
                                  % (sid, N, A.name, exc))
     if "matrices" in suite_ids and N >= 3:
-        lifted = SimpleNamespace(dim=N * N * builtin_algebra("dual").dim)
-        for n in range(1, 4):
-            check_bound(lifted, "CL", n, max_dim)
+        check_bounds(builtin_algebra("dual"), "CL", 3, max_dim, N)

@@ -173,7 +173,7 @@ def test_identity_morphism_has_trivial_kernel():
     A = builtin_algebra("dual")
     rep = validate_morphism(identity_morphism(A))
     assert rep.ok and rep.surjective
-    assert not rep.kernel
+    assert rep.nilpotency == 0
 
 
 def test_validate_morphism_catches_non_multiplicative():

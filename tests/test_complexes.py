@@ -1070,7 +1070,7 @@ def test_a_refused_rank_record_is_ranked_afresh_and_rewritten(
     with open(path, "rb") as fh:
         good = fh.read()
     mat = cold.boundaries[(fp, "CHH", 2)]
-    rank = cold.ranks[(fp, "CHH")][2]
+    rank = cold.ranks[(fp, "CHH", 2)]
     assert 1 <= rank < min(mat.rows, mat.cols)
     head, body = good.split(b"\n", 1)
     fields = head.split(b" ")
@@ -1230,16 +1230,43 @@ def test_hochschild_homology_of_a_group_algebra(name, top):
     assert hh[0] == {"cyclic:2": 2, "cyclic:3": 3, "s3": 3}[name]
 
 
+@pytest.mark.parametrize("name,N,bettis", [
+    ("rationals", 2, [1, 1, 0, 1, 1]),
+    ("rationals", 3, [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]),
+    ("dual", 2, [1, 2, 1, 2, 4, 2]),
+    ("cyclic:2", 2, [1, 2, 1, 2, 4, 2]),
+    ("dual", 3, [1, 2, 1, 2, 4]),
+    ("dual", 4, [1, 2, 1, 2]),
+    ("truncated_poly:3", 2, [1, 3, 3, 4, 9, 9]),
+])
+def test_lie_homology_of_gl_n(name, N, bettis):
+    """The CE bettis of gl_N(A), taken through boundary_rank. H_*(gl_N(Q))
+    is an exterior algebra on generators of degrees 1, 3, ..., 2N - 1
+    (Hopf; Chevalley-Eilenberg 1948). Stably H_*(gl(A)) is the free graded
+    commutative algebra on HC_{*-1}(A) (Loday-Quillen 1984, Tsygan 1983):
+    1, 2, 1, 2, 4, 4 for dual and cyclic:2 (HC = 2, 0, 2, 0, ...) and
+    1, 3, 3, 4, 9, 12 for truncated_poly:3 (HC = 3, 0, 3, 0, ...). Every
+    degree pinned here agrees with that, except degree 5 at N = 2 (2 and
+    9), which lies outside the stable range."""
+    gl = matrix_algebra(builtin_algebra(name), N)
+    session = Session()
+    top = len(bettis)
+    ranks = [0] + [boundary_rank(gl, "CE", n, session)
+                   for n in range(1, top + 1)]
+    assert [degree_dim(gl, "CE", n) - ranks[n] - ranks[n + 1]
+            for n in range(top)] == bettis
+
+
 def test_boundary_rank_reads_the_memo_then_the_stored_matrix():
     A = builtin_algebra("dual")
     session = Session()
     key = (A.fingerprint(), "CHH")
     session.boundaries[key + (2,)] = SparseMatrix.identity(4)
-    session.ranks[key] = {1: 7}
+    session.ranks[key + (1,)] = 7
     assert boundary_rank(A, "CHH", 1, session) == 7
     assert boundary_rank(A, "CHH", 2, session) == 4
     assert boundary_rank(A, "CHH", 3, session) == 4
-    assert session.ranks[key] == {1: 7, 2: 4, 3: 4}
+    assert session.ranks == {key + (1,): 7, key + (2,): 4, key + (3,): 4}
     assert set(session.boundaries) == {key + (2,)}
 
 
