@@ -20,9 +20,12 @@ cols)], a bad palette token, a zero in the palette, a row or palette index
 out of range, column sizes that do not sum to the entry count, or rows
 that do not ascend within a column (save_boundary writes them ascending,
 so a row repeated within a column is a reject). A loaded boundary keeps
-the validated arrays and decodes its column dicts from them the first time
-anything reads its columns, then drops the arrays: a boundary whose rank
-comes from its file, or that no check reads, costs only its arrays. The
+the validated arrays. The d.d = 0 checks read it in place through
+column_items, one transient tuple of (row, value) pairs per column, and
+build no column dict. Every other reader of its columns (an equality, a
+rank, a chain-map check, a save) decodes the column dicts from the arrays
+on the first read, then the arrays are dropped: a boundary whose rank
+comes from its file, or that only d.d reads, costs only its arrays. The
 decoded columns keep the file's order and the palette's values, and hold
 one int object per row index, shared by every entry in that row.
 
@@ -74,7 +77,9 @@ class _Loaded(SparseMatrix):
     stores the dicts in the slot, dropping the arrays, and makes the matrix
     a plain SparseMatrix, whose attribute reads take the slot's fast path (a
     __getattr__ hook made every read of a decoded matrix's attributes
-    several times slower). A boundary nobody reads holds only its arrays."""
+    several times slower). column_items, the d.d checks' read, takes the
+    pairs straight from the arrays and stores nothing, so a boundary that
+    only d.d reads, or that nobody reads, holds only its arrays."""
 
     __slots__ = ()
 
@@ -94,6 +99,11 @@ class _Loaded(SparseMatrix):
         _COLUMNS.__set__(self, columns)
         self.__class__ = SparseMatrix
         return columns
+
+    def column_items(self):
+        _, palette, sizes, rs, picks = _COLUMNS.__get__(self)
+        pairs = zip(rs, map(palette.__getitem__, picks))
+        return map(tuple, map(islice, repeat(pairs), sizes))
 
 
 def boundary_path(cache_dir: str, fingerprint: str, kind: str, degree: int) -> str:

@@ -671,19 +671,18 @@ def verify_d2_streamed(A: Algebra, kind: str, n: int, session=None):
     and d_{n-1}, without a matrix or a generated column. Otherwise, or when
     the proof does not go through, d_{n-1} is stored (it is subject to the
     session's max_dim), the columns of d_n are generated, checked and
-    dropped, and the first column whose dict product d_{n-1}(column)
-    (SparseMatrix.apply) is nonzero is the witness.
+    dropped, and the first column that d_{n-1} does not send to zero
+    (SparseMatrix.first_nonzero_image, which reads a loaded d_{n-1} in
+    place) is the witness.
     """
     if n < 2:
         return None
     fn = boundary_column_fn(A, kind, n)
     if _d2_certified(fn, boundary_column_fn(A, kind, n - 1)):
         return None
-    lower = boundary_matrix(A, kind, n - 1, session)
-    for j in range(degree_dim(A, kind, n)):
-        if lower.apply(fn(j)):
-            return (n, j)
-    return None
+    j = boundary_matrix(A, kind, n - 1, session).first_nonzero_image(
+        map(dict.items, map(fn, range(degree_dim(A, kind, n)))))
+    return None if j is None else (n, j)
 
 
 def _d2_certified(up, down) -> bool:

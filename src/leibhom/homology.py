@@ -90,14 +90,16 @@ def verify_boundary_squares(C: ChainComplex):
     """Check d_{n-1} o d_n = 0 for 2 <= n <= cutoff, column by column.
 
     Returns (True, None), or (False, (degree, column)) for the first column
-    of d_n that d_{n-1} does not send to zero (the dict product
-    SparseMatrix.apply decides).
+    of d_n that d_{n-1} does not send to zero
+    (SparseMatrix.first_nonzero_image decides). Both matrices are read
+    through column_items, so a boundary loaded from the cache is read in
+    place from its arrays and stays undecoded.
     """
     for n in range(2, C.cutoff + 1):
-        lower = C.boundaries[n - 1]
-        for j, col in enumerate(C.boundaries[n].columns):
-            if lower.apply(col):
-                return False, (n, j)
+        j = C.boundaries[n - 1].first_nonzero_image(
+            C.boundaries[n].column_items())
+        if j is not None:
+            return False, (n, j)
     return True, None
 
 

@@ -8,8 +8,10 @@ large streamed computations and, with tracking on, also yields kernel
 relations, span membership and exact coordinates over the inserted vectors.
 Built modulo a family S, it works in the quotient by span(S): the homology
 solver eliminates a chain modulo the boundaries in one echelon this way.
-The d.d = 0 and chain-map checks test their products for zero with
-SparseMatrix.apply, the dict product.
+The chain-map checks test their products for zero with SparseMatrix.apply,
+the dict product. The d.d = 0 checks use SparseMatrix.first_nonzero_image,
+which reads the lower boundary through column_items, so a cached boundary
+is read in place without building its column dicts.
 
 Echelon reduces in one loop. Each step cross-multiplies by the two leads
 over their gcd; tracked, the inserted combination is scaled and combined
@@ -128,6 +130,30 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return all(not c for c in self.columns)
+
+    def column_items(self):
+        """Each column's (row, value) pairs, column by column."""
+        return map(dict.items, self.columns)
+
+    def first_nonzero_image(self, columns):
+        """The index of the first of columns (each an iterable of (index,
+        value) pairs) that this matrix does not send to zero, or None.
+
+        This matrix is read once, through column_items, into a list that
+        lives for the call. Each product is summed into one fresh dict,
+        without pruning, and is zero when all its values are: exact over
+        ints and Fractions.
+        """
+        lower = list(self.column_items())
+        for j, items in enumerate(columns):
+            acc = {}
+            get = acc.get
+            for i, c in items:
+                for r, v in lower[i]:
+                    acc[r] = get(r, 0) + c * v
+            if any(acc.values()):
+                return j
+        return None
 
     def apply(self, vec: dict) -> dict:
         """Matrix-vector product; vec indexes columns."""

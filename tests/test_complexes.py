@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import sys
 from array import array
 from fractions import Fraction
@@ -14,7 +15,8 @@ import pytest
 
 from leibhom import cache, complexes, linalg
 from leibhom.algebra import (BUILTIN_NAMES, Algebra, builtin_algebra,
-                             matrix_algebra, multiply_coords)
+                             matrix_algebra, multiply_coords,
+                             validate_algebra)
 from leibhom.complexes import (KINDS, KahlerModule, ResourceBoundExceeded,
                                Session, _derived, _l_transport_terms,
                                basis_labels,
@@ -353,6 +355,79 @@ def test_cyclic_homology_is_morita_invariant():
     for A in (dual, matrix_algebra(dual, 2)):
         C = build_complex(A, "CLAMBDA", 5)
         assert [C.betti(n) for n in range(5)] == [2, 0, 2, 0, 2], A.name
+
+
+def _inverse(P):
+    """The inverse of the square Fraction matrix P, or None if P is
+    singular (Gauss-Jordan)."""
+    d = len(P)
+    rows = [list(row) + [Fraction(int(i == k)) for k in range(d)]
+            for i, row in enumerate(P)]
+    for c in range(d):
+        p = next((r for r in range(c, d) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return [row[d:] for row in rows]
+
+
+def _conjugated(A, seed):
+    """A written in the basis f_a = sum_i P[i][a] e_i, for a seeded random
+    invertible P with small rational entries: f_a f_b is the product
+    (P e_a)(P e_b) in A's table, written back through P^-1."""
+    rng = random.Random(seed)
+    d = A.dim
+    Q = None
+    while Q is None:
+        P = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(d)] for _ in range(d)]
+        Q = _inverse(P)
+
+    def in_f(w):
+        out = {c: sum(Q[c][k] * v for k, v in w.items()) for c in range(d)}
+        return tuple((c, v) for c, v in out.items() if v)
+
+    table = []
+    for a in range(d):
+        row = []
+        for b in range(d):
+            w = multiply_coords(A, {i: P[i][a] for i in range(d) if P[i][a]},
+                                {j: P[j][b] for j in range(d) if P[j][b]})
+            row.append(in_f(w))
+        table.append(row)
+    unit = dict(in_f(dict(enumerate(A.unit))))
+    return Algebra(A.name + "^P", ["f%d" % a for a in range(d)],
+                   [unit.get(c, 0) for c in range(d)], table)
+
+
+@pytest.mark.parametrize("name,seed", [("dual", 1), ("cyclic:3", 2)])
+def test_homology_is_invariant_under_a_change_of_basis(name, seed, tmp_path):
+    """The CHH, CL and CLAMBDA bettis to degree 3 survive a random rational
+    change of basis, and d.d = 0 holds on the Fraction-valued boundaries it
+    gives, generated and read back from the cache."""
+    A = builtin_algebra(name)
+    B = _conjugated(A, seed)
+    assert validate_algebra(B).ok and B.fingerprint() != A.fingerprint()
+    cdir = str(tmp_path)
+    for kind in ("CHH", "CL", "CLAMBDA"):
+        want = [build_complex(A, kind, 4).betti(n) for n in range(4)]
+        cold = Session(cache_dir=cdir)
+        C = build_complex(B, kind, 4, cold)
+        assert [C.betti(n) for n in range(4)] == want, kind
+        assert verify_boundary_squares(C) == (True, None)
+        # the bracket of a commutative algebra is zero, and so is its CL
+        assert kind == "CL" or any(
+            type(v) is Fraction and v.denominator != 1
+            for d in C.boundaries[2:] for col in d.columns
+            for v in col.values()), kind
+        cold.save()
+        warm = build_complex(B, kind, 4, Session(cache_dir=cdir))
+        assert verify_boundary_squares(warm) == (True, None)
+        assert all(type(d) is cache._Loaded for d in warm.boundaries[1:])
 
 
 def test_cyclic_quotient_projection_consistent():
@@ -770,6 +845,38 @@ def test_a_loaded_boundary_decodes_its_columns_on_first_read(tmp_path):
         assert len({id(r) for col in back.columns for r in col}) == \
             len({r for col in back.columns for r in col})
     assert counts == {"hits": 5, "misses": 0, "writes": 2, "rejects": 0}
+
+
+def test_a_warm_d2_check_reads_real_boundaries_in_place(tmp_path):
+    """s3's CHH to degree 4 from the cache a cold build filled: d.d passes
+    and leaves every boundary undecoded. With one entry of d_4 changed in
+    its file, the warm check names the column the same change fails at in
+    memory."""
+    A = builtin_algebra("s3")
+    cdir = str(tmp_path)
+    cold = Session(cache_dir=cdir)
+    build_complex(A, "CHH", 4, cold)
+    cold.save()
+    warm = build_complex(A, "CHH", 4, Session(cache_dir=cdir))
+    assert verify_boundary_squares(warm) == (True, None)
+    assert all(type(d) is cache._Loaded for d in warm.boundaries[1:])
+
+    plain = build_complex(A, "CHH", 4)
+    d_3, d_4 = plain.boundaries[3:]
+    # an entry in the second half of d_4 whose row d_3 does not kill
+    j, r = next((j, r) for j in range(d_4.cols // 2, d_4.cols)
+                for r in d_4.columns[j] if d_3.columns[r])
+    columns = [dict(col) for col in d_4.columns]
+    columns[j][r] *= 2
+    mutated = SparseMatrix(d_4.rows, d_4.cols, columns)
+    want = verify_boundary_squares(ChainComplex(
+        "CHH", plain.dims, plain.boundaries[:4] + [mutated]))
+    assert want == (False, (4, j))
+    cache.save_boundary(cdir, A.fingerprint(), "CHH", 4, mutated, None,
+                        Session().cache_counts)
+    warm = build_complex(A, "CHH", 4, Session(cache_dir=cdir))
+    assert verify_boundary_squares(warm) == want
+    assert all(type(d) is cache._Loaded for d in warm.boundaries[1:])
 
 
 def test_a_warm_appendix_run_leaves_the_unread_degree_undecoded(

@@ -5,12 +5,14 @@ independent columns of the one below, and of permutation signs and
 composition."""
 
 import itertools
+import tempfile
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibhom.cache import _Loaded, load_boundary, save_boundary
 from leibhom.chain_maps import _epsilon_column, _phi_column, _theta_column
 from leibhom.complexes import (_contraction_column_fn, cyclic_quotient,
                                index_tuple, tuple_index, wedge_basis)
@@ -193,7 +195,9 @@ def two_boundaries(draw):
 @given(two_boundaries())
 def test_boundary_squares_witness_is_the_first_nonzero_dense_column(case):
     """verify_boundary_squares names the first column of d_2 at which the
-    dense Fraction product d_1 d_2 is nonzero, or returns (True, None)."""
+    dense Fraction product d_1 d_2 is nonzero, or returns (True, None), and
+    names the same on d_1 and d_2 saved to the cache and loaded back, which
+    it leaves undecoded."""
     dims, d_1, d_2 = case
     dense_1 = [[Fraction(d_1.columns[k].get(r, 0)) for k in range(dims[1])]
                for r in range(dims[0])]
@@ -205,6 +209,16 @@ def test_boundary_squares_witness_is_the_first_nonzero_dense_column(case):
             break
     C = ChainComplex("X", dims, [None, d_1, d_2])
     assert verify_boundary_squares(C) == want
+    # the same matrices through the disk cache: d.d reads them in place
+    counts = {"hits": 0, "misses": 0, "writes": 0, "rejects": 0}
+    with tempfile.TemporaryDirectory() as cdir:
+        loaded = [None]
+        for n, d in ((1, d_1), (2, d_2)):
+            save_boundary(cdir, "f" * 16, "X", n, d, None, counts)
+            loaded.append(load_boundary(cdir, "f" * 16, "X", n, d.rows,
+                                        d.cols, counts)[0])
+    assert verify_boundary_squares(ChainComplex("X", dims, loaded)) == want
+    assert [type(d) for d in loaded[1:]] == [_Loaded, _Loaded]
 
 
 def dense_rank(vecs, size):
