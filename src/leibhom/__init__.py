@@ -27,7 +27,8 @@ from .chain_maps import (bar_iota, bar_pi, corner, cycle_slot_bridge,
                          embed_cy, eps_omega, epsilon, lift_p,
                          morphism_complex_map, morphism_tensor_column_fn,
                          omega_complex, p_kahler, phi, proj_I, proj_adjoint,
-                         proj_lie, theta, theta_nf, tr_phi_column_fn, trace)
+                         proj_lie, theta, theta_nf_column_fn,
+                         tr_phi_column_fn, trace)
 from .serialize import (FormatError, algebra_from_dict, algebra_to_dict,
                         load_algebra, save_algebra)
 from .suites import SUITE_IDS, SuiteConfig, run_suite

@@ -56,6 +56,7 @@ class Algebra:
         self.matrix_meta = matrix_meta
         self.commutative = self._check_commutative()
         self._fingerprint = None
+        self._brackets = None  # complexes.bracket_table, once built
 
     def _check_commutative(self):
         for i in range(self.dim):

@@ -362,34 +362,6 @@ def lift_p(A: Algebra, MA: Algebra, p_cx: ChainComplex,
     return _chain_map("LIFT_P", p_cx, cl_ma, -1, col, top=meta["N"] - 1)
 
 
-def theta_nf(MA: Algebra, base: Algebra, cl_ma: ChainComplex,
-             l_base: ChainComplex) -> ChainMapRep:
-    """Normalization CL_n(M_N(A)) -> L_n(A).
-
-    A tensor of matrix units is a pattern iff its rows are distinct and its
-    columns are exactly the same index set; rows are then relabeled 1..n in
-    slot order and the column word becomes the permutation. Everything else
-    dies.
-    """
-    positions = _matrix_meta(MA, "normalization")["positions"]
-    D = MA.dim
-    d = base.dim
-
-    def col(n, j):
-        pos = [positions[x] for x in index_tuple(j, D, n)]
-        rows_ = [p[0] for p in pos]
-        cols_ = [p[1] for p in pos]
-        if (len(set(rows_)) != n or len(set(cols_)) != n
-                or set(cols_) != set(rows_)):
-            return {}
-        rho = {r: s + 1 for s, r in enumerate(rows_)}
-        sigma = tuple(rho[c] for c in cols_)
-        b = tuple(p[2] for p in pos)
-        return {symmetric_index(n)[sigma] * d ** n + tuple_index(b, d): 1}
-
-    return _chain_map("NORMALIZATION", cl_ma, l_base, 0, col)
-
-
 # -------------------------------------------------------- functorial chains
 
 def morphism_complex_map(f: AlgebraMorphism, kind: str, src_cx: ChainComplex,
@@ -427,6 +399,33 @@ def tr_phi_column_fn(MA: Algebra, base: Algebra, m: int):
 
     def col(jidx: int) -> dict:
         return _project(tr, _phi_column(D, False, m, jidx))
+
+    return col
+
+
+def theta_nf_column_fn(MA: Algebra, base: Algebra, n: int):
+    """Column function of the normal form theta_nf: CL_n(M_N(A)) -> L_n(A).
+
+    A tensor of matrix units is a pattern iff its rows are distinct and its
+    columns are exactly the same index set; rows are then relabeled 1..n in
+    slot order and the column word becomes the permutation. Everything else
+    dies.
+    """
+    positions = _matrix_meta(MA, "normalization")["positions"]
+    D = MA.dim
+    d = base.dim
+
+    def col(j: int) -> dict:
+        pos = [positions[x] for x in index_tuple(j, D, n)]
+        rows_ = [p[0] for p in pos]
+        cols_ = [p[1] for p in pos]
+        if (len(set(rows_)) != n or len(set(cols_)) != n
+                or set(cols_) != set(rows_)):
+            return {}
+        rho = {r: s + 1 for s, r in enumerate(rows_)}
+        sigma = tuple(rho[c] for c in cols_)
+        b = tuple(p[2] for p in pos)
+        return {symmetric_index(n)[sigma] * d ** n + tuple_index(b, d): 1}
 
     return col
 

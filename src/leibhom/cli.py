@@ -64,8 +64,8 @@ def _map_complexes(token, maxdeg):
         return [("A", "CL", maxdeg)]
     src, tgt = _MAPS[token][1:]
     if token == "LIFT_P":
-        # the lift of the 2-cycles lands in CL_3(M_N(A)); L(A) checks it
-        return [src + (2,), tgt + (3,), ("A", "L", 3)]
+        # the lift of the 2-cycles lands in CL_3(M_N(A))
+        return [src + (2,), tgt + (3,)]
     return [src + (maxdeg,), tgt + (maxdeg,)]
 
 
@@ -303,7 +303,7 @@ def _map_report(algebras, token, maxdeg, session):
         sides = [algebras[alg] for alg in dict.fromkeys((src, tgt))]
         F = getattr(cmaps, builder)(*sides, *cxs[:2])
     if token == "LIFT_P":
-        ok_round, ok_nf = lift_identities(*sides, F, cxs[2])
+        ok_round, ok_nf = lift_identities(*sides, F)
         rep["evidence"] = "composite_identity"
         rep["identities"] = [
             {"id": ident, "status": "pass" if ok else "fail"} for ident, ok in

@@ -182,19 +182,25 @@ def proj_to_wedge(t):
 
 
 def bracket_table(A: Algebra):
-    """brackets[i][j] = [e_i, e_j] as a tuple of (basis index, coeff) pairs."""
-    tab = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            acc = {}
-            for k, c in A.products[i][j]:
-                _acc(acc, k, c)
-            for k, c in A.products[j][i]:
-                _acc(acc, k, -c)
-            row.append(tuple(sorted(acc.items())))
-        tab.append(tuple(row))
-    return tuple(tab)
+    """brackets[i][j] = [e_i, e_j] as a tuple of (basis index, coeff) pairs.
+
+    Built on the first call for A and kept on it, as A.fingerprint() keeps
+    its hash: every CL column function of A reads the one table.
+    """
+    if A._brackets is None:
+        tab = []
+        for i in range(A.dim):
+            row = []
+            for j in range(A.dim):
+                acc = {}
+                for k, c in A.products[i][j]:
+                    _acc(acc, k, c)
+                for k, c in A.products[j][i]:
+                    _acc(acc, k, -c)
+                row.append(tuple(sorted(acc.items())))
+            tab.append(tuple(row))
+        A._brackets = tuple(tab)
+    return A._brackets
 
 
 # ------------------------------------------------------------------- sizes

@@ -6,6 +6,18 @@ report: per-check status pass/fail/skipped with a witness on failure.
 Reports are deterministic for a fixed config; nothing in them depends on
 wall time. The heavy gl_N computations stream columns instead of storing
 matrices, so every suite finishes quickly at the default config.
+
+A check builds its complexes only to the degrees its rows read: degree0
+reads HL_1, HH_0, HC_0 and HLie_1, so no boundary above d_2, and the
+naturality check at matrix size 2 builds each complex to the degree its
+cone squares read (_relative_naturality_small). Two cached builds are the
+exceptions: no row reads the top degree of the appendix's P to cutoff + 1,
+nor any boundary of the lift's CL(M_N(dual)) to 3 (the lift reads its
+dimensions), but a battery's set of cache files counts them. Maps are
+compared column by column, with no product matrix built: an identity of
+composites sends one column at a time through the factors (_maps_equal),
+and the lift's normal form is evaluated only at the tensors the lift hits
+(lift_identities).
 """
 
 import hashlib
@@ -19,12 +31,12 @@ from .complexes import (KINDS, KahlerModule, ResourceBoundExceeded, Session,
                         boundary_column_fn, build_complex, check_bounds,
                         degree_dim, index_tuple, tuple_index,
                         verify_d2_streamed)
-from .homology import (ChainComplex, ChainMapRep, compose_maps, cone_column_fn,
+from .homology import (ChainComplex, compose_maps, cone_column_fn,
                        cone_pair_map, exactness_check, induced_map,
                        induced_rank_streamed, les_of_cone, mapping_cone,
                        pair_column_fn, verify_boundary_squares,
                        verify_chain_map)
-from .linalg import SparseMatrix, rank_only
+from .linalg import SparseMatrix, rank_only, vec_scaled_add
 from .perms import (cyclic_class, cyclic_index, cyclic_shift, face_cyclic,
                     invert, sign, symmetric_group, symmetric_index)
 from . import chain_maps as cmaps
@@ -127,16 +139,40 @@ def _fmt_wit(w):
     return None if w is None else {"degree": w[0], "column": w[1]}
 
 
-def _maps_equal(F: ChainMapRep, G: ChainMapRep, top: int):
+def _composite_columns(factors, n: int):
+    """(column count, column function) of the composite of factors, applied
+    last first as compose_maps nests them, at source degree n; None where
+    compose_maps would give it no degree-n component. No product is built:
+    each column goes through the factors one apply at a time."""
+    mats = []
+    for F in reversed(factors):
+        if n not in F.maps:
+            return None
+        mats.append(F.maps[n])
+        n -= F.shift
+    first, rest = mats[0].columns, mats[1:]
+
+    def col(j: int) -> dict:
+        vec = first[j]
+        for M in rest:
+            vec = M.apply(vec)
+        return vec
+
+    return mats[0].cols, col
+
+
+def _maps_equal(lhs, rhs, top: int):
+    """Whether the composites of the factor tuples lhs and rhs agree in every
+    degree <= top where both are defined, compared column by column;
+    (False, (degree, column)) names the first column where they differ."""
     for n in range(top + 1):
-        if n in F.maps and n in G.maps:
-            if F.maps[n] != G.maps[n]:
-                bad = None
-                for j in range(F.maps[n].cols):
-                    if F.maps[n].columns[j] != G.maps[n].columns[j]:
-                        bad = j
-                        break
-                return False, (n, bad)
+        left, right = _composite_columns(lhs, n), _composite_columns(rhs, n)
+        if left is None or right is None:
+            continue
+        (cols, lcol), (_, rcol) = left, right
+        for j in range(cols):
+            if lcol(j) != rcol(j):
+                return False, (n, j)
     return True, None
 
 
@@ -219,11 +255,11 @@ def suite_core(config: SuiteConfig):
                          ("lie_projection", pl), ("adjoint_projection", pa),
                          ("cyclic_projection", pI)):
             checks.chain_map("%s_is_chain_map[%s]" % (label, name), F, cutoff)
-        ok, wit = _maps_equal(compose_maps(ep, pa), ph, cutoff)
+        ok, wit = _maps_equal((ep, pa), (ph,), cutoff)
         checks.record("antisymmetrization_factors_through_adjoint_wedge[%s]" % name,
                       ok, "epsilon o adjoint_projection = phi as matrices",
                       _fmt_wit(wit))
-        ok, wit = _maps_equal(compose_maps(pI, ph), compose_maps(th, pl), cutoff)
+        ok, wit = _maps_equal((pI, ph), (th, pl), cutoff)
         checks.record("cyclic_projection_of_phi_equals_theta_of_lie_projection[%s]"
                       % name, ok,
                       "proj_I o phi = theta o proj_lie as matrices", _fmt_wit(wit))
@@ -244,7 +280,7 @@ def suite_core(config: SuiteConfig):
         ok, wit = _phi_slot_antisymmetry(A, cx["CL"], ph, cutoff)
         checks.record("phi_antisymmetric_in_nonbase_slots[%s]" % name, ok,
                       "phi o slot transposition = -phi as matrices", wit)
-        ok = _phi_inverse_indexing_invariance(A, cx["CL"], cx["CHH"], ph, cutoff)
+        ok = _phi_inverse_indexing_invariance(A, cx["CL"], ph, cutoff)
         checks.record("phi_sum_invariant_under_inverse_indexing[%s]" % name, ok,
                       "summing over sigma equals summing over sigma^{-1}")
     # small matrix algebra sanity at reduced cutoff
@@ -271,40 +307,39 @@ def _one_minus_t(A, n, v):
 
 
 def _phi_slot_antisymmetry(A, cl, ph, cutoff):
+    # phi o (slots 1 and 2 transposed) = -phi: column j of the left side is
+    # phi's column at the swapped tensor, read in place
     d = A.dim
     for m in range(3, cutoff + 1):
         if m not in ph.maps:
             continue
-        # transpose slots 1 and 2 (of 1..m-1), slot 0 fixed
-        swap = SparseMatrix(cl.dims[m], cl.dims[m])
+        cols = ph.maps[m].columns
         for j in range(cl.dims[m]):
             t = index_tuple(j, d, m)
-            s = (t[0], t[2], t[1]) + t[3:]
-            swap.columns[j][tuple_index(s, d)] = 1
-        lhs = ph.maps[m].matmul(swap)
-        if lhs != ph.maps[m].scaled(-1):
-            return False, {"degree": m}
+            s = tuple_index((t[0], t[2], t[1]) + t[3:], d)
+            if cols[s] != {i: -v for i, v in cols[j].items()}:
+                return False, {"degree": m}
     return True, None
 
 
-def _phi_inverse_indexing_invariance(A, cl, chh, ph, cutoff):
+def _phi_inverse_indexing_invariance(A, cl, ph, cutoff):
     # sigma -> sigma^-1 is a sign-preserving bijection of S_{m-1}, so the sum
-    # over sigma^-1, built here, is phi's own sum over sigma
+    # over sigma^-1, built here tuple by tuple, is phi's own sum over sigma
     d = A.dim
     for m in range(2, cutoff + 1):
         if m not in ph.maps:
             continue
-        alt = SparseMatrix(chh.dims[m - 1], cl.dims[m])
+        inverses = [(invert(sg), sign(sg)) for sg in symmetric_group(m - 1)]
+        cols = ph.maps[m].columns
         for j in range(cl.dims[m]):
             t = index_tuple(j, d, m)
-            for sg in symmetric_group(m - 1):
-                rho = invert(sg)
+            alt = {}
+            for rho, sg_sign in inverses:
                 arranged = (t[0],) + tuple(t[rho[k]] for k in range(m - 1))
                 idx = tuple_index(arranged, d)
-                alt.columns[j][idx] = alt.columns[j].get(idx, 0) + sign(sg)
-            alt.columns[j] = {k: v for k, v in alt.columns[j].items() if v}
-        if alt != ph.maps[m]:
-            return False
+                alt[idx] = alt.get(idx, 0) + sg_sign
+            if {k: v for k, v in alt.items() if v} != cols[j]:
+                return False
     return True
 
 
@@ -314,10 +349,10 @@ def _phi_inverse_indexing_invariance(A, cl, chh, ph, cutoff):
 
 def suite_degree0(config: SuiteConfig):
     checks = _Checks()
-    cutoff = config.cutoff
     for name in BUILTIN_NAMES:
         A = builtin_algebra(name)
-        cx = _complexes(config, A, ("CL", "CHH", "CLAMBDA", "CE"), cutoff)
+        # HL_1, HH_0, HC_0 and HLie_1 read no boundary above d_2
+        cx = _complexes(config, A, ("CL", "CHH", "CLAMBDA", "CE"), 2)
         b = [cx["CL"].betti(1), cx["CHH"].betti(0), cx["CLAMBDA"].betti(0),
              cx["CE"].betti(1)]
         checks.record("degree_zero_bettis_agree[%s]" % name, len(set(b)) == 1,
@@ -427,7 +462,7 @@ def suite_matrices(config: SuiteConfig):
         A = builtin_algebra(aname)
         MA = matrix_algebra(A, 2)
         cut = min(3, cutoff)
-        chh_a = build_complex(A, "CHH", cut + 1, config.session)
+        chh_a = build_complex(A, "CHH", cut, config.session)
         chh_ma = build_complex(MA, "CHH", cut, config.session)
         tr = cmaps.trace(MA, A, chh_ma, chh_a)
         co = cmaps.corner(A, MA, chh_a, chh_ma)
@@ -459,7 +494,8 @@ def _tr_phi_surjectivity(checks, config, aname):
     A = builtin_algebra(aname)
     N = config.matrix_size
     MA = matrix_algebra(A, N)
-    chh_a = build_complex(A, "CHH", max(config.cutoff, 3), config.session)
+    # HH_0..HH_2 read d_1..d_3
+    chh_a = build_complex(A, "CHH", 3, config.session)
     for n in range(3):
         _streamed_surjectivity(
             checks, "trace_phi_surjective_onto_hochschild[%s:n=%d]" % (aname, n),
@@ -468,13 +504,15 @@ def _tr_phi_surjectivity(checks, config, aname):
             _STREAM_DETAIL)
 
 
-def lift_identities(A, MA, lift, lba):
+def lift_identities(A, MA, lift):
     """The composites that pin lift_p down on 3-cycles, as two booleans.
 
-    lift runs P(A) -> CL(M_N(A)) and lba is L(A) to degree >= 3. The first
-    value is tr o phi o lift(tau_3 (x) (a1,a2,a3)) = a1(x)a2(x)a3 on every
-    basis tuple; the second is theta_nf o lift = slot reindexing on every
-    3-cycle.
+    lift runs P(A) -> CL(M_N(A)). The first value is tr o phi o lift(tau_3
+    (x) (a1,a2,a3)) = a1(x)a2(x)a3 on every basis tuple; the second is
+    theta_nf o lift = slot reindexing on every 3-cycle. Only the tensors
+    that lift's degree-2 columns hold go through tr o phi and theta_nf
+    (tr_phi_column_fn, theta_nf_column_fn); neither map is built over
+    CL_3(M_N(A)).
     """
     d = A.dim
     trphi3 = cmaps.tr_phi_column_fn(MA, A, 3)
@@ -485,14 +523,17 @@ def lift_identities(A, MA, lift, lba):
         if coeff != 1 or trphi3(clj) != {t_i: 1}:
             roundtrip = False
             break
-    comp = compose_maps(cmaps.theta_nf(MA, A, lift.target, lba), lift)
+    nf3 = cmaps.theta_nf_column_fn(MA, A, 3)
     normal_form = True
-    for j in range(lift.source.dims[2]):
+    for j, col in enumerate(lift.maps[2].columns):
         s_i, t_i = divmod(j, d ** 3)
         sigma = cyclic_class(3)[s_i]
         slot = cmaps._slot_tuple(sigma, index_tuple(t_i, d, 3))
         want = {symmetric_index(3)[sigma] * d ** 3 + tuple_index(slot, d): 1}
-        if comp.maps[2].columns[j] != want:
+        got = {}
+        for clj, coeff in col.items():
+            vec_scaled_add(got, nf3(clj), coeff)
+        if got != want:
             normal_form = False
             break
     return roundtrip, normal_form
@@ -525,8 +566,7 @@ def _lift_checks(checks, config):
                 ok = False
     checks.record("lift_of_transposition_hits_offdiagonal_units[dual]", ok,
                   "lift(tau_2 (x) (a,b)) = E^a_12 (x) E^b_21, all basis pairs")
-    lba = build_complex(A, "L", 3, config.session, cached=False)
-    roundtrip, normal_form = lift_identities(A, MA, lift, lba)
+    roundtrip, normal_form = lift_identities(A, MA, lift)
     checks.record("standard_cycle_roundtrip[dual]", roundtrip,
                   "tr o phi o lift(tau_3 (x) (a1,a2,a3)) = a1(x)a2(x)a3, "
                   "all basis tuples")
@@ -701,22 +741,34 @@ def _relative_streams(checks, config, mname, f, mch, mcl, V, W):
 
 
 def _relative_naturality_small(checks, config):
-    """The cone pair of I o tr o phi is itself a chain map at matrix size 2."""
+    """The cone pair of I o tr o phi is itself a chain map at matrix size 2,
+    verified through cone degree top = min(4, cutoff) - 1.
+
+    Each complex is built to the least degree those squares read (no
+    cutoff goes below 1). verify_chain_map reads the pair's maps and the
+    source cone's d_n for n <= top, and the target cone's d_{n-1}. A cone
+    reaches the lesser cutoff of its two complexes (mapping_cone), so both
+    CL complexes go to top and both CLAMBDA complexes to top - 1. The pair
+    at n is WB at n beside VA at n - 1 (cone_pair_map), and phi lowers the
+    degree by one, so the CHH complexes of WB go to top - 1 and those of VA
+    to top - 2.
+    """
     f = builtin_morphism("dual_aug")
     glf = matrix_morphism(f, 2)
     GA, GB = glf.source, glf.target
-    cut = min(4, config.cutoff)
+    top = min(4, config.cutoff) - 1
     session = config.session
-    cl_ga = build_complex(GA, "CL", cut, session, cached=False)
-    cl_gb = build_complex(GB, "CL", cut, session, cached=False)
+
+    def built(A, kind, cutoff):
+        return build_complex(A, kind, max(1, cutoff), session, cached=False)
+
+    cl_ga, cl_gb = built(GA, "CL", top), built(GB, "CL", top)
     mcc = mapping_cone(cmaps.morphism_complex_map(glf, "CL", cl_ga, cl_gb))
-    chh_a = build_complex(f.source, "CHH", cut, session, cached=False)
-    chh_b = build_complex(f.target, "CHH", cut, session, cached=False)
-    cla_a = build_complex(f.source, "CLAMBDA", cut, session, cached=False)
-    cla_b = build_complex(f.target, "CLAMBDA", cut, session, cached=False)
+    cla_a = built(f.source, "CLAMBDA", top - 1)
+    cla_b = built(f.target, "CLAMBDA", top - 1)
     mcl = mapping_cone(cmaps.morphism_complex_map(f, "CLAMBDA", cla_a, cla_b))
-    chh_ga = build_complex(GA, "CHH", cut - 1, session, cached=False)
-    chh_gb = build_complex(GB, "CHH", cut - 1, session, cached=False)
+    chh_a, chh_ga = built(f.source, "CHH", top - 2), built(GA, "CHH", top - 2)
+    chh_b, chh_gb = built(f.target, "CHH", top - 1), built(GB, "CHH", top - 1)
     VA = compose_maps(cmaps.proj_I(f.source, chh_a, cla_a),
                       compose_maps(cmaps.trace(GA, f.source, chh_ga, chh_a),
                                    cmaps.phi(GA, cl_ga, chh_ga)))
@@ -724,9 +776,9 @@ def _relative_naturality_small(checks, config):
                       compose_maps(cmaps.trace(GB, f.target, chh_gb, chh_b),
                                    cmaps.phi(GB, cl_gb, chh_gb)))
     checks.chain_map("relative_composite_natural_at_small_size[dual_aug]",
-                     cone_pair_map(mcc, mcl, VA, WB), cut - 1,
+                     cone_pair_map(mcc, mcl, VA, WB), top,
                      "cone pair of I o tr o phi verified at matrix size 2, "
-                     "degrees <= %d" % (cut - 1))
+                     "degrees <= %d" % top)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +812,7 @@ def suite_appendix(config: SuiteConfig):
         A = builtin_algebra(name)
         _d2_checks(checks, A, name, ("P",), cutoff, config.session)
         P = build_complex(A, "P", cutoff + 1, config.session)
-        chh = build_complex(A, "CHH", cutoff + 1, config.session)
+        chh = build_complex(A, "CHH", cutoff, config.session)
         emb = cmaps.embed_cy(A, chh, P)
         checks.chain_map("cyclic_embedding_is_chain_map[%s]" % name, emb, cutoff)
         top = min(3, cutoff - 1)
@@ -782,8 +834,8 @@ def suite_appendix(config: SuiteConfig):
                          "degrees <= %d" % cutoff)
     # independent oracle for the dual numbers: the two-periodic resolution
     dual = builtin_algebra("dual")
-    chh = build_complex(dual, "CHH", cutoff + 1, config.session)
-    per = _periodic_dual_complex(cutoff + 1)
+    chh = build_complex(dual, "CHH", cutoff, config.session)
+    per = _periodic_dual_complex(cutoff)
     top = min(3, cutoff - 1)
     got = [chh.betti(n) for n in range(top + 1)]
     want = [per.betti(n) for n in range(top + 1)]

@@ -99,6 +99,8 @@ def test_bracket_is_commutator():
                 xy[k] = xy.get(k, 0) - v
             assert dict(table[x][y]) == {k: v for k, v in xy.items() if v}
     assert any(table[x][y] for x in range(A.dim) for y in range(A.dim))
+    # built once per algebra: every CL column function reads the one table
+    assert bracket_table(A) is table
     # brackets in a commutative algebra vanish
     assert not any(any(row) for row in bracket_table(builtin_algebra("dual")))
 

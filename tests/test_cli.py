@@ -80,6 +80,50 @@ def test_small_battery_report_is_pinned(tmp_path):
         "4050b11eba171e67d4266dfee89830811668a4d39760853ed854051c03e37132"
 
 
+@pytest.mark.parametrize("args,code,digest", [
+    (("--cutoff", "2", "--matrix-size", "2", "--seed", "42"), 0,
+     "1613ea087eaa5204f101f2646631eb347030d2609d631be1173646677ebf2311"),
+    (("--cutoff", "2", "--matrix-size", "3", "--seed", "42"), 0,
+     "a7882da915300caf93db636ce104e693f6c5a450f9e5e73540f7576ba9b9ce9c"),
+    (("--cutoff", "4", "--matrix-size", "3", "--debug-break-phi"), 1,
+     "aff6acb47c09d6ef5dbc389ec84dd230dc624c0818cfb048d2e229881de1f5ea"),
+], ids=["cutoff2-N2", "cutoff2-N3", "cutoff4-broken-phi"])
+def test_more_battery_reports_are_pinned(tmp_path, args, code, digest):
+    """At cutoff 2 the trims by degree reach their floor: the naturality
+    check at matrix size 2 verifies no square and builds each complex to
+    degree 1. With phi broken at cutoff 4, each failing row's witness (first
+    failing degree and column) is in the report. Each report.json is pinned
+    byte for byte."""
+    r = run_cli("verify", "--suite", "all", *args, "--out", str(tmp_path))
+    assert r.returncode == code, r.stderr
+    raw = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_the_default_battery_reads_back_every_cache_file_it_writes(tmp_path):
+    """The cutoff-4, N=3 battery with a cache, cold then warm: the cold run
+    writes 247 boundary files, and the warm run reads all of them and
+    writes nothing. A check that stops reading a cached boundary, or reads
+    one more, moves these counts. Both reports are the default battery's,
+    767502bb…."""
+    cdir = tmp_path / "cache"
+    counts, files = [], []
+    for out in ("cold", "warm"):
+        r = run_cli("verify", "--suite", "all", "--cutoff", "4",
+                    "--matrix-size", "3", "--cache", str(cdir),
+                    "--out", str(tmp_path / out))
+        assert r.returncode == 0, r.stderr
+        raw = (tmp_path / out / "report.json").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == \
+            "767502bbf0a1581491796c885cc34f4d4da91d3af6a3d531305067c990b08fae"
+        man = json.loads((tmp_path / out / "manifest.json").read_text())
+        counts.append(man["cache"])
+        files.append({p.name: p.read_bytes() for p in cdir.iterdir()})
+    assert counts == [{"hits": 0, "misses": 247, "writes": 247},
+                      {"hits": 247, "misses": 0, "writes": 0}]
+    assert len(files[0]) == 247 and files[1] == files[0]
+
+
 @pytest.mark.parametrize("args,digest", [
     (("--algebra", "cyclic:2", "--maps", "PHI,THETA,EPSILON,PROJ_LIE,PROJ_ADJ,"
       "PROJ_I,P_KAHLER,TRACE,CORNER,BAR_PI,BAR_IOTA,EMBED_CY",

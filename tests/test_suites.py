@@ -7,12 +7,17 @@ import pytest
 
 from leibhom import chain_maps as cmaps
 from leibhom.algebra import (BUILTIN_NAMES, builtin_algebra, builtin_morphism,
-                             matrix_morphism)
+                             matrix_algebra, matrix_morphism)
 from leibhom import complexes
-from leibhom.complexes import Session, boundary_matrix, build_complex
+from leibhom.complexes import (Session, boundary_matrix, build_complex,
+                               index_tuple, tuple_index)
 from leibhom.homology import compose_maps, cone_pair_map, mapping_cone
+from leibhom.linalg import SparseMatrix
 from leibhom.suites import (SUITE_IDS, SuiteConfig, _Checks, _d2_checks,
-                            _fmt_wit, _relative_stream, run_suite)
+                            _fmt_wit, _maps_equal,
+                            _phi_inverse_indexing_invariance,
+                            _phi_slot_antisymmetry, _relative_stream,
+                            lift_identities, run_suite)
 
 FAST = SuiteConfig(cutoff=3, matrix_size=2, seed=42)
 
@@ -226,3 +231,108 @@ def test_d2_check_names_the_lowest_failing_streamed_degree(monkeypatch):
     assert row["detail"] == ("degrees <= 4, dims [2, 4, 8], degrees [3, 4] "
                              "streamed")
     assert row["witness"] == _fmt_wit((3, 0))
+
+
+def test_relative_suite_stores_no_m2_dual_degree_above_its_naturality_check():
+    """relative_composite_natural_at_small_size verifies the cone squares
+    through degree min(4, cutoff) - 1 = 3, so no boundary over M_2(dual) it
+    stores goes above that degree: CL to 3 for the cone, and CHH to 1 for
+    phi into CHH_{n-1} on the cone's C block, CL_{n-1}. The CL complexes
+    over M_2(dual) once went to 4 and CHH to 3."""
+    config = SuiteConfig(cutoff=4)
+    rep = run_suite("relative", config)
+    cid = "relative_composite_natural_at_small_size[dual_aug]"
+    [row] = [c for c in rep["checks"] if c["id"] == cid]
+    assert (row["status"], row["detail"]) == (
+        "pass", "cone pair of I o tr o phi verified at matrix size 2, "
+                "degrees <= 3")
+    m2dual = matrix_morphism(builtin_morphism("dual_aug"), 2).source
+    assert sorted((kind, n) for fp, kind, n in config.session.boundaries
+                  if fp == m2dual.fingerprint()) == [
+        ("CHH", 1), ("CL", 1), ("CL", 2), ("CL", 3)]
+
+
+def test_degree0_suite_stores_no_boundary_above_degree_2():
+    """HL_1, HH_0, HC_0 and HLie_1 read d_1 and d_2 only, whatever the
+    cutoff."""
+    config = SuiteConfig(cutoff=4)
+    rep = run_suite("degree0", config)
+    assert rep["counts"]["fail"] == 0
+    assert max(n for _, _, n in config.session.boundaries) == 2
+
+
+def test_lift_identities_evaluate_the_normal_form_on_the_lift_columns_only(
+        monkeypatch):
+    """theta_nf o lift is read off the normal form's columns at the tensors
+    the lift's degree-2 columns hold: one per 3-cycle and basis tuple, not
+    the 5832 columns of CL_3(M_3(dual))."""
+    A = builtin_algebra("dual")
+    MA = matrix_algebra(A, 3)
+    lift = cmaps.lift_p(A, MA, build_complex(A, "P", 2),
+                        build_complex(MA, "CL", 3))
+    evaluated = []
+    real = cmaps.theta_nf_column_fn
+
+    def counted(*args):
+        col = real(*args)
+        return lambda j: evaluated.append(j) or col(j)
+
+    monkeypatch.setattr(cmaps, "theta_nf_column_fn", counted)
+    assert lift_identities(A, MA, lift) == (True, True)
+    assert sorted(evaluated) == sorted(
+        j for col in lift.maps[2].columns for j in col)
+    assert len(evaluated) == lift.source.dims[2] == 16
+
+
+def _matrix_maps_equal(F, G, top):
+    """The materialized comparison the column-wise _maps_equal replaces."""
+    for n in range(top + 1):
+        if n in F.maps and n in G.maps and F.maps[n] != G.maps[n]:
+            return False, (n, next(j for j in range(F.maps[n].cols)
+                                   if F.maps[n].columns[j]
+                                   != G.maps[n].columns[j]))
+    return True, None
+
+
+@pytest.mark.parametrize("name", ["dual", "s3"])
+@pytest.mark.parametrize("fault", [None, "broken", (3, 5), (4, 13)])
+def test_column_wise_core_checks_match_the_matrix_products(name, fault):
+    """The core checks that compare column by column give the results and
+    witnesses of the matrix products they replace: with phi sound, broken
+    (one ordering's sign flipped from degree 3), or with one entry planted
+    in column j of its degree-m component."""
+    A = builtin_algebra(name)
+    cx = {kind: build_complex(A, kind, 4)
+          for kind in ("CL", "CHH", "CLAMBDA", "CE", "CE_ADJ")}
+    sound = cmaps.phi(A, cx["CL"], cx["CHH"])
+    ph = cmaps.phi(A, cx["CL"], cx["CHH"], broken=fault == "broken")
+    if isinstance(fault, tuple):
+        m, j = fault
+        ph.maps[m].columns[j] = dict(ph.maps[m].columns[j])
+        ph.maps[m].columns[j][0] = ph.maps[m].columns[j].get(0, 0) + 1
+    th = cmaps.theta(A, cx["CE"], cx["CLAMBDA"])
+    ep = cmaps.epsilon(A, cx["CE_ADJ"], cx["CHH"])
+    pl = cmaps.proj_lie(A, cx["CL"], cx["CE"])
+    pa = cmaps.proj_adjoint(A, cx["CL"], cx["CE_ADJ"])
+    pI = cmaps.proj_I(A, cx["CHH"], cx["CLAMBDA"])
+    got = _maps_equal((ep, pa), (ph,), 4)
+    assert got == _matrix_maps_equal(compose_maps(ep, pa), ph, 4)
+    assert got == {None: (True, None), "broken": (False, (3, 0))}.get(
+        fault, (False, fault))
+    assert _maps_equal((pI, ph), (th, pl), 4) == _matrix_maps_equal(
+        compose_maps(pI, ph), compose_maps(th, pl), 4)
+    d = A.dim
+    first_bad = None
+    for m in (3, 4):
+        swap = SparseMatrix.from_columns(d ** m, d ** m, lambda j: {
+            tuple_index((lambda t: (t[0], t[2], t[1]) + t[3:])(
+                index_tuple(j, d, m)), d): 1})
+        if ph.maps[m].matmul(swap) != ph.maps[m].scaled(-1):
+            first_bad = m
+            break
+    assert first_bad == (None if fault is None else 3 if fault == "broken"
+                         else fault[0])
+    assert _phi_slot_antisymmetry(A, cx["CL"], ph, 4) == (
+        (True, None) if first_bad is None else (False, {"degree": first_bad}))
+    assert _phi_inverse_indexing_invariance(A, cx["CL"], ph, 4) is (
+        fault is None)
